@@ -113,8 +113,8 @@ inline void print_campaign_footer(std::ostream& os, const core::CampaignResult& 
   os << "\ncampaign: " << result.cells.size() << " cells, "
      << result.split.campaign_workers << " concurrent ("
      << result.split.experiment_workers << " experiment worker"
-     << (result.split.experiment_workers == 1 ? "" : "s") << "/cell, batch width "
-     << result.batch_width << "), " << result.total_experiments() << " simulations in "
+     << (result.split.experiment_workers == 1 ? "" : "s") << "/cell), "
+     << result.total_experiments() << " simulations in "
      << result.wall_seconds << " s wall\n";
 }
 

@@ -6,9 +6,7 @@
 #include "core/checker.h"
 #include "core/sabre.h"
 #include "fuzz/fuzzer.h"
-#include "fw/estimator_batch.h"
 #include "fw/firmware.h"
-#include "sensors/suite_batch.h"
 #include "hinj/messages.h"
 #include "mavlink/codec.h"
 #include "sim/simulator.h"
@@ -45,35 +43,6 @@ static void BM_FullFirmwareStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FullFirmwareStep);
-
-// Batched lockstep inner loop: SuiteBatch reads + EstimatorBatch fusion for
-// N lanes at 1 kHz — the hot sensing/fusion phase core::BatchHarness runs
-// between per-lane control phases. items/s is lane-steps per second, so the
-// structure-of-arrays win over the scalar sensing path (BM_FullFirmwareStep
-// carries it plus control) reads off the width-1 vs width-4/8 rows.
-static void BM_BatchStep(benchmark::State& state) {
-  const int width = static_cast<int>(state.range(0));
-  util::Rng seeds(7);
-  sensors::SensorSuite scalar_suite(core::SimulationHarness::iris_suite(), seeds);
-  sensors::SuiteBatch suite(core::SimulationHarness::iris_suite(), width);
-  fw::EstimatorBatch estimator(width);
-  std::vector<sim::VehicleState> truth(static_cast<std::size_t>(width));
-  sim::Environment env;
-  std::vector<const sim::Environment*> envs(static_cast<std::size_t>(width), &env);
-  std::vector<int> lanes(static_cast<std::size_t>(width));
-  for (int k = 0; k < width; ++k) {
-    suite.pack(k, scalar_suite.save());
-    estimator.pack(k, fw::StateEstimator::Snapshot{});
-    lanes[static_cast<std::size_t>(k)] = k;
-  }
-  sim::SimTimeMs now = 0;
-  for (auto _ : state) {
-    estimator.step(++now, suite, truth.data(), envs.data(), lanes.data(), width);
-    benchmark::DoNotOptimize(estimator.fused(0));
-  }
-  state.SetItemsProcessed(state.iterations() * width);
-}
-BENCHMARK(BM_BatchStep)->Arg(1)->Arg(4)->Arg(8);
 
 static void BM_HinjRoundTrip(benchmark::State& state) {
   hinj::NullDirector director;

@@ -13,7 +13,6 @@
 #include <benchmark/benchmark.h>
 
 #include "common.h"
-#include "core/batch_harness.h"
 #include "core/campaign.h"
 #include "core/checker.h"
 #include "core/sabre.h"
@@ -38,39 +37,26 @@ constexpr sim::SimTimeMs kCampaignBudgetMs = 600 * 1000;
 
 }  // namespace
 
-// Single-experiment hot path: fault-free monitored runs at batch width N.
-// Arg(0) is the scalar reference (SimulationHarness::run, the pre-batch
-// path); widths >= 1 go through the lockstep batch engine, whose gain is
-// the pre-injection estimator fast path plus per-lane-consecutive (tiled)
-// stepping. items/s is experiments per wall second, so the batch speedup
-// reads directly off the 0 vs 1/4/8 rows.
+// Single-experiment hot path: one fault-free monitored run through
+// SimulationHarness::run, the path every checker experiment takes. items/s
+// is experiments per wall second.
 static void BM_SingleExperiment(benchmark::State& state) {
-  const std::size_t width = static_cast<std::size_t>(state.range(0));
   core::Checker& checker = shared_checker();
   const core::MonitorModel& model = checker.model();
-  std::vector<core::ExperimentSpec> specs(std::max<std::size_t>(width, 1));
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    core::ExperimentSpec& spec = specs[i];
-    spec.personality = checker.personality();
-    spec.workload = checker.workload();
-    spec.bugs = checker.bugs();
-    spec.seed = 100 + i;
-    spec.max_duration_ms = model.profiling_duration_ms() + 45000;
-  }
-  core::BatchHarness engine(checker.harness());
+  core::ExperimentSpec spec;
+  spec.personality = checker.personality();
+  spec.workload = checker.workload();
+  spec.bugs = checker.bugs();
+  spec.seed = 100;
+  spec.max_duration_ms = model.profiling_duration_ms() + core::Checker::kSettleMs;
   std::int64_t experiments = 0;
   for (auto _ : state) {
-    if (width == 0) {
-      benchmark::DoNotOptimize(checker.harness().run(specs[0], &model));
-      experiments += 1;
-    } else {
-      benchmark::DoNotOptimize(engine.run(specs, &model));
-      experiments += static_cast<std::int64_t>(width);
-    }
+    benchmark::DoNotOptimize(checker.harness().run(spec, &model));
+    experiments += 1;
   }
   state.SetItemsProcessed(experiments);
 }
-BENCHMARK(BM_SingleExperiment)->Arg(0)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SingleExperiment)->Unit(benchmark::kMillisecond);
 
 // Full SABRE campaign at N workers. Arg(1) runs the serial Checker::run
 // path; higher counts dispatch batches across the worker pool. The reports
@@ -98,39 +84,6 @@ static void BM_CheckerCampaign(benchmark::State& state) {
       static_cast<double>(experiments) / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_CheckerCampaign)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kSecond)
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
-
-// Serial SABRE campaign at lockstep batch width W (single worker, so the
-// wall-time delta is the batch engine alone, with no pool effects mixed
-// in). Reports are bit-identical at every width (tests/test_batch.cc), so
-// experiments/campaign must not vary across rows — only wall time may.
-static void BM_CheckerBatchWidth(benchmark::State& state) {
-  const int width = static_cast<int>(state.range(0));
-  core::Checker& checker = shared_checker();
-  const core::MonitorModel& model = checker.model();
-  const auto suite = core::SimulationHarness::iris_suite();
-  checker.set_batch_width(width);
-
-  std::int64_t experiments = 0;
-  for (auto _ : state) {
-    core::SabreScheduler sabre(suite, model.golden_transitions());
-    core::BudgetClock budget(kCampaignBudgetMs);
-    const core::CheckerReport report = checker.run(sabre, budget);
-    experiments += report.experiments;
-    benchmark::DoNotOptimize(report);
-  }
-  checker.set_batch_width(0);
-  state.SetItemsProcessed(experiments);
-  state.counters["experiments/campaign"] = benchmark::Counter(
-      static_cast<double>(experiments) / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_CheckerBatchWidth)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

@@ -18,7 +18,7 @@ namespace avis::core {
 // touches is constructed here, so cells are safe to run on pool threads —
 // or in a worker process on the other end of a socket (src/net/).
 CampaignCellResult run_cell(const CampaignCellSpec& spec, int experiment_workers,
-                            const CheckpointConfig& checkpoints, int batch_width) {
+                            const CheckpointConfig& checkpoints) {
   CampaignCellResult result;
   result.spec = spec;
   const auto start = std::chrono::steady_clock::now();
@@ -30,7 +30,6 @@ CampaignCellResult run_cell(const CampaignCellSpec& spec, int experiment_workers
   ExperimentSpec prototype = scenario_prototype(spec.scenario);
   if (spec.bugs_override) prototype.bugs = *spec.bugs_override;
   Checker checker(std::move(prototype), checkpoints);
-  checker.set_batch_width(batch_width);
   const MonitorModel& model = checker.model();
   result.strategy = spec.make_strategy
                         ? spec.make_strategy(model, spec.scenario.strategy_seed)
@@ -81,8 +80,6 @@ util::WorkerBudget CampaignRunner::worker_split(std::size_t cells) const {
 CampaignResult CampaignRunner::run(const std::vector<CampaignCellSpec>& grid) const {
   CampaignResult result;
   result.split = worker_split(grid.size());
-  result.batch_width =
-      options_.batch_width > 0 ? options_.batch_width : Checker::kAutoBatchWidth;
   result.checkpoints_enabled = options_.checkpoints.enabled;
   result.checkpoint_trees = options_.checkpoints.enabled && options_.checkpoints.trees;
   result.checkpoint_budget_bytes = options_.checkpoints.byte_budget;
@@ -138,8 +135,8 @@ CampaignResult CampaignRunner::run(const std::vector<CampaignCellSpec>& grid) co
         result.interrupted = true;
         break;
       }
-      CampaignCellResult cell = run_cell(grid[i], result.split.experiment_workers,
-                                         options_.checkpoints, options_.batch_width);
+      CampaignCellResult cell =
+          run_cell(grid[i], result.split.experiment_workers, options_.checkpoints);
       cell.grid_index = static_cast<int>(i);
       journal_cell(cell, i);
       result.cells.push_back(std::move(cell));
@@ -157,10 +154,9 @@ CampaignResult CampaignRunner::run(const std::vector<CampaignCellSpec>& grid) co
       in_flight.emplace_back(
           i, pool.submit([&spec = grid[i], workers = result.split.experiment_workers,
                           checkpoints = options_.checkpoints,
-                          batch_width = options_.batch_width,
                           &stopped]() -> std::optional<CampaignCellResult> {
             if (stopped()) return std::nullopt;
-            return run_cell(spec, workers, checkpoints, batch_width);
+            return run_cell(spec, workers, checkpoints);
           }));
     }
     // Collection in submission order keeps the result vector in grid order
@@ -215,7 +211,6 @@ std::string campaign_report_json(const CampaignResult& result) {
   if (result.interrupted) os << "    \"interrupted\": true,\n";
   os << "    \"cell_workers\": " << result.split.campaign_workers << ",\n";
   os << "    \"experiment_workers\": " << result.split.experiment_workers << ",\n";
-  os << "    \"batch_width\": " << result.batch_width << ",\n";
   // The checkpoint knobs the campaign ran with (CLI: --no-checkpoints,
   // --no-checkpoint-trees, --checkpoint-budget-mb). Deliberately inside the
   // checkpoint_* prefix: the smoke diff masks that prefix when comparing

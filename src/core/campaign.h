@@ -92,9 +92,8 @@ struct CampaignCellResult {
 
 struct CampaignResult {
   util::WorkerBudget split;       // worker split the campaign actually ran with
-  int batch_width = 0;            // resolved lockstep width the cells ran with
-  // Checkpoint knobs the cells ran with, echoed into the report JSON next
-  // to batch_width so an archived report is self-describing.
+  // Checkpoint knobs the cells ran with, echoed into the report JSON so an
+  // archived report is self-describing.
   bool checkpoints_enabled = true;
   bool checkpoint_trees = true;
   std::size_t checkpoint_budget_bytes = 0;
@@ -162,10 +161,8 @@ struct CampaignResult {
 // strategy, run the checker loop. This is the unit the campaign pool — and a
 // distributed worker process (src/net/worker.h) — executes; cells touch
 // nothing shared, so it is safe to call concurrently.
-// `batch_width` is the lockstep simulation width handed to the cell's
-// Checker (0 = auto; reports are bit-identical at any width).
 CampaignCellResult run_cell(const CampaignCellSpec& spec, int experiment_workers,
-                            const CheckpointConfig& checkpoints, int batch_width = 0);
+                            const CheckpointConfig& checkpoints);
 
 struct CampaignOptions {
   // Hardware budget divided between the two pool levels via
@@ -178,10 +175,6 @@ struct CampaignOptions {
   // own fault-free prefix). On by default; the CLI's --no-checkpoints and
   // parity tests turn it off.
   CheckpointConfig checkpoints;
-  // Lockstep batch width per cell (core::BatchHarness). 0 = auto
-  // (Checker::kAutoBatchWidth). Like the worker split, a wall-clock-only
-  // knob: reports are bit-identical at any width.
-  int batch_width = 0;
 
   // Crash safety (core/journal.h; docs/DISTRIBUTED.md). When `journal` is
   // set, every completed cell is appended (write + fsync) as soon as it is

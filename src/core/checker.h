@@ -5,13 +5,14 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <future>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/batch_harness.h"
 #include "core/budget.h"
 #include "core/coverage.h"
 #include "core/harness.h"
@@ -42,9 +43,9 @@ struct CheckerReport {
   // Mode-graph edge coverage over every applied experiment, keyed by
   // (edge, injection-window bucket) — see core/coverage.h. Derived from the
   // applied-result sequence like bug_first_found, and from transitions that
-  // are bit-identical across worker counts, batch widths and checkpoint
-  // modes, so it is part of report identity (NOT masked the way the
-  // checkpoint_* counters are).
+  // are bit-identical across worker counts and checkpoint modes, so it is
+  // part of report identity (NOT masked the way the checkpoint_* counters
+  // are).
   CoverageMap edge_coverage;
 
   // Checkpointed prefix forking observability (docs/PERFORMANCE.md): how
@@ -134,176 +135,40 @@ class Checker {
     return *model_;
   }
 
-  // Lockstep batch width for experiment simulation: how many independent
-  // plans the strategy hands out at a time to be stepped together through
-  // core::BatchHarness (bit-identical to one-at-a-time scalar runs — the
-  // batch engine's contract). 0 (the default) means auto, currently
-  // kAutoBatchWidth; width 1 still routes through the batch engine as a
-  // degenerate single-lane batch. Applies to run() and, per worker chunk,
-  // to run_parallel(); profiling and prefix recording stay scalar.
-  static constexpr int kAutoBatchWidth = 4;
+  // Strategy request size: run() asks for up to kRequestChunk plans at a
+  // time and run_parallel() for 2 x workers x kRequestChunk, both capped by
+  // p_adaptive_width near the budget boundary. A strategy's plan sequence is
+  // independent of the request size (the next_batch contract), so this
+  // moves wall clock only, never the report.
+  static constexpr int kRequestChunk = 4;
   // Slack every experiment gets past the profiled mission duration before
   // it is cut off (p_make_spec); a safe run that uses all of it counts as
   // stalled (CheckerReport::stalled_runs).
   static constexpr sim::SimTimeMs kSettleMs = 45000;
-  void set_batch_width(int width) { batch_width_ = width; }
-  int batch_width() const { return batch_width_ > 0 ? batch_width_ : kAutoBatchWidth; }
 
-  // Serial checker loop, batched: up to batch_width() plans per strategy
-  // request, stepped in lockstep, results applied in proposal order. If the
-  // budget exhausts mid-batch the remaining results are discarded — exactly
-  // the experiments a width-1 loop would never have started — so the report
-  // is bit-identical to the historical one-at-a-time loop. Like
-  // run_parallel, discarded plans were already consumed from the strategy,
-  // so a strategy that went through a batched run should not be resumed
-  // with a fresh budget (no current caller does).
+  // Serial checker loop: plans are simulated one at a time in proposal
+  // order and applied as they finish. Once the budget exhausts, the rest of
+  // the request is discarded unsimulated. Discarded plans were already
+  // consumed from the strategy, so a strategy that went through a run
+  // should not be resumed with a fresh budget (no current caller does).
   CheckerReport run(InjectionStrategy& strategy, BudgetClock& budget) {
-    const MonitorModel& monitor = model();
-    const CheckpointStore* checkpoints = p_checkpoints(monitor);
-    // Per-campaign tree: every campaign over this checker starts from an
-    // empty tree so its hit counters (and plan recordings) are a function
-    // of the campaign alone, not of which strategies ran before it.
-    if (checkpoints_) checkpoints_->clear_tree();
-    const int capture_limit =
-        checkpoints != nullptr && checkpoints->trees_enabled() ? strategy.chain_extension_limit()
-                                                               : 0;
-    CheckerReport report;
-    report.strategy_name = strategy.name();
-    auto engine = engines_.acquire(harness_);
-    bool out_of_budget = false;
-    std::vector<std::vector<ExperimentSnapshot>> captures;
-    while (!out_of_budget && !budget.exhausted()) {
-      std::vector<FaultPlan> plans =
-          strategy.next_batch(budget, p_adaptive_width(budget, batch_width()));
-      if (plans.empty()) break;
-      std::vector<ExperimentSpec> specs;
-      specs.reserve(plans.size());
-      for (const FaultPlan& plan : plans) specs.push_back(p_make_spec(plan, monitor));
-      // Handing the engine the remaining budget lets it stop simulating
-      // lanes whose results the discard loop below is guaranteed to throw
-      // away (see BatchHarness::run) — the discarded slots are then default
-      // results this loop never reads.
-      std::vector<ExperimentResult> results =
-          engine->run(specs, &monitor, checkpoints, budget.remaining_ms(), capture_limit,
-                      capture_limit > 0 ? &captures : nullptr);
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        if (out_of_budget || (i > 0 && budget.exhausted())) {
-          out_of_budget = true;
-          continue;
-        }
-        // The engine is idle between waves, so merges land inline (the
-        // parallel loop defers them instead — see run_parallel).
-        p_apply(report, strategy, budget, plans[i], std::move(results[i]),
-                capture_limit > 0 ? &captures[i] : nullptr, nullptr);
-      }
-    }
-    engines_.release(std::move(engine));
-    report.labels = budget.labels();
-    report.budget_used_ms = budget.used_ms();
-    report.checkpoint_evicted = checkpoints != nullptr ? checkpoints->evicted() : 0;
-    report.checkpoint_tree_evicted = checkpoints != nullptr ? checkpoints->tree_evicted() : 0;
-    return report;
+    return p_campaign(strategy, budget, nullptr);
   }
 
-  // Parallel variant: strategies hand out a batch of independent plans, the
-  // pool simulates them concurrently, and results are applied on this
-  // thread in submission order. Budget charging, feedback() and
-  // UnsafeRecord collection are therefore single-threaded, so BudgetClock
-  // needs no locking and the report is bit-identical to run() for the same
-  // plan sequence. If the budget exhausts mid-batch, the in-flight
-  // remainder is drained but not applied — exactly the experiments a serial
-  // run would never have started. Those discarded plans were already
-  // consumed from the strategy, so a strategy object that went through
-  // run_parallel should not be resumed with a fresh budget (no current
-  // caller does; serial run() has no such caveat). See docs/PERFORMANCE.md.
+  // Parallel variant: every plan of a request is its own pool task, and
+  // results are applied on this thread in proposal order. Budget charging,
+  // feedback() and UnsafeRecord collection are therefore single-threaded,
+  // so BudgetClock needs no locking and the report is bit-identical to
+  // run() for the same plan sequence (strategies stop a request at the
+  // boundary where a serial run's feedback could change the next plan —
+  // SABRE at its expansion wave). If the budget exhausts mid-request, the
+  // remainder is discarded — exactly the experiments a serial run would
+  // never have started — and tasks that have not started yet skip their
+  // simulation. See docs/PERFORMANCE.md.
   CheckerReport run_parallel(InjectionStrategy& strategy, BudgetClock& budget, int workers) {
     if (workers <= 1) return run(strategy, budget);
-    const MonitorModel& monitor = model();
-    // Recorded on this thread before any batch is dispatched; workers then
-    // share the store strictly read-only. Tree merges are deferred to the
-    // end of each wave (below) to keep that invariant.
-    const CheckpointStore* checkpoints = p_checkpoints(monitor);
-    if (checkpoints_) checkpoints_->clear_tree();
-    const int capture_limit =
-        checkpoints != nullptr && checkpoints->trees_enabled() ? strategy.chain_extension_limit()
-                                                               : 0;
     util::ThreadPool pool(workers);
-    CheckerReport report;
-    report.strategy_name = strategy.name();
-    bool out_of_budget = false;
-    struct ChunkOutput {
-      std::vector<ExperimentResult> results;
-      std::vector<std::vector<ExperimentSnapshot>> captures;
-    };
-    std::vector<PendingMerge> deferred;
-    while (!out_of_budget && !budget.exhausted()) {
-      // Two width-sized lockstep chunks per worker keep the pool saturated
-      // while the caller thread applies results; strategies may return fewer
-      // plans (SABRE stops at its expansion-wave boundary to preserve the
-      // serial plan sequence). Near the budget boundary the chunk width
-      // shrinks with the adaptive cap, so a wave overshoots by at most the
-      // chunk count, not chunk-count-times-width, experiments.
-      const auto width = static_cast<std::size_t>(p_adaptive_width(budget, batch_width()));
-      std::vector<FaultPlan> plans =
-          strategy.next_batch(budget, 2 * workers * static_cast<int>(width));
-      if (plans.empty()) break;
-      std::vector<std::future<ChunkOutput>> in_flight;
-      in_flight.reserve((plans.size() + width - 1) / width);
-      for (std::size_t begin = 0; begin < plans.size(); begin += width) {
-        const std::size_t end = std::min(plans.size(), begin + width);
-        std::vector<ExperimentSpec> specs;
-        specs.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) specs.push_back(p_make_spec(plans[i], monitor));
-        in_flight.push_back(
-            pool.submit([this, specs = std::move(specs), &monitor, checkpoints, capture_limit] {
-              // Per-worker engine: whichever worker picks this chunk up
-              // checks a batch engine out for the duration, so the lane
-              // worlds are reset, not reallocated, from one chunk to the
-              // next (the arena-reuse contract). An exception skips the
-              // release and simply retires the engine.
-              auto engine = engines_.acquire(harness_);
-              ChunkOutput out;
-              out.results = engine->run(specs, &monitor, checkpoints, -1, capture_limit,
-                                        capture_limit > 0 ? &out.captures : nullptr);
-              engines_.release(std::move(engine));
-              return out;
-            }));
-      }
-      // Apply in flattened submission order — the proposal order — so the
-      // report is bit-identical to the serial loop for the same plans.
-      std::size_t applied = 0;
-      for (auto& chunk : in_flight) {
-        ChunkOutput out = chunk.get();  // rethrows worker errors
-        for (std::size_t j = 0; j < out.results.size(); ++j) {
-          // Result 0 is always applied: the serial loop runs and applies any
-          // plan next() returns, even when proposal-side charges (BFI's
-          // labels) crossed the budget limit while producing it. Later
-          // results are discarded once the budget exhausts — exactly the
-          // experiments a serial run would never have started.
-          if (out_of_budget || (applied > 0 && budget.exhausted())) {
-            out_of_budget = true;
-          } else {
-            p_apply(report, strategy, budget, plans[applied], std::move(out.results[j]),
-                    capture_limit > 0 ? &out.captures[j] : nullptr, &deferred);
-          }
-          ++applied;
-        }
-      }
-      // The wave is fully drained: no worker holds a chunk, so the store
-      // can be mutated. Merging here (not inside p_apply) is what lets the
-      // next wave's children resolve their parents' recordings without the
-      // engine threads ever observing a mutation.
-      for (PendingMerge& merge : deferred) {
-        checkpoints_->merge_run(merge.plan, std::move(merge.snapshots), std::move(merge.trace),
-                                std::move(merge.transitions));
-      }
-      deferred.clear();
-    }
-    report.labels = budget.labels();
-    report.budget_used_ms = budget.used_ms();
-    report.checkpoint_evicted = checkpoints != nullptr ? checkpoints->evicted() : 0;
-    report.checkpoint_tree_evicted = checkpoints != nullptr ? checkpoints->tree_evicted() : 0;
-    return report;
+    return p_campaign(strategy, budget, &pool);
   }
 
   // The scenario's checkpoint store (recorded on first use when enabled);
@@ -334,15 +199,104 @@ class Checker {
     return prototype;
   }
 
-  // Budget-aware batch sizing: a full-width batch proposed just before the
-  // budget exhausts runs experiments whose results the mid-batch discard
-  // rule throws away — pure wall-clock waste, and a no-injection control
-  // plan at a wave's tail wastes a full-duration run. Estimate how many
-  // experiments still fit from the average charge so far (label charges
-  // included, which only biases the estimate low, i.e. conservative) and
-  // cap the request. A strategy's plan sequence is independent of the
-  // request size (the next_batch contract), so the cap moves wall clock
-  // only, never the report.
+  // One experiment's output, as a pool task hands it back: the result plus
+  // the checkpoint-tree snapshots it recorded (empty when not recorded).
+  struct Outcome {
+    ExperimentResult result;
+    std::vector<ExperimentSnapshot> captures;
+  };
+
+  // The checker loop behind run() (pool == nullptr: each plan runs on this
+  // thread when its result is due) and run_parallel(). The checkpoint store
+  // is recorded on this thread before any plan runs; while a request is in
+  // flight the store is strictly read-only, and tree merges wait for the
+  // request's boundary, which is what lets the next wave's children resolve
+  // their parents' recordings without a worker ever observing a mutation.
+  CheckerReport p_campaign(InjectionStrategy& strategy, BudgetClock& budget,
+                           util::ThreadPool* pool) {
+    const MonitorModel& monitor = model();
+    const CheckpointStore* checkpoints = p_checkpoints(monitor);
+    // Per-campaign tree: every campaign over this checker starts from an
+    // empty tree so its hit counters (and plan recordings) are a function
+    // of the campaign alone, not of which strategies ran before it.
+    if (checkpoints_) checkpoints_->clear_tree();
+    const int capture_limit =
+        checkpoints != nullptr && checkpoints->trees_enabled() ? strategy.chain_extension_limit()
+                                                               : 0;
+    const int request_factor = pool != nullptr ? 2 * pool->worker_count() : 1;
+    CheckerReport report;
+    report.strategy_name = strategy.name();
+    bool out_of_budget = false;
+    std::vector<PendingMerge> deferred;
+    while (!out_of_budget && !budget.exhausted()) {
+      std::vector<FaultPlan> plans = strategy.next_batch(
+          budget, request_factor * p_adaptive_width(budget, kRequestChunk));
+      if (plans.empty()) break;
+      // Plans at or past this index are never applied; their tasks skip the
+      // simulation unless they already started. Shared with the tasks so it
+      // outlives this frame if an exception unwinds it mid-request.
+      auto discard_from = std::make_shared<std::atomic<std::size_t>>(plans.size());
+      std::vector<std::future<Outcome>> outcomes;
+      outcomes.reserve(plans.size());
+      for (std::size_t i = 0; i < plans.size(); ++i) {
+        auto task = [this, &monitor, checkpoints, capture_limit, discard_from, i,
+                     plan = plans[i]] {
+          Outcome out;
+          if (i >= discard_from->load(std::memory_order_relaxed)) return out;
+          // A worker checks a context out per experiment, so consecutive
+          // runs reset retained storage instead of reallocating it (the
+          // arena-reuse contract). An exception skips the release and
+          // simply retires the context.
+          auto context = contexts_.acquire();
+          out.result = harness_.run(p_make_spec(plan, monitor), &monitor, context.get(),
+                                    checkpoints, capture_limit, &out.captures);
+          contexts_.release(std::move(context));
+          return out;
+        };
+        outcomes.push_back(pool != nullptr ? pool->submit(std::move(task))
+                                           : std::async(std::launch::deferred, std::move(task)));
+      }
+      for (std::size_t i = 0; i < plans.size(); ++i) {
+        // Plan 0 is always applied: the serial loop runs and applies any
+        // plan next() returns, even when proposal-side charges (BFI's
+        // labels) crossed the budget limit while producing it. Later plans
+        // are discarded once the budget exhausts.
+        if (!out_of_budget && i > 0 && budget.exhausted()) {
+          out_of_budget = true;
+          discard_from->store(i, std::memory_order_relaxed);
+        }
+        if (out_of_budget) {
+          outcomes[i].wait();  // drain: a running task may still read the store
+          continue;
+        }
+        Outcome out = outcomes[i].get();  // rethrows worker errors
+        p_apply(report, strategy, budget, plans[i], std::move(out.result), out.captures,
+                deferred);
+      }
+      // The request is fully drained: no task holds the store, so it can be
+      // mutated.
+      for (PendingMerge& merge : deferred) {
+        checkpoints_->merge_run(merge.plan, std::move(merge.snapshots), std::move(merge.trace),
+                                std::move(merge.transitions));
+      }
+      deferred.clear();
+    }
+    report.labels = budget.labels();
+    report.budget_used_ms = budget.used_ms();
+    report.checkpoint_evicted = checkpoints != nullptr ? checkpoints->evicted() : 0;
+    report.checkpoint_tree_evicted = checkpoints != nullptr ? checkpoints->tree_evicted() : 0;
+    return report;
+  }
+
+  // Budget-aware request sizing: a full request proposed just before the
+  // budget exhausts runs experiments whose results the discard rule throws
+  // away — pure wall-clock waste, and a no-injection control plan at a
+  // wave's tail wastes a full-duration run. Estimate how many experiments
+  // still fit from the average charge so far (label charges included,
+  // which only biases the estimate low, i.e. conservative) and cap the
+  // request. A strategy's plan sequence is independent of the request size
+  // (the next_batch contract), so the cap moves wall clock only, never the
+  // report.
   int p_adaptive_width(const BudgetClock& budget, int width) const {
     if (budget.experiments() == 0) return width;
     const sim::SimTimeMs avg =
@@ -385,8 +339,8 @@ class Checker {
   }
 
   // One finished directed run waiting to be merged into the checkpoint
-  // tree at the wave boundary (run_parallel defers merges so worker threads
-  // only ever read the store).
+  // tree at the request boundary (p_campaign defers merges so in-flight
+  // runs only ever read the store).
   struct PendingMerge {
     FaultPlan plan;
     std::vector<ExperimentSnapshot> snapshots;
@@ -396,12 +350,11 @@ class Checker {
 
   // Applies one result: budget charge, counters, strategy feedback, unsafe
   // record, and — when the run was recorded for the checkpoint tree
-  // (`captured` non-null and non-empty) — the tree merge, inline when
-  // `deferred` is null or queued onto it otherwise. Unsafe runs are never
-  // merged: the strategies only extend bug-free chains.
+  // (`captured` non-empty) — a tree merge queued onto `deferred`. Unsafe
+  // runs are never merged: the strategies only extend bug-free chains.
   void p_apply(CheckerReport& report, InjectionStrategy& strategy, BudgetClock& budget,
                const FaultPlan& plan, ExperimentResult result,
-               std::vector<ExperimentSnapshot>* captured, std::vector<PendingMerge>* deferred) {
+               std::vector<ExperimentSnapshot>& captured, std::vector<PendingMerge>& deferred) {
     budget.charge_experiment(result.duration_ms);
     ++report.experiments;
     // Before the moves below: unsafe runs donate their transitions to the
@@ -435,14 +388,9 @@ class Checker {
         report.bug_first_found.try_emplace(id, report.experiments);
       }
       report.unsafe.push_back(std::move(record));
-    } else if (captured != nullptr && !captured->empty() && checkpoints_) {
-      if (deferred == nullptr) {
-        checkpoints_->merge_run(plan, std::move(*captured), std::move(result.trace),
-                                std::move(result.transitions));
-      } else {
-        deferred->push_back(PendingMerge{plan, std::move(*captured), std::move(result.trace),
-                                         std::move(result.transitions)});
-      }
+    } else if (!captured.empty() && checkpoints_) {
+      deferred.push_back(PendingMerge{plan, std::move(captured), std::move(result.trace),
+                                      std::move(result.transitions)});
     }
   }
 
@@ -450,8 +398,6 @@ class Checker {
   CheckpointConfig checkpoint_config_;
   SimulationHarness harness_;
   ExperimentContextPool contexts_;
-  BatchHarnessPool engines_;
-  int batch_width_ = 0;  // 0 = auto (kAutoBatchWidth)
   std::optional<MonitorModel> model_;
   std::optional<CheckpointStore> checkpoints_;
 };

@@ -170,10 +170,10 @@ struct CheckpointResume {
 };
 
 // Capture sink for recording a directed run into the tree while it runs
-// (SimulationHarness::p_loop): the capture grid — all times strictly after
+// (SimulationHarness::p_run): the capture grid — all times strictly after
 // the plan's first injection — and the transition-horizon stop rule. The
 // filled snapshots are merged into a store afterwards (merge_run), never
-// during the run, so batch engines on other threads can keep reading the
+// during the run, so experiments on other threads can keep reading the
 // store while the run simulates.
 struct TreeCapture {
   std::vector<sim::SimTimeMs> times;  // ascending, deduplicated

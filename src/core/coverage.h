@@ -9,9 +9,9 @@
 // kCoverageWindowMs (-1 for fault-free plans). The checker accumulates keys
 // for every applied experiment (CheckerReport::edge_coverage), which makes
 // the map deterministic: results are applied in submission order, and
-// transitions are bit-identical across worker counts, batch widths, and
-// checkpoint modes — so unlike the checkpoint_* counters, edge coverage is
-// part of report identity, not masked out of it.
+// transitions are bit-identical across worker counts and checkpoint modes
+// — so unlike the checkpoint_* counters, edge coverage is part of report
+// identity, not masked out of it.
 //
 // The scenario fuzzer (src/fuzz/) uses these keys as its fitness signal: a
 // mutant scenario is interesting iff it reaches a key no corpus entry has.

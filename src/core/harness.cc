@@ -9,9 +9,19 @@ namespace avis::core {
 ExperimentResult SimulationHarness::run(const ExperimentSpec& spec,
                                         const MonitorModel* monitor_model,
                                         ExperimentContext* context,
-                                        const CheckpointStore* checkpoints) const {
+                                        const CheckpointStore* checkpoints, int capture_limit,
+                                        std::vector<ExperimentSnapshot>* tree_captures) const {
   ScheduledDirector director(spec.plan);
-  return p_run(spec, director, monitor_model, context, checkpoints, nullptr);
+  const auto events = static_cast<int>(spec.plan.events.size());
+  if (tree_captures == nullptr || checkpoints == nullptr || !checkpoints->trees_enabled() ||
+      events == 0 || events > capture_limit) {
+    return p_run(spec, director, monitor_model, context, checkpoints, nullptr);
+  }
+  TreeCapture capture = plan_tree_capture(spec, checkpoints->config());
+  ExperimentResult result =
+      p_run(spec, director, monitor_model, context, checkpoints, nullptr, &capture);
+  *tree_captures = std::move(capture.snapshots);
+  return result;
 }
 
 ExperimentResult SimulationHarness::run_with_director(const ExperimentSpec& spec,
@@ -68,7 +78,7 @@ ExperimentResult SimulationHarness::p_run(const ExperimentSpec& spec,
   // exactly (same seed draws in the same order, same boot traffic) so that
   // a run is a pure function of its spec either way.
   ExperimentContext local_context;
-  ExperimentWorld& world = (context != nullptr ? *context : local_context).world();
+  ExperimentContext& world = context != nullptr ? *context : local_context;
 
   // Checkpoint forking: a run whose plan matches a recorded (possibly
   // faulty) prefix up to time t is identical to that recording up to (the
@@ -82,20 +92,10 @@ ExperimentResult SimulationHarness::p_run(const ExperimentSpec& spec,
     resume = restore_from->resolve(spec.plan);
   }
 
-  RecordingDirector director(custom_director);
-  RunState rs = p_provision(spec, director, monitor_model, world, resume);
-  p_loop(spec, world, director, rs, capture_into, tree_capture);
-  return p_finalize(spec, world, director, rs);
-}
-
-RunState SimulationHarness::p_provision(const ExperimentSpec& spec,
-                                        RecordingDirector& director,
-                                        const MonitorModel* monitor_model,
-                                        ExperimentWorld& world,
-                                        const CheckpointResume& resume) const {
   const bool restoring = static_cast<bool>(resume);
   util::expects(!restoring || (resume.trace != nullptr && resume.transitions != nullptr),
                 "a resume snapshot must come with its recording");
+  RecordingDirector director(custom_director);
 
   // Provisioning is one code path for cold and restored runs — identical
   // wiring, identical construction order — with the restore pass loading
@@ -171,16 +171,17 @@ RunState SimulationHarness::p_provision(const ExperimentSpec& spec,
     world.server->set_director(director);
   }
 
-  RunState rs;
-  rs.workload =
+  const std::unique_ptr<workload::Workload> workload_ptr =
       spec.workload_factory ? spec.workload_factory() : workload::make_workload(spec.workload);
-  util::expects(rs.workload != nullptr, "unknown workload id");
-  rs.gcs.emplace(world.channel.gcs(), world.simulator->environment().frame());
+  util::expects(workload_ptr != nullptr, "unknown workload id");
+  workload::Workload& workload = *workload_ptr;
+  workload::GcsContext gcs(world.channel.gcs(), world.simulator->environment().frame());
   if (restoring) {
-    rs.workload->load(resume.snapshot->workload);
-    rs.gcs->load(resume.snapshot->gcs);
+    workload.load(resume.snapshot->workload);
+    gcs.load(resume.snapshot->gcs);
   }
 
+  MonitorSession* monitor = nullptr;  // null = unmonitored
   if (monitor_model != nullptr) {
     if (!world.monitor) {
       world.monitor.emplace(*monitor_model);
@@ -190,41 +191,38 @@ RunState SimulationHarness::p_provision(const ExperimentSpec& spec,
     } else {
       world.monitor->restart(*monitor_model);
     }
-    rs.monitor = &*world.monitor;
+    monitor = &*world.monitor;
   }
 
-  rs.result.trace.reserve(static_cast<std::size_t>(spec.max_duration_ms / kSamplePeriodMs) + 1);
+  // Loop state; a restored run resumes it exactly where the snapshot froze
+  // it.
+  ExperimentResult result;
+  result.trace.reserve(static_cast<std::size_t>(spec.max_duration_ms / kSamplePeriodMs) + 1);
+  bool firmware_dead = false;
+  sim::SimTimeMs workload_done_at = -1;
+  sim::SimTimeMs next_workload_ms = 0;
+  sim::SimTimeMs next_sample_ms = 0;
+  sim::SimTimeMs start_ms = 0;
 
   if (restoring) {
-    // Splice the recorded prefix into the result and resume the loop state
-    // exactly where the snapshot froze it.
+    // Splice the recorded prefix into the result.
     const ExperimentSnapshot& snap = *resume.snapshot;
     const auto& recorded_trace = *resume.trace;
-    rs.result.trace.assign(recorded_trace.begin(),
-                           recorded_trace.begin() + static_cast<std::ptrdiff_t>(snap.trace_len));
-    rs.result.workload_passed = snap.workload_passed;
-    rs.result.violation = snap.violation;
-    rs.result.resumed_from_ms = snap.time_ms;
-    rs.result.resumed_depth = resume.depth;
-    rs.firmware_dead = snap.firmware_dead;
-    rs.workload_done_at = snap.workload_done_at;
-    rs.next_workload_ms = snap.next_workload_ms;
-    rs.next_sample_ms = snap.next_sample_ms;
-    rs.start_ms = snap.time_ms;
+    result.trace.assign(recorded_trace.begin(),
+                        recorded_trace.begin() + static_cast<std::ptrdiff_t>(snap.trace_len));
+    result.workload_passed = snap.workload_passed;
+    result.violation = snap.violation;
+    result.resumed_from_ms = snap.time_ms;
+    result.resumed_depth = resume.depth;
+    firmware_dead = snap.firmware_dead;
+    workload_done_at = snap.workload_done_at;
+    next_workload_ms = snap.next_workload_ms;
+    next_sample_ms = snap.next_sample_ms;
+    start_ms = snap.time_ms;
   }
-  return rs;
-}
 
-void SimulationHarness::p_loop(const ExperimentSpec& spec, ExperimentWorld& world,
-                               RecordingDirector& director, RunState& rs,
-                               CheckpointStore* capture_into,
-                               TreeCapture* tree_capture) const {
   sim::Simulator& simulator = *world.simulator;
   fw::Firmware& firmware = *world.firmware;
-  workload::Workload& workload = *rs.workload;
-  workload::GcsContext& gcs = *rs.gcs;
-  MonitorSession* monitor = rs.monitor;
-  ExperimentResult& result = rs.result;
 
   // Capture schedule (prefix run only): the cadence grid merged with the
   // config's exact extra times (golden transition timestamps), ascending
@@ -252,7 +250,7 @@ void SimulationHarness::p_loop(const ExperimentSpec& spec, ExperimentWorld& worl
   std::size_t tree_idx = 0;
   if (tree_capture != nullptr) {
     while (tree_idx < tree_capture->times.size() &&
-           tree_capture->times[tree_idx] < rs.start_ms) {
+           tree_capture->times[tree_idx] < start_ms) {
       ++tree_idx;
     }
   }
@@ -273,17 +271,17 @@ void SimulationHarness::p_loop(const ExperimentSpec& spec, ExperimentWorld& worl
     snap.transitions_len = director.transitions().size();
     snap.current_mode = director.current_mode();
     snap.last_heartbeat_ms = director.last_heartbeat_ms();
-    snap.next_workload_ms = rs.next_workload_ms;
-    snap.next_sample_ms = rs.next_sample_ms;
-    snap.workload_done_at = rs.workload_done_at;
+    snap.next_workload_ms = next_workload_ms;
+    snap.next_sample_ms = next_sample_ms;
+    snap.workload_done_at = workload_done_at;
     snap.workload_passed = result.workload_passed;
-    snap.firmware_dead = rs.firmware_dead;
+    snap.firmware_dead = firmware_dead;
     snap.trace_len = result.trace.size();
     snap.violation = result.violation;
     return snap;
   };
 
-  for (sim::SimTimeMs now = rs.start_ms; now < spec.max_duration_ms; ++now) {
+  for (sim::SimTimeMs now = start_ms; now < spec.max_duration_ms; ++now) {
     // Checkpoint capture, at the top of the iteration so a restored run
     // re-enters the loop at exactly this point.
     if (capture_idx < capture_times.size() && now == capture_times[capture_idx]) {
@@ -315,24 +313,24 @@ void SimulationHarness::p_loop(const ExperimentSpec& spec, ExperimentWorld& worl
     }
 
     // Step 1: the workload runs until it yields back to the harness.
-    const bool workload_due = now == rs.next_workload_ms;
-    if (workload_due) rs.next_workload_ms += kWorkloadPeriodMs;
-    if (workload_due && !rs.firmware_dead) {
+    const bool workload_due = now == next_workload_ms;
+    if (workload_due) next_workload_ms += kWorkloadPeriodMs;
+    if (workload_due && !firmware_dead) {
       gcs.pump(now);
       const workload::WorkloadStatus ws = workload.step(gcs);
-      if (ws != workload::WorkloadStatus::kRunning && rs.workload_done_at < 0) {
-        rs.workload_done_at = now;
+      if (ws != workload::WorkloadStatus::kRunning && workload_done_at < 0) {
+        workload_done_at = now;
         result.workload_passed = ws == workload::WorkloadStatus::kPassed;
       }
     }
 
     // Steps 3-5: firmware reads (instrumented) sensors and commands motors.
     sim::MotorCommands motors;
-    if (!rs.firmware_dead) {
+    if (!firmware_dead) {
       try {
         motors = firmware.step(now, simulator.state());
       } catch (const util::InvariantError& err) {
-        rs.firmware_dead = true;
+        firmware_dead = true;
         util::log_warn() << "firmware aborted: " << err.what();
       }
     }
@@ -343,8 +341,8 @@ void SimulationHarness::p_loop(const ExperimentSpec& spec, ExperimentWorld& worl
     if (step_hook_) step_hook_(simulator.now_ms(), simulator.state(), firmware);
 
     // Sample the state tuple at the monitor rate.
-    if (now == rs.next_sample_ms) {
-      rs.next_sample_ms += kSamplePeriodMs;
+    if (now == next_sample_ms) {
+      next_sample_ms += kSamplePeriodMs;
       StateSample sample;
       sample.time_ms = now;
       sample.position = simulator.state().position;
@@ -356,10 +354,10 @@ void SimulationHarness::p_loop(const ExperimentSpec& spec, ExperimentWorld& worl
 
       if (monitor != nullptr) {
         const bool workload_failed =
-            rs.workload_done_at >= 0 && workload.status() == workload::WorkloadStatus::kFailed;
+            workload_done_at >= 0 && workload.status() == workload::WorkloadStatus::kFailed;
         const auto violation =
             monitor->on_sample(sample, simulator.state().crashed, simulator.last_crash(),
-                               rs.firmware_dead, workload_failed);
+                               firmware_dead, workload_failed);
         if (violation && !result.violation) {
           result.violation = violation;
           if (spec.stop_on_violation) {
@@ -372,21 +370,16 @@ void SimulationHarness::p_loop(const ExperimentSpec& spec, ExperimentWorld& worl
 
     // End conditions: workload finished (plus grace), or vehicle crashed and
     // the wreck has been recorded for a little while.
-    if (rs.workload_done_at >= 0 && now - rs.workload_done_at >= kGraceMs) {
+    if (workload_done_at >= 0 && now - workload_done_at >= kGraceMs) {
       result.duration_ms = now + 1;
       break;
     }
-    if (simulator.state().crashed && rs.workload_done_at < 0) {
-      rs.workload_done_at = now;  // nothing more will happen; start grace
+    if (simulator.state().crashed && workload_done_at < 0) {
+      workload_done_at = now;  // nothing more will happen; start grace
       result.workload_passed = false;
     }
   }
-}
 
-ExperimentResult SimulationHarness::p_finalize(const ExperimentSpec& spec,
-                                               ExperimentWorld& world,
-                                               RecordingDirector& director, RunState& rs) const {
-  ExperimentResult result = std::move(rs.result);
   if (result.duration_ms == 0) result.duration_ms = spec.max_duration_ms;
   result.transitions = director.take_transitions();
   result.fired_bugs = world.firmware->fired_bugs();

@@ -116,17 +116,18 @@ class RecordingDirector final : public hinj::FaultDirector {
   std::int64_t last_heartbeat_ms_ = 0;
 };
 
-// The storage for one provisioned world: simulator, sensor suite, hinj
-// connection, MAVLink channel, firmware, monitor session. A world hosts one
-// experiment at a time; the harness owns the provisioning/reset protocol
-// that makes reuse bit-identical to fresh construction. Plain public
-// storage on purpose: SimulationHarness provisions into it, BatchHarness
-// keeps one per lane, and a future multi-vehicle arena keeps several per
-// experiment — the world is no longer welded to the context that pools it.
-struct ExperimentWorld {
-  ExperimentWorld() = default;
-  ExperimentWorld(const ExperimentWorld&) = delete;
-  ExperimentWorld& operator=(const ExperimentWorld&) = delete;
+// Reusable per-worker experiment arena (ROADMAP: "per-worker experiment
+// arenas"): the storage for one provisioned world — simulator, sensor
+// suite, hinj connection, MAVLink channel, firmware, monitor session — so
+// consecutive runs on the same worker reset state in place instead of
+// rebuilding it on the heap. The harness owns the provisioning/reset
+// protocol that makes reuse bit-identical to fresh construction; callers
+// just keep the context alive and pass it back in. One context serves one
+// run at a time (it is a worker's scratch space, not shared state).
+struct ExperimentContext {
+  ExperimentContext() = default;
+  ExperimentContext(const ExperimentContext&) = delete;
+  ExperimentContext& operator=(const ExperimentContext&) = delete;
 
   std::optional<sim::Simulator> simulator;
   std::optional<sensors::SensorSuite> suite;
@@ -140,23 +141,6 @@ struct ExperimentWorld {
   std::optional<fw::SensorBus> bus;
   std::optional<fw::Firmware> firmware;
   std::optional<MonitorSession> monitor;
-};
-
-// Reusable per-worker experiment arena (ROADMAP: "per-worker experiment
-// arenas"). Wraps one ExperimentWorld so consecutive runs on the same
-// worker reset state in place instead of rebuilding it on the heap; callers
-// just keep the context alive and pass it back in. One context serves one
-// run at a time (it is a worker's scratch space, not shared state).
-class ExperimentContext {
- public:
-  ExperimentContext() = default;
-  ExperimentContext(const ExperimentContext&) = delete;
-  ExperimentContext& operator=(const ExperimentContext&) = delete;
-
-  ExperimentWorld& world() { return world_; }
-
- private:
-  ExperimentWorld world_;
 };
 
 // Hands contexts to pool workers: a worker checks one out per experiment
@@ -207,33 +191,12 @@ class ExperimentContextPool {
   std::size_t high_water_ = 0;
 };
 
-// Harness cadences, shared with the batch engine (core/batch_harness.h): a
-// batched lane must pump its workload and sample its monitor on exactly the
-// scalar schedule or the parity contract breaks.
 // The workload (ground station) is pumped at 20 ms — a realistic GCS loop
 // rate, and far slower than the 1 kHz firmware loop.
 inline constexpr sim::SimTimeMs kWorkloadPeriodMs = 20;
 // After the workload passes or fails, let the vehicle settle briefly so
 // late-manifesting violations (e.g. ground impact) are still observed.
 inline constexpr sim::SimTimeMs kGraceMs = 4000;
-
-// The per-run loop state one experiment threads through provisioning, the
-// step loop and finalization. The scalar path keeps one on the stack; the
-// batch engine keeps one per lane, mirrors its fields while the lane steps
-// in lockstep, and hands it (with the lane's world) back to the scalar loop
-// when the lane diverges — the experiment finishes on the identical code
-// path either way.
-struct RunState {
-  ExperimentResult result;
-  std::unique_ptr<workload::Workload> workload;
-  std::optional<workload::GcsContext> gcs;
-  MonitorSession* monitor = nullptr;  // points into the world; null = unmonitored
-  bool firmware_dead = false;
-  sim::SimTimeMs workload_done_at = -1;
-  sim::SimTimeMs next_workload_ms = 0;
-  sim::SimTimeMs next_sample_ms = 0;
-  sim::SimTimeMs start_ms = 0;
-};
 
 class SimulationHarness {
  public:
@@ -261,12 +224,20 @@ class SimulationHarness {
   // one, which is bit-identical but pays the allocations. `checkpoints`,
   // when given, must have been recorded from the same scenario (same spec
   // minus the plan, same monitored-ness — record_prefix below): the run
-  // then restores the latest snapshot at-or-before the plan's first
-  // injection and simulates only the suffix, bit-identical to a cold run
+  // then restores the deepest usable snapshot — tree or root — and
+  // simulates only the suffix, bit-identical to a cold run
   // (result.resumed_from_ms records the skip).
+  //
+  // Checkpoint-tree recording, for the checker: when `tree_captures` is
+  // non-null, the store grows trees and the plan has 1..`capture_limit`
+  // events (the strategy's chain_extension_limit — plans it may extend
+  // later), the run's tree snapshots replace *tree_captures. The store is
+  // only read; the caller merges the captures once no other run is reading
+  // it (Checker defers merges to the request boundary).
   ExperimentResult run(const ExperimentSpec& spec, const MonitorModel* monitor_model = nullptr,
                        ExperimentContext* context = nullptr,
-                       const CheckpointStore* checkpoints = nullptr) const;
+                       const CheckpointStore* checkpoints = nullptr, int capture_limit = 0,
+                       std::vector<ExperimentSnapshot>* tree_captures = nullptr) const;
 
   // Same, but with a caller-supplied fault director (the replayer injects
   // relative to observed mode transitions rather than absolute timestamps).
@@ -291,9 +262,9 @@ class SimulationHarness {
   // from the deepest usable snapshot in `store` (tree or root), while
   // recording tree snapshots on the store's cadence + at the plan's later
   // activations; if the run stays safe, merge the captures back into the
-  // store so deeper chains can fork from them. This is the scalar form of
-  // what Checker/BatchHarness do across a campaign — tests use it to grow a
-  // tree without standing up a checker.
+  // store so deeper chains can fork from them. This is what the Checker
+  // does across a campaign, in one call — tests use it to grow a tree
+  // without standing up a checker.
   ExperimentResult run_recording(const ExperimentSpec& spec, const MonitorModel* monitor_model,
                                  ExperimentContext* context, CheckpointStore& store) const;
 
@@ -315,35 +286,19 @@ class SimulationHarness {
   void set_step_hook(StepHook hook) { step_hook_ = std::move(hook); }
 
  private:
-  friend class BatchHarness;
-
-  // The one experiment loop behind run/run_with_director/record_prefix.
-  // `restore_from` resumes from the best usable snapshot — tree or root —
-  // via CheckpointStore::resolve (nullptr = cold); `capture_into` records
-  // cadenced snapshots while running (the prefix run); `tree_capture`
-  // records tree snapshots while running a *directed* experiment (planned
-  // by plan_tree_capture; the caller merges the captures into a store if
-  // the run stays safe). capture_into and tree_capture are mutually
-  // exclusive by construction.
+  // The one experiment loop behind run/run_with_director/record_prefix:
+  // provision the world (cold, or restored from the best usable snapshot in
+  // `restore_from` via CheckpointStore::resolve; nullptr = cold), step it,
+  // and finalize the result. `capture_into` records cadenced snapshots while
+  // running (the prefix run); `tree_capture` records tree snapshots while
+  // running a *directed* experiment (planned by plan_tree_capture; the
+  // caller merges the captures into a store if the run stays safe).
+  // capture_into and tree_capture are mutually exclusive by construction.
   ExperimentResult p_run(const ExperimentSpec& spec, hinj::FaultDirector& custom_director,
                          const MonitorModel* monitor_model, ExperimentContext* context,
                          const CheckpointStore* restore_from,
                          CheckpointStore* capture_into,
                          TreeCapture* tree_capture = nullptr) const;
-
-  // The three phases of p_run, split out so the batch engine can run them
-  // per lane: provision the world (cold, or restored from `resume`, whose
-  // pointers must stay valid through the call), run the step loop from
-  // rs.start_ms, and finalize the result. p_loop/p_finalize assume
-  // p_provision's wiring.
-  RunState p_provision(const ExperimentSpec& spec, RecordingDirector& director,
-                       const MonitorModel* monitor_model, ExperimentWorld& world,
-                       const CheckpointResume& resume) const;
-  void p_loop(const ExperimentSpec& spec, ExperimentWorld& world, RecordingDirector& director,
-              RunState& rs, CheckpointStore* capture_into,
-              TreeCapture* tree_capture = nullptr) const;
-  ExperimentResult p_finalize(const ExperimentSpec& spec, ExperimentWorld& world,
-                              RecordingDirector& director, RunState& rs) const;
 
   StepHook step_hook_;
 };

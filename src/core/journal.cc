@@ -54,15 +54,13 @@ std::string cell_identity_hash(const CampaignCellSpec& cell) {
 }
 
 CampaignJournal::Header CampaignJournal::bind(const std::vector<CampaignCellSpec>& grid,
-                                              const CheckpointConfig& checkpoints,
-                                              int batch_width) {
+                                              const CheckpointConfig& checkpoints) {
   Header header;
   header.cells = grid.size();
   header.checkpoints_enabled = checkpoints.enabled;
   header.checkpoint_trees = checkpoints.enabled && checkpoints.trees;
   header.checkpoint_interval_ms = checkpoints.interval_ms;
   header.checkpoint_budget_bytes = checkpoints.byte_budget;
-  header.batch_width = batch_width;
   header.cell_hashes.reserve(grid.size());
   for (const CampaignCellSpec& cell : grid) {
     header.cell_hashes.push_back(cell_identity_hash(cell));
@@ -88,7 +86,6 @@ std::string CampaignJournal::header_diff(const Header& journal, const Header& re
         requested.checkpoint_interval_ms);
   field("checkpoint_budget_bytes", journal.checkpoint_budget_bytes,
         requested.checkpoint_budget_bytes);
-  field("batch_width", journal.batch_width, requested.batch_width);
   const std::size_t common = std::min(journal.cell_hashes.size(), requested.cell_hashes.size());
   for (std::size_t i = 0; i < common; ++i) {
     if (journal.cell_hashes[i] == requested.cell_hashes[i]) continue;
@@ -116,7 +113,7 @@ CampaignJournal CampaignJournal::start(const std::string& path, const Header& he
      << ", \"checkpoint_trees\": " << header.checkpoint_trees
      << ", \"checkpoint_interval_ms\": " << header.checkpoint_interval_ms
      << ", \"checkpoint_budget_bytes\": " << header.checkpoint_budget_bytes
-     << ", \"batch_width\": " << header.batch_width << ", \"cell_hashes\": [";
+     << ", \"cell_hashes\": [";
   for (std::size_t i = 0; i < header.cell_hashes.size(); ++i) {
     if (i) os << ", ";
     os << "\"" << header.cell_hashes[i] << "\"";
@@ -161,13 +158,19 @@ CampaignJournal::Loaded CampaignJournal::load(const std::string& path) {
     }
     Header& header = loaded.header;
     header.version = static_cast<int>(json.at("version").as_int64());
+    if (header.version != kVersion) {
+      // Thrown past the JsonError handler below: the header parsed fine, it
+      // just describes a format this build does not read.
+      throw JournalError(path + ": journal format version " + std::to_string(header.version) +
+                         ", but this build reads version " + std::to_string(kVersion) +
+                         " — rerun the campaign with a fresh --journal");
+    }
     header.cells = static_cast<std::size_t>(json.at("cells").as_int64());
     header.checkpoints_enabled = json.at("checkpoints_enabled").as_bool();
     header.checkpoint_trees = json.at("checkpoint_trees").as_bool();
     header.checkpoint_interval_ms = json.at("checkpoint_interval_ms").as_int64();
     header.checkpoint_budget_bytes =
         static_cast<std::size_t>(json.at("checkpoint_budget_bytes").as_uint64());
-    header.batch_width = static_cast<int>(json.at("batch_width").as_int64());
     for (const util::Json& hash : json.at("cell_hashes").as_array()) {
       header.cell_hashes.push_back(hash.as_string());
     }

@@ -3,7 +3,7 @@
 //
 // A journal is a JSONL file. Line 1 is a header binding the campaign it
 // belongs to: one identity hash per grid cell (in grid order) plus the
-// report-affecting config knobs (checkpoint settings, batch width). Every
+// report-affecting config knobs (checkpoint settings). Every
 // later line is one completed cell — its full lossless CheckerReport
 // (checker_report_json) plus execution provenance. Records are appended
 // with a single write() and fsync'd before the campaign acts on the
@@ -55,7 +55,9 @@ struct JournalCellRecord {
 
 class CampaignJournal {
  public:
-  static constexpr int kVersion = 1;
+  // v2: the header no longer carries batch_width (the lockstep batch
+  // engine is gone). load() refuses any other version.
+  static constexpr int kVersion = 2;
 
   struct Header {
     int version = kVersion;
@@ -64,7 +66,6 @@ class CampaignJournal {
     bool checkpoint_trees = true;
     sim::SimTimeMs checkpoint_interval_ms = 0;
     std::size_t checkpoint_budget_bytes = 0;
-    int batch_width = 0;  // requested width (0 = auto)
     std::vector<std::string> cell_hashes;  // grid order
   };
 
@@ -78,7 +79,7 @@ class CampaignJournal {
   // everything that changes report bytes; deliberately excludes wall-clock
   // knobs (worker counts, ports) that the masked-diff contract ignores.
   static Header bind(const std::vector<CampaignCellSpec>& grid,
-                     const CheckpointConfig& checkpoints, int batch_width);
+                     const CheckpointConfig& checkpoints);
 
   // Human-readable field-by-field mismatch between a loaded header and the
   // requested campaign; empty string means compatible. `grid` (the
@@ -94,7 +95,8 @@ class CampaignJournal {
   static CampaignJournal append_to(const std::string& path);
 
   // Parse a journal back. Throws JournalError if the file is missing, the
-  // header is unreadable, or a non-final record is corrupt. A torn final
+  // header is unreadable or of another journal version (the message names
+  // both versions), or a non-final record is corrupt. A torn final
   // line sets dropped_torn_record instead. Records with an index/hash that
   // disagree with the header are corruption (fatal, same non-final rule);
   // duplicate indices keep the first copy (determinism makes them equal).

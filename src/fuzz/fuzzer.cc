@@ -15,7 +15,7 @@ namespace {
 
 // One scenario, end to end, with the campaign options' per-cell knobs. Cell
 // reports are bit-identical at any worker count, so evaluating a mutant here
-// or inside a batched CampaignRunner::run yields the same report.
+// or inside a whole-generation CampaignRunner::run yields the same report.
 core::CheckerReport p_evaluate_one(const core::ScenarioSpec& spec,
                                    const core::CampaignOptions& options) {
   core::CampaignCellSpec cell;
@@ -23,8 +23,7 @@ core::CheckerReport p_evaluate_one(const core::ScenarioSpec& spec,
   const util::WorkerBudget split = util::split_worker_budget(options.total_workers, 1);
   const int experiment_workers =
       options.experiment_workers > 0 ? options.experiment_workers : split.experiment_workers;
-  return core::run_cell(cell, experiment_workers, options.checkpoints, options.batch_width)
-      .report;
+  return core::run_cell(cell, experiment_workers, options.checkpoints).report;
 }
 
 bool p_finds_all(const core::CheckerReport& report, const std::vector<fw::BugId>& bugs) {

@@ -80,8 +80,7 @@ sim::MotorCommands ControlCascade::p_attitude_step(const geo::Attitude& target, 
   out.value[3] = thrust - roll_out - pitch_out - yaw_out;
   for (double& v : out.value) v = std::clamp(v, 0.0, 1.0);
   // Debug tripwire at the cascade output: std::clamp propagates NaN, and a
-  // NaN motor command silently corrupts the physics (or a batch lane) from
-  // this step onward.
+  // NaN motor command silently corrupts the physics from this step onward.
   assert(std::isfinite(out.value[0]) && std::isfinite(out.value[1]) &&
          std::isfinite(out.value[2]) && std::isfinite(out.value[3]));
   return out;

@@ -4,14 +4,28 @@
 #include <cassert>
 #include <cmath>
 
-#include "fw/estimator_gains.h"
-
 namespace avis::fw {
 
 namespace {
-// Correction gains (1/s) shared with the batched lanes; see
-// fw/estimator_gains.h for the tuning rationale.
-using namespace estimator_gains;
+
+constexpr double kDt = sim::kStepSeconds;
+constexpr double kGravity = 9.80665;
+
+// Chosen for convergence well inside a takeoff's duration while rejecting
+// sensor noise. Tilt correction must be gentle and gated: while the vehicle
+// accelerates, the specific force is not gravity, and a strong correction
+// "leans" the attitude estimate, which corrupts the velocity estimate in a
+// positive feedback loop (the classic complementary-filter lean bias).
+constexpr double kTiltGain = 0.4;
+constexpr double kTiltGateMs2 = 1.0;  // only correct when |f| is within 1 m/s^2 of g
+constexpr double kYawGain = 2.5;
+constexpr double kBaroPosGain = 3.0;
+constexpr double kBaroVelGain = 1.6;
+constexpr double kGpsPosGain = 1.3;
+constexpr double kGpsVelGain = 3.0;
+constexpr double kGpsVelZGain = 0.8;
+constexpr double kGpsAltGain = 1.1;  // weaker: GPS altitude is coarse
+
 }  // namespace
 
 StateEstimator::StateEstimator(const FirmwareConfig& config, SensorBus& bus)
@@ -301,8 +315,7 @@ void StateEstimator::update(sim::SimTimeMs now, const sim::VehicleState& truth,
     published_.position.z -= quirks_.altitude_bias;  // NED: reads higher than real
   }
 
-  // Debug tripwire: a NaN/inf here poisons every downstream consumer (and,
-  // in a batch run, would silently corrupt a lane until it diverges).
+  // Debug tripwire: a NaN/inf here poisons every downstream consumer.
   assert(std::isfinite(published_.position.x) && std::isfinite(published_.position.y) &&
          std::isfinite(published_.position.z) && std::isfinite(published_.velocity.x) &&
          std::isfinite(published_.velocity.y) && std::isfinite(published_.velocity.z) &&

@@ -80,17 +80,6 @@ class StateEstimator {
 
   EstimatorQuirks& quirks() { return quirks_; }
 
-  // Batched lockstep support: the batch engine fuses sensors in
-  // fw::EstimatorBatch lanes and writes each step's solution back here so
-  // the control phase (mode logic, failsafes, cascade) reads exactly what a
-  // scalar update() would have produced. Pre-injection lanes carry no quirk
-  // distortion, so state and published are passed separately but normally
-  // bit-equal.
-  void adopt_fused(const EstimatedState& state, const EstimatedState& published) {
-    state_ = state;
-    published_ = published;
-  }
-
   // APM-16967's final act: the firmware resets its state estimate near the
   // end of the emergency landing, discarding the fused attitude.
   void reset_state_estimate();

@@ -124,15 +124,6 @@ void Firmware::load(const Snapshot& s) {
 
 sim::MotorCommands Firmware::step(sim::SimTimeMs now, const sim::VehicleState& truth) {
   estimator_.update(now, truth, *env_);
-  const ControlPhase phase = step_control_phase(now, truth);
-  if (!phase.armed) {
-    return {};
-  }
-  return cascade_.update(phase.setpoint, estimator_.state(), kDt);
-}
-
-Firmware::ControlPhase Firmware::step_control_phase(sim::SimTimeMs now,
-                                                    const sim::VehicleState& truth) {
   p_handle_mavlink(now);
   if (armed_) {
     p_failsafes(now);
@@ -141,8 +132,9 @@ Firmware::ControlPhase Firmware::step_control_phase(sim::SimTimeMs now,
   p_send_telemetry(now, truth);
   if (!armed_) {
     cascade_.reset();
+    return {};
   }
-  return {sp, armed_};
+  return cascade_.update(sp, estimator_.state(), kDt);
 }
 
 // --------------------------------------------------------------------------

@@ -40,29 +40,11 @@ class Firmware {
   // handle pilot traffic, run the mode + failsafe logic, mix motors.
   sim::MotorCommands step(sim::SimTimeMs now, const sim::VehicleState& truth);
 
-  // Batched lockstep support (core::BatchHarness): the middle of step() —
-  // pilot traffic, failsafes, mode selection, telemetry — with the
-  // estimator fusion and the cascade hoisted out. The caller has already
-  // written this step's fused solution into the estimator (adopt_fused) and
-  // runs the cascade lanes itself; on !armed the cascade has been reset
-  // exactly as step() would. step() routes through this so the two paths
-  // cannot drift.
-  struct ControlPhase {
-    Setpoint setpoint;
-    bool armed = false;
-  };
-  ControlPhase step_control_phase(sim::SimTimeMs now, const sim::VehicleState& truth);
-
   // --- Observability (telemetry-equivalent; used by tests and benches) ---
   Mode mode() const { return mode_; }
   CompositeMode composite_mode() const { return {mode_, submode_}; }
   bool armed() const { return armed_; }
   const EstimatedState& estimate() const { return estimator_.state(); }
-  StateEstimator& estimator() { return estimator_; }
-  // The batch engine keeps the cascade's PID state in its own lanes and
-  // syncs it around step_control_phase (p_set_mode may reset the cascade);
-  // divergence loads the lane state back through this accessor.
-  ControlCascade& cascade() { return cascade_; }
   const FirmwareConfig& config() const { return config_; }
   const MissionManager& mission() const { return mission_; }
   bool mission_complete() const { return mission_complete_; }

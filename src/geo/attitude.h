@@ -29,11 +29,9 @@ inline double rad_to_deg(double r) { return r * 180.0 / kPi; }
 // Memoized sin/cos triples for Euler rotations. A 1 kHz step rotates several
 // vectors through the same one or two attitudes — both accelerometer
 // instances and the physics use the truth attitude, the estimator its own
-// estimate — and in batched lockstep each lane contributes its own pair of
-// streams. Reusing the six values sin/cos already returned for an identical
-// (roll, pitch, yaw) is bit-identical to recomputing them; the cache only
-// changes how often libm runs. One cache per thread; 8 slots cover the
-// default batch width's truth+estimate streams.
+// estimate. Reusing the six values sin/cos already returned for an
+// identical (roll, pitch, yaw) is bit-identical to recomputing them; the
+// cache only changes how often libm runs. One cache per thread.
 struct AttitudeTrig {
   double roll, pitch, yaw;
   double sr, cr, sp, cp, sy, cy;

@@ -403,8 +403,7 @@ core::CampaignResult CampaignCoordinator::run() {
         if (cell.attempts >= options_.max_attempts) abort_campaign(i);
         cell.attempts += 1;
         core::CampaignCellResult local =
-            core::run_cell(grid_[i], experiment_workers, options_.checkpoints,
-                           options_.batch_width);
+            core::run_cell(grid_[i], experiment_workers, options_.checkpoints);
         journal_cell(i, cell, local.report, local.wall_seconds, "local");
         cell.done = true;
         cell.report = std::move(local.report);
@@ -435,8 +434,6 @@ core::CampaignResult CampaignCoordinator::run() {
   core::CampaignResult result;
   result.split.campaign_workers = std::max(1, peak_workers);
   result.split.experiment_workers = experiment_workers;
-  result.batch_width = options_.batch_width > 0 ? options_.batch_width
-                                                : core::Checker::kAutoBatchWidth;
   // Echo the checkpoint config the cells ran with, exactly as the
   // single-process runner does — a merged report must describe its own
   // provenance identically or the masked-diff identity breaks on the

@@ -87,7 +87,6 @@ struct CoordinatorOptions {
   // cells (remote workers choose their own; reports are bit-identical
   // either way).
   int experiment_workers = 0;  // 0 = util::default_worker_count()
-  int batch_width = 0;         // lockstep simulation width; 0 = auto
   core::CheckpointConfig checkpoints;
 
   // Shared-secret auth (docs/DISTRIBUTED.md "Trust model"): a worker whose

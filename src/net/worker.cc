@@ -100,9 +100,8 @@ SessionEnd p_run_session(const WorkerOptions& options, FrameChannel& channel,
         core::CampaignCellSpec spec;
         spec.scenario = assign->scenario;
         spec.label = assign->label;
-        core::CampaignCellResult result = core::run_cell(spec, experiment_workers,
-                                                         assign->checkpoints,
-                                                         options.batch_width);
+        core::CampaignCellResult result =
+            core::run_cell(spec, experiment_workers, assign->checkpoints);
         report.ok = true;
         report.report = std::move(result.report);
       } catch (const std::exception& err) {

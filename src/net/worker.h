@@ -40,7 +40,6 @@ struct WorkerOptions {
   // with each AssignCell frame so every cell runs — and its report echoes —
   // the coordinator's knobs.
   int experiment_workers = 0;  // 0 = util::default_worker_count()
-  int batch_width = 0;         // lockstep simulation width; 0 = auto
 
   // Shared-secret auth token carried in Hello (docs/DISTRIBUTED.md "Trust
   // model"). Must match the coordinator's --auth-token or registration is

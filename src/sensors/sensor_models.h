@@ -112,11 +112,9 @@ class SensorInstance {
   bool failed_ = false;
 };
 
-// Each sensor's measurement model is a static function so the batched
-// sensor lanes (sensors::SuiteBatch) draw samples with exactly the math —
-// and exactly the RNG draw order — of the scalar instances; p_measure
-// delegates to it. The default noise/bias constants are named for the same
-// reason: a batch suite must be parameterized identically to a scalar one.
+// Each sensor's measurement model is a static function of (truth, rng,
+// parameters); p_measure delegates to it, and the named default noise/bias
+// constants are what a suite is built with.
 class Gyroscope final : public SensorInstance<GyroSample> {
  public:
   static constexpr double kRateHz = 1000.0;

@@ -6,7 +6,7 @@
 
 namespace avis::util {
 
-// Every hardware thread, capped at 8 — past that the checker's batch
+// Every hardware thread, capped at 8 — past that the checker's wave
 // barrier tail dominates on the evaluation workload mix. Always >= 1
 // (hardware_concurrency may report 0).
 inline int default_worker_count() {

@@ -234,7 +234,7 @@ TEST(Campaign, ResumeFromJournalMatchesUninterruptedRun) {
   // stop callback is polled between cells; the first poll admits cell 0).
   {
     core::CampaignJournal journal = core::CampaignJournal::start(
-        path, core::CampaignJournal::bind(grid, base.checkpoints, base.batch_width));
+        path, core::CampaignJournal::bind(grid, base.checkpoints));
     core::CampaignOptions first = base;
     first.journal = &journal;
     int polls = 0;
@@ -260,7 +260,7 @@ TEST(Campaign, ResumeFromJournalMatchesUninterruptedRun) {
   ASSERT_EQ(loaded.cells.size(), 1u);
   EXPECT_EQ(core::CampaignJournal::header_diff(
                 loaded.header,
-                core::CampaignJournal::bind(grid, base.checkpoints, base.batch_width), grid),
+                core::CampaignJournal::bind(grid, base.checkpoints), grid),
             "");
 
   core::CampaignJournal journal = core::CampaignJournal::append_to(path);
@@ -291,20 +291,20 @@ TEST(Campaign, ResumeRefusesDriftedGrid) {
                            std::to_string(::getpid()) + ".jsonl";
   {
     core::CampaignJournal journal =
-        core::CampaignJournal::start(path, core::CampaignJournal::bind(grid, {}, 0));
+        core::CampaignJournal::start(path, core::CampaignJournal::bind(grid, {}));
   }
   auto drifted_grid = journal_grid();
   drifted_grid[0].scenario.seed = 999;
   const auto loaded = core::CampaignJournal::load(path);
   const std::string diff = core::CampaignJournal::header_diff(
-      loaded.header, core::CampaignJournal::bind(drifted_grid, {}, 0), drifted_grid);
+      loaded.header, core::CampaignJournal::bind(drifted_grid, {}), drifted_grid);
   EXPECT_NE(diff, "");
   EXPECT_NE(diff.find("cell 0"), std::string::npos) << diff;
 
   core::CheckpointConfig no_trees;
   no_trees.trees = false;
   EXPECT_NE(core::CampaignJournal::header_diff(
-                loaded.header, core::CampaignJournal::bind(grid, no_trees, 0), grid),
+                loaded.header, core::CampaignJournal::bind(grid, no_trees), grid),
             "");
   std::filesystem::remove(path);
 }
@@ -323,7 +323,7 @@ TEST(Campaign, PooledInterruptThenResumeCompletesIdentically) {
                            std::to_string(::getpid()) + ".jsonl";
   {
     core::CampaignJournal journal = core::CampaignJournal::start(
-        path, core::CampaignJournal::bind(grid, base.checkpoints, base.batch_width));
+        path, core::CampaignJournal::bind(grid, base.checkpoints));
     core::CampaignOptions first = base;
     first.journal = &journal;
     first.should_stop = [] { return true; };  // stop before anything starts

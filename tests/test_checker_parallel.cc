@@ -1,8 +1,12 @@
 // Serial-vs-parallel checker parity: run_parallel must produce a report
 // bit-identical to run() for the same (strategy, budget, seed), because
 // results are applied on the caller thread in submission order and the
-// strategy's batch boundaries preserve the serial plan sequence.
+// strategy's request boundaries preserve the serial plan sequence. Every
+// plan is its own pool task, so worker counts that do not divide a wave
+// (3) or exceed it (8) must change nothing either.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "baselines/bfi.h"
 #include "baselines/random_injection.h"
@@ -15,29 +19,95 @@ namespace {
 
 using namespace avis;
 
-// A modest simulated budget: enough for a multi-batch campaign (several
+// A modest simulated budget: enough for a multi-request campaign (several
 // expansion waves, at least one unsafe result) while keeping the test quick.
 constexpr sim::SimTimeMs kBudgetMs = 600 * 1000;
+// A budget that runs out in the middle of a SABRE wave, so the tail of the
+// in-flight request is discarded (asserted below).
+constexpr sim::SimTimeMs kMidWaveBudgetMs = 250 * 1000;
 
 using avis::testing::expect_reports_equal;
 
-TEST(CheckerParallel, SabreParityAtFourWorkers) {
-  core::Checker& checker =
-      avis::testing::cached_checker(fw::Personality::kArduPilotLike, workload::WorkloadId::kAuto);
-  const core::MonitorModel& model = checker.model();
-  const auto suite = core::SimulationHarness::iris_suite();
+// Forwards to SABRE and counts the plans it hands out: more plans proposed
+// than applied means a request was cut short by the budget.
+class CountingSabre final : public core::InjectionStrategy {
+ public:
+  explicit CountingSabre(const core::MonitorModel& model)
+      : inner_(core::SimulationHarness::iris_suite(), model.golden_transitions()) {}
 
-  core::SabreScheduler serial_strategy(suite, model.golden_transitions());
-  core::BudgetClock serial_budget(kBudgetMs);
-  const core::CheckerReport serial = checker.run(serial_strategy, serial_budget);
-  ASSERT_GE(serial.experiments, 3) << "budget too small to exercise batching";
+  std::optional<core::FaultPlan> next(core::BudgetClock& budget) override {
+    auto plan = inner_.next(budget);
+    if (plan) ++proposed_;
+    return plan;
+  }
+  std::vector<core::FaultPlan> next_batch(core::BudgetClock& budget, int max_plans) override {
+    auto plans = inner_.next_batch(budget, max_plans);
+    proposed_ += static_cast<int>(plans.size());
+    return plans;
+  }
+  void feedback(const core::FaultPlan& plan, const core::ExperimentResult& result) override {
+    inner_.feedback(plan, result);
+  }
+  int chain_extension_limit() const override { return inner_.chain_extension_limit(); }
+  const char* name() const override { return inner_.name(); }
 
-  core::SabreScheduler parallel_strategy(suite, model.golden_transitions());
-  core::BudgetClock parallel_budget(kBudgetMs);
-  const core::CheckerReport parallel =
-      checker.run_parallel(parallel_strategy, parallel_budget, /*workers=*/4);
+  int proposed() const { return proposed_; }
 
-  expect_reports_equal(serial, parallel);
+ private:
+  core::SabreScheduler inner_;
+  int proposed_ = 0;
+};
+
+core::Checker& checker_with_trees(bool trees) {
+  if (trees) {
+    return avis::testing::cached_checker(fw::Personality::kArduPilotLike,
+                                         workload::WorkloadId::kAuto);
+  }
+  static core::Checker root_only = [] {
+    core::ExperimentSpec prototype;
+    prototype.personality = fw::Personality::kArduPilotLike;
+    prototype.workload = workload::WorkloadId::kAuto;
+    prototype.bugs = fw::BugRegistry::current_code_base();
+    prototype.seed = 100;
+    core::CheckpointConfig config;
+    config.trees = false;
+    return core::Checker(prototype, config);
+  }();
+  return root_only;
+}
+
+// The identity matrix: SABRE at 2, 3, 4 and 8 workers, checkpoint trees on
+// and off, under a roomy budget and one that exhausts mid-wave — every
+// report identical to the serial run's.
+TEST(CheckerParallel, SabreMatchesSerialAcrossWorkersTreesAndBudgets) {
+  for (const bool trees : {true, false}) {
+    core::Checker& checker = checker_with_trees(trees);
+    const core::MonitorModel& model = checker.model();
+    for (const sim::SimTimeMs budget_ms : {kBudgetMs, kMidWaveBudgetMs}) {
+      SCOPED_TRACE(std::string(trees ? "trees" : "root only") +
+                   " budget_ms=" + std::to_string(budget_ms));
+      CountingSabre serial_strategy(model);
+      core::BudgetClock serial_budget(budget_ms);
+      const core::CheckerReport serial = checker.run(serial_strategy, serial_budget);
+      ASSERT_GE(serial.experiments, 3) << "budget too small to exercise parallel requests";
+      if (trees && budget_ms == kBudgetMs) {
+        EXPECT_GT(serial.checkpoint_hits_by_level.size(), 1u) << "no tree restores";
+      }
+
+      for (const int workers : {2, 3, 4, 8}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        CountingSabre parallel_strategy(model);
+        core::BudgetClock parallel_budget(budget_ms);
+        const core::CheckerReport parallel =
+            checker.run_parallel(parallel_strategy, parallel_budget, workers);
+        expect_reports_equal(serial, parallel);
+        if (budget_ms == kMidWaveBudgetMs) {
+          EXPECT_GT(parallel_strategy.proposed(), parallel.experiments)
+              << "the budget did not exhaust mid-request";
+        }
+      }
+    }
+  }
 }
 
 TEST(CheckerParallel, RandomParityAtFourWorkers) {

@@ -4,8 +4,8 @@
 // same as the fault-free root's (tests/test_checkpoint.cc): a tree-restored
 // run is bit-identical — every trace sample, transition, violation and
 // duration — to the same spec simulated cold, across personalities x
-// workloads and through the batched engine with mixed cold / root-restored /
-// tree-restored lanes. Eviction ordering rides along: byte-budget pressure
+// workloads and through the checker's capturing entry point with a mix of
+// cold, root-restored and tree-restored runs. Eviction ordering rides along: byte-budget pressure
 // evicts tree recordings whole (oldest first) and never touches the
 // fault-free root to make room for the tree.
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "core/batch_harness.h"
 #include "core/checker.h"
 #include "core/checkpoint.h"
 #include "core/harness.h"
@@ -143,10 +142,12 @@ TEST(CheckpointTree, TreeRestoredChainsAreBitIdenticalAcrossTheRegistrySurface) 
   EXPECT_GT(deep_restores, 0);
 }
 
-// Mixed lanes through the batched engine: cold (t=0), root-restored,
-// tree-restored and fault-free specs in one batch, each bit-identical to
-// its scalar cold run — at batch widths that split the mix differently.
-TEST(CheckpointTree, BatchedMixedLanesMatchScalarColdRuns) {
+// The checker's entry point (SimulationHarness::run with a capture limit):
+// cold (t=0), root-restored, tree-restored and fault-free specs are each
+// bit-identical to their cold run; plans within the capture limit come back
+// with their tree snapshots, and the store is only read — nothing merges
+// until the caller says so.
+TEST(CheckpointTree, CapturingRunsMatchColdRunsAndLeaveTheStoreUntouched) {
   SimulationHarness harness;
   ExperimentContext context;
   CheckpointConfig config;
@@ -164,34 +165,32 @@ TEST(CheckpointTree, BatchedMixedLanesMatchScalarColdRuns) {
   parent.plan = chain({{12000, compass}});
   harness.run_recording(parent, nullptr, &context, store);
   ASSERT_GT(store.tree_size(), 0u);
+  const std::size_t tree_size = store.tree_size();
 
-  std::vector<ExperimentSpec> specs;
-  for (const FaultPlan& plan :
-       {chain({{0, gps}}),                         // cold: injects at t=0
-        chain({{12000, compass}, {18000, gps}}),   // tree hit (depth 1)
-        chain({{9000, gps}}),                      // root hit
-        FaultPlan{},                               // fault-free golden
-        chain({{12000, compass}, {21000, gps}}),   // tree hit, later fork
-        chain({{3000, compass}})}) {               // root hit, early
-    specs.push_back(prototype);
-    specs.back().plan = plan;
-  }
-
-  std::vector<ExperimentResult> scalar;
-  for (const ExperimentSpec& spec : specs) scalar.push_back(harness.run(spec, nullptr, &context));
-
-  for (std::size_t width : {std::size_t{2}, std::size_t{3}, specs.size()}) {
-    SCOPED_TRACE("width " + std::to_string(width));
-    BatchHarness engine(harness);
-    for (std::size_t start = 0; start < specs.size(); start += width) {
-      const std::size_t end = std::min(start + width, specs.size());
-      const std::vector<ExperimentSpec> slice(specs.begin() + start, specs.begin() + end);
-      const std::vector<ExperimentResult> batched = engine.run(slice, nullptr, &store);
-      for (std::size_t i = 0; i < slice.size(); ++i) {
-        expect_results_identical(scalar[start + i], batched[i],
-                                 "lane " + std::to_string(start + i));
-      }
-    }
+  constexpr int kCaptureLimit = 1;  // record single-event plans only
+  struct Case {
+    const char* name;
+    FaultPlan plan;
+    bool captures;
+  };
+  const std::vector<Case> cases = {
+      {"cold", chain({{0, gps}}), true},
+      {"tree", chain({{12000, compass}, {18000, gps}}), false},
+      {"root", chain({{9000, gps}}), true},
+      {"golden", FaultPlan{}, false},
+      {"tree-late", chain({{12000, compass}, {21000, gps}}), false},
+      {"root-early", chain({{3000, compass}}), true},
+  };
+  for (const Case& c : cases) {
+    ExperimentSpec spec = prototype;
+    spec.plan = c.plan;
+    const ExperimentResult cold = harness.run(spec, nullptr, &context);
+    std::vector<ExperimentSnapshot> captures;
+    const ExperimentResult restored =
+        harness.run(spec, nullptr, &context, &store, kCaptureLimit, &captures);
+    expect_results_identical(cold, restored, c.name);
+    EXPECT_EQ(!captures.empty(), c.captures) << c.name;
+    EXPECT_EQ(store.tree_size(), tree_size) << c.name;
   }
 }
 

@@ -401,7 +401,7 @@ TEST(Distributed, CoordinatorResumesFromJournalAndMergesIdentically) {
   // between cells, so exactly one completion lands in the journal.
   {
     core::CampaignJournal journal =
-        core::CampaignJournal::start(path, core::CampaignJournal::bind(cells, {}, 0));
+        core::CampaignJournal::start(path, core::CampaignJournal::bind(cells, {}));
     core::CampaignOptions options;
     options.cell_workers = 1;
     options.experiment_workers = 2;

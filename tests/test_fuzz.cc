@@ -372,7 +372,7 @@ TEST(Fuzz, DeterministicCorpusDiscoversNovelCoverageAndReplays) {
   ASSERT_NE(dumped, nullptr) << "novel spec missing from the dumped corpus";
   core::CampaignCellSpec cell;
   cell.scenario = *dumped;
-  const core::CampaignCellResult replay = core::run_cell(cell, 2, {}, 0);
+  const core::CampaignCellResult replay = core::run_cell(cell, 2, {});
   avis::testing::expect_reports_equal(novel->report, replay.report);
 }
 

@@ -8,7 +8,8 @@
 //   - records round-trip losslessly (the resumed report is built from them);
 //   - a torn FINAL line is dropped, not fatal — the cell simply re-runs;
 //   - corruption anywhere else cannot be produced by a crash and is fatal;
-//   - duplicate indices keep the first copy (determinism makes them equal).
+//   - duplicate indices keep the first copy (determinism makes them equal);
+//   - a journal written in another format version is refused by name.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -101,7 +102,7 @@ TEST(Journal, RoundTripsHeaderAndRecords) {
   const auto grid = small_grid();
   core::CheckpointConfig checkpoints;
   checkpoints.interval_ms = 2500;
-  const auto header = core::CampaignJournal::bind(grid, checkpoints, 4);
+  const auto header = core::CampaignJournal::bind(grid, checkpoints);
 
   const std::string path = temp_path("roundtrip");
   {
@@ -118,7 +119,6 @@ TEST(Journal, RoundTripsHeaderAndRecords) {
   EXPECT_TRUE(loaded.header.checkpoint_trees);
   EXPECT_EQ(loaded.header.checkpoint_interval_ms, 2500);
   EXPECT_EQ(loaded.header.checkpoint_budget_bytes, checkpoints.byte_budget);
-  EXPECT_EQ(loaded.header.batch_width, 4);
   ASSERT_EQ(loaded.header.cell_hashes.size(), grid.size());
   EXPECT_EQ(loaded.header.cell_hashes[0], core::cell_identity_hash(grid[0]));
 
@@ -137,28 +137,28 @@ TEST(Journal, RoundTripsHeaderAndRecords) {
 
 TEST(Journal, HeaderDiffIsEmptyForTheSameCampaign) {
   const auto grid = small_grid();
-  const auto header = core::CampaignJournal::bind(grid, {}, 0);
+  const auto header = core::CampaignJournal::bind(grid, {});
   EXPECT_EQ(core::CampaignJournal::header_diff(
-                header, core::CampaignJournal::bind(small_grid(), {}, 0), grid),
+                header, core::CampaignJournal::bind(small_grid(), {}), grid),
             "");
 }
 
 TEST(Journal, HeaderDiffNamesEveryDriftedField) {
   const auto grid = small_grid();
-  const auto header = core::CampaignJournal::bind(grid, {}, 0);
+  const auto header = core::CampaignJournal::bind(grid, {});
 
   core::CheckpointConfig no_checkpoints;
   no_checkpoints.enabled = false;
-  const auto config_drift = core::CampaignJournal::bind(grid, no_checkpoints, 8);
+  const auto config_drift = core::CampaignJournal::bind(grid, no_checkpoints);
   const std::string config_diff =
       core::CampaignJournal::header_diff(header, config_drift, grid);
   EXPECT_NE(config_diff.find("checkpoints_enabled"), std::string::npos) << config_diff;
-  EXPECT_NE(config_diff.find("batch_width"), std::string::npos) << config_diff;
+  EXPECT_NE(config_diff.find("checkpoint_trees"), std::string::npos) << config_diff;
 
   // A different grid seed keeps the shape but changes every cell hash; the
   // diff names the cells (with their registry coordinates), not just "hash".
   const auto reseeded = small_grid(777);
-  const auto grid_drift = core::CampaignJournal::bind(reseeded, {}, 0);
+  const auto grid_drift = core::CampaignJournal::bind(reseeded, {});
   const std::string grid_diff =
       core::CampaignJournal::header_diff(header, grid_drift, reseeded);
   EXPECT_NE(grid_diff.find("cell 0"), std::string::npos) << grid_diff;
@@ -170,7 +170,7 @@ TEST(Journal, TornFinalRecordIsDroppedNotFatal) {
   const std::string path = temp_path("torn");
   {
     core::CampaignJournal journal =
-        core::CampaignJournal::start(path, core::CampaignJournal::bind(grid, {}, 0));
+        core::CampaignJournal::start(path, core::CampaignJournal::bind(grid, {}));
     journal.append(record_for(grid, 0, 0));
     journal.append(record_for(grid, 1, 1));
   }
@@ -192,7 +192,7 @@ TEST(Journal, CorruptNonFinalRecordIsFatal) {
   const std::string path = temp_path("corrupt");
   {
     core::CampaignJournal journal =
-        core::CampaignJournal::start(path, core::CampaignJournal::bind(grid, {}, 0));
+        core::CampaignJournal::start(path, core::CampaignJournal::bind(grid, {}));
     journal.append(record_for(grid, 0, 0));
     journal.append(record_for(grid, 1, 1));
   }
@@ -216,7 +216,7 @@ TEST(Journal, RecordDisagreeingWithHeaderIsCorruption) {
   const std::string path = temp_path("hash_mismatch");
   {
     core::CampaignJournal journal =
-        core::CampaignJournal::start(path, core::CampaignJournal::bind(grid, {}, 0));
+        core::CampaignJournal::start(path, core::CampaignJournal::bind(grid, {}));
     // Wrong hash for index 0: the record claims a cell this campaign never
     // had. Followed by a valid record so the lie is not on the final line.
     core::JournalCellRecord lie = record_for(grid, 0, 0);
@@ -233,7 +233,7 @@ TEST(Journal, DuplicateIndexKeepsFirstRecord) {
   const std::string path = temp_path("duplicate");
   {
     core::CampaignJournal journal =
-        core::CampaignJournal::start(path, core::CampaignJournal::bind(grid, {}, 0));
+        core::CampaignJournal::start(path, core::CampaignJournal::bind(grid, {}));
     journal.append(record_for(grid, 0, 0));
     // A crash between fsync and "cell done" can journal the same completion
     // twice after resume; determinism makes the copies equal, so keeping the
@@ -255,6 +255,32 @@ TEST(Journal, LoadRejectsMissingAndHeaderlessFiles) {
   const std::string path = temp_path("bad_header");
   write_file(path, "this is not a journal\n");
   EXPECT_THROW(core::CampaignJournal::load(path), core::JournalError);
+  std::filesystem::remove(path);
+}
+
+// A version-1 journal (its header still carries the retired batch_width
+// knob) must not resume under this build: load() refuses it with a message
+// naming both versions, which the CLI's --resume turns into exit code 2.
+TEST(Journal, OldVersionJournalIsRefusedNamingBothVersions) {
+  const auto grid = small_grid();
+  const std::string path = temp_path("old_version");
+  write_file(path,
+             "{\"type\": \"avis_campaign_journal\", \"version\": 1, \"cells\": 2, "
+             "\"checkpoints_enabled\": true, \"checkpoint_trees\": true, "
+             "\"checkpoint_interval_ms\": 1000, \"checkpoint_budget_bytes\": 0, "
+             "\"batch_width\": 0, \"cell_hashes\": [\"" +
+                 core::cell_identity_hash(grid[0]) + "\", \"" +
+                 core::cell_identity_hash(grid[1]) + "\"]}\n");
+  try {
+    core::CampaignJournal::load(path);
+    ADD_FAILURE() << "a version-1 journal loaded";
+  } catch (const core::JournalError& err) {
+    const std::string message = err.what();
+    EXPECT_NE(message.find("version 1"), std::string::npos) << message;
+    EXPECT_NE(message.find("version " + std::to_string(core::CampaignJournal::kVersion)),
+              std::string::npos)
+        << message;
+  }
   std::filesystem::remove(path);
 }
 

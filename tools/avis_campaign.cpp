@@ -56,7 +56,6 @@ struct Options {
   int total_workers = util::default_worker_count();
   int cell_workers = 0;        // 0 = derive from total via split_worker_budget
   int experiment_workers = 0;  // 0 = derive
-  int batch_width = 0;         // lockstep simulation width; 0 = auto
   std::string scenario_file;   // load the grid from this JSON document
   std::string dump_scenario;   // write the grid JSON here and exit ('-' = stdout)
   std::string out;             // JSON report path; "-" = stdout; empty = no JSON
@@ -163,8 +162,6 @@ int usage(const char* argv0) {
       << "  --workers N              total hardware budget for the worker split\n"
       << "  --cell-workers N         override: cells run concurrently\n"
       << "  --experiment-workers N   override: experiment pool size per cell\n"
-      << "  --batch-width N          lockstep simulation width per experiment worker\n"
-      << "                           (default: auto; reports are identical at any width)\n"
       << "  --no-checkpoints         disable checkpointed prefix forking (A/B timing;\n"
       << "                           reports are bit-identical either way)\n"
       << "  --no-checkpoint-trees    keep the fault-free root but disable faulty-prefix\n"
@@ -269,13 +266,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--experiment-workers") {
       if (!number(n)) return usage(argv[0]);
       options.experiment_workers = static_cast<int>(n);
-    } else if (arg == "--batch-width") {
-      if (!number(n)) return usage(argv[0]);
-      if (n < 1) {
-        std::cerr << "--batch-width must be at least 1 (got " << n << ")\n";
-        return usage(argv[0]);
-      }
-      options.batch_width = static_cast<int>(n);
     } else if (arg == "--approaches") {
       if (!csv_list(options.grid.approaches)) return usage(argv[0]);
       if (!check_names(options.grid.approaches, core::approach_registry(), "--approaches")) {
@@ -512,7 +502,6 @@ int main(int argc, char** argv) {
     worker_options.port = static_cast<std::uint16_t>(port);
     worker_options.worker_id = options.worker_id;
     worker_options.experiment_workers = options.experiment_workers;
-    worker_options.batch_width = options.batch_width;
     worker_options.auth_token = options.auth_token;
     worker_options.chaos.seed = static_cast<std::uint64_t>(options.net_chaos_seed);
     if (!options.quiet) worker_options.log = &std::cerr;
@@ -584,7 +573,6 @@ int main(int argc, char** argv) {
     fuzz_options.campaign.total_workers = options.total_workers;
     fuzz_options.campaign.cell_workers = options.cell_workers;
     fuzz_options.campaign.experiment_workers = options.experiment_workers;
-    fuzz_options.campaign.batch_width = options.batch_width;
     fuzz_options.campaign.checkpoints = options.checkpoints;
     fuzz::FuzzResult fuzz_result;
     try {
@@ -657,7 +645,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     const core::CampaignJournal::Header requested =
-        core::CampaignJournal::bind(grid, options.checkpoints, options.batch_width);
+        core::CampaignJournal::bind(grid, options.checkpoints);
     const std::string diff =
         core::CampaignJournal::header_diff(loaded.header, requested, grid);
     if (!diff.empty()) {
@@ -684,7 +672,7 @@ int main(int argc, char** argv) {
     try {
       journal.emplace(core::CampaignJournal::start(
           options.journal_path,
-          core::CampaignJournal::bind(grid, options.checkpoints, options.batch_width)));
+          core::CampaignJournal::bind(grid, options.checkpoints)));
     } catch (const core::JournalError& err) {
       std::cerr << "--journal: " << err.what() << "\n";
       return 1;
@@ -707,7 +695,6 @@ int main(int argc, char** argv) {
     serve_options.allow_degraded = !options.no_degraded;
     serve_options.degraded_after_ms = static_cast<int>(options.degraded_after_ms);
     serve_options.experiment_workers = options.experiment_workers;
-    serve_options.batch_width = options.batch_width;
     serve_options.checkpoints = options.checkpoints;
     serve_options.auth_token = options.auth_token;
     serve_options.chaos.seed = static_cast<std::uint64_t>(options.net_chaos_seed);
@@ -733,7 +720,6 @@ int main(int argc, char** argv) {
     campaign_options.total_workers = options.total_workers;
     campaign_options.cell_workers = options.cell_workers;
     campaign_options.experiment_workers = options.experiment_workers;
-    campaign_options.batch_width = options.batch_width;
     campaign_options.checkpoints = options.checkpoints;
     campaign_options.journal = journal ? &*journal : nullptr;
     campaign_options.resume = resuming ? &loaded.cells : nullptr;

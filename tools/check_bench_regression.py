@@ -11,18 +11,19 @@ noisy runner does not block an innocent change. A real hot-loop regression
 Usage: check_bench_regression.py CURRENT.json BASELINE.json [GATED_NAME...]
 
 Extra arguments override the default gated-name list, so the same gate can
-run against other bench binaries (CI gates perf_micro's BM_BatchStep rows
-against bench/baselines/BENCH_perf_micro.json this way).
+run against other bench binaries (CI gates perf_micro's BM_FullFirmwareStep
+and BM_FuzzGeneration rows against bench/baselines/BENCH_perf_micro.json
+this way).
 """
 
 import json
 import sys
 
 # Single-worker benches worth gating; names must match google-benchmark's
-# JSON "name" field exactly. BM_SingleExperiment is gated at batch width 4 —
-# the width the checker runs at by default (Checker::kAutoBatchWidth).
+# JSON "name" field exactly. BM_SingleExperiment is one scalar experiment,
+# the path every checker experiment takes.
 GATED = [
-    "BM_SingleExperiment/4",
+    "BM_SingleExperiment",
     "BM_CheckerCampaign/1/process_time/real_time",
 ]
 
