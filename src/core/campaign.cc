@@ -15,8 +15,7 @@ namespace avis::core {
 
 // One cell, end to end: resolve the scenario through the registries,
 // calibrate, build the strategy, run the campaign loop. Everything the cell
-// touches is constructed here, so cells are safe to run on pool threads —
-// or in a worker process on the other end of a socket (src/net/).
+// touches is constructed here, so cells are safe to run on pool threads.
 CampaignCellResult run_cell(const CampaignCellSpec& spec, int experiment_workers,
                             const CheckpointConfig& checkpoints) {
   CampaignCellResult result;
@@ -101,9 +100,6 @@ CampaignResult CampaignRunner::run(const std::vector<CampaignCellSpec>& grid) co
     CampaignCellResult cell;
     cell.spec = grid[static_cast<std::size_t>(record.index)];
     cell.report = record.report;
-    cell.attempts = record.attempts;
-    cell.completed_by = record.completed_by;
-    cell.reassigned_from = record.reassigned_from;
     cell.wall_seconds = record.wall_seconds;
     cell.grid_index = record.index;
     return cell;
@@ -117,9 +113,6 @@ CampaignResult CampaignRunner::run(const std::vector<CampaignCellSpec>& grid) co
     JournalCellRecord record;
     record.index = static_cast<int>(index);
     record.spec_hash = cell_identity_hash(grid[index]);
-    record.attempts = cell.attempts;
-    record.completed_by = cell.completed_by;
-    record.reassigned_from = cell.reassigned_from;
     record.wall_seconds = cell.wall_seconds;
     record.report = cell.report;
     options_.journal->append(record);
@@ -232,8 +225,8 @@ std::string campaign_report_json(const CampaignResult& result) {
   os << "    \"edge_coverage\": ";
   p_append_coverage_object(os, coverage_union);
   os << ",\n";
-  // Campaign-wide checkpoint totals: the merge path (distributed runs) must
-  // reproduce the single-process sums exactly, so they are part of the
+  // Campaign-wide checkpoint totals: the merge path (--resume) must
+  // reproduce the uninterrupted sums exactly, so they are part of the
   // report-identity contract rather than derived downstream.
   os << "    \"checkpoint_hits\": " << result.total_checkpoint_hits() << ",\n";
   os << "    \"checkpoint_misses\": " << result.total_checkpoint_misses() << ",\n";
@@ -300,17 +293,6 @@ std::string campaign_report_json(const CampaignResult& result) {
     os << "      \"checkpoint_tree_evicted\": " << report.checkpoint_tree_evicted << ",\n";
     os << "      \"checkpoint_skipped_ms\": " << report.checkpoint_skipped_ms << ",\n";
     os << "      \"stalled_runs\": " << report.stalled_runs << ",\n";
-    // Execution provenance (docs/DISTRIBUTED.md): how many assignments the
-    // cell took and which workers lost it. Wall-clock-class fields — masked
-    // alongside wall_seconds in report identity comparisons.
-    os << "      \"attempts\": " << cell.attempts << ",\n";
-    os << "      \"completed_by\": \"" << util::json_escape(cell.completed_by) << "\",\n";
-    os << "      \"reassigned_from\": [";
-    for (std::size_t j = 0; j < cell.reassigned_from.size(); ++j) {
-      if (j) os << ", ";
-      os << "\"" << util::json_escape(cell.reassigned_from[j]) << "\"";
-    }
-    os << "],\n";
     os << "      \"wall_seconds\": " << cell.wall_seconds << ",\n";
     os << "      \"experiments_per_sec\": " << cell.experiments_per_sec() << "\n";
     os << "    }" << (i + 1 < result.cells.size() ? "," : "") << "\n";
@@ -320,17 +302,18 @@ std::string campaign_report_json(const CampaignResult& result) {
   return os.str();
 }
 
-// --- CheckerReport wire serialization --------------------------------------
+// --- CheckerReport serialization ------------------------------------------
 //
 // Lossless: every field expect_reports_equal compares survives the round
-// trip, so the coordinator's merged cells are indistinguishable from cells
-// it ran itself. Enum-valued fields travel as integers and are range-checked
-// on the way back in — the sender may be a mismatched binary.
+// trip, so cells resumed from the journal are indistinguishable from cells
+// run in-process. Enum-valued fields travel as integers and are
+// range-checked on the way back in — the writer may be a mismatched binary.
 
 namespace {
 
-// Range-checked narrowing for wire integers; JsonError (not InvariantError)
-// so the net layer's "malformed peer frame" handling catches it.
+// Range-checked narrowing for serialized integers; JsonError (not
+// InvariantError) so the journal loader's torn/corrupt-record handling
+// catches it.
 std::int64_t p_wire_int(const util::Json& json, std::int64_t lo, std::int64_t hi,
                         const char* what) {
   const std::int64_t v = json.as_int64();

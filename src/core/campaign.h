@@ -65,19 +65,9 @@ struct CampaignCellResult {
   CheckerReport report;
   // The cell's strategy, kept alive for post-run inspection (the ablation
   // benches read SABRE's pruning counters through it). Cells merged back
-  // from a remote worker (src/net/) carry no strategy object.
+  // from a resumed journal carry no strategy object.
   std::unique_ptr<InjectionStrategy> strategy;
   double wall_seconds = 0.0;
-
-  // Execution provenance (distributed campaigns, docs/DISTRIBUTED.md). A
-  // single-process run is one local attempt; the coordinator counts every
-  // assignment — including a degraded-mode in-process completion — and
-  // records which workers lost the cell before it finished. Like wall
-  // clocks, these fields vary run to run and are masked out of report
-  // identity comparisons.
-  int attempts = 1;
-  std::string completed_by = "local";
-  std::vector<std::string> reassigned_from;
 
   // Position in the requested grid (-1 = "my position in the results
   // vector", the single-process default). A resumed or interrupted campaign
@@ -111,9 +101,8 @@ struct CampaignResult {
   }
 
   // Campaign-wide checkpoint accounting, summed over cells in grid order.
-  // Part of the deterministic report contract: the distributed merge path
-  // must reproduce the single-process totals exactly (tests/test_campaign.cc,
-  // tests/test_distributed.cc).
+  // Part of the deterministic report contract: a resumed campaign must
+  // reproduce the uninterrupted totals exactly (tests/test_campaign.cc).
   int total_checkpoint_hits() const {
     int total = 0;
     for (const auto& cell : cells) total += cell.report.checkpoint_hits;
@@ -147,7 +136,7 @@ struct CampaignResult {
 
   // Campaign-wide (mode-graph edge x injection-window) coverage union, counts
   // summed over cells in grid order (core/coverage.h). Deterministic like the
-  // per-cell maps it merges, so the distributed merge path must reproduce it
+  // per-cell maps it merges, so a resumed campaign must reproduce it
   // exactly; the report header carries its key count.
   CoverageMap coverage_union() const {
     CoverageMap unioned;
@@ -158,9 +147,8 @@ struct CampaignResult {
 
 // One cell, end to end, on the calling thread (plus the cell's experiment
 // pool): resolve the scenario through the registries, calibrate, build the
-// strategy, run the checker loop. This is the unit the campaign pool — and a
-// distributed worker process (src/net/worker.h) — executes; cells touch
-// nothing shared, so it is safe to call concurrently.
+// strategy, run the checker loop. This is the unit the campaign pool
+// executes; cells touch nothing shared, so it is safe to call concurrently.
 CampaignCellResult run_cell(const CampaignCellSpec& spec, int experiment_workers,
                             const CheckpointConfig& checkpoints);
 
@@ -176,7 +164,7 @@ struct CampaignOptions {
   // parity tests turn it off.
   CheckpointConfig checkpoints;
 
-  // Crash safety (core/journal.h; docs/DISTRIBUTED.md). When `journal` is
+  // Crash safety (core/journal.h; docs/CRASH_SAFETY.md). When `journal` is
   // set, every completed cell is appended (write + fsync) as soon as it is
   // collected, in grid order. When `resume` is set, the listed cells are
   // not re-run: their journaled reports are merged into the result at their
@@ -217,13 +205,13 @@ class CampaignRunner {
 // (experiments/sec), unsafe counts, and bug-first-found simulation indices.
 std::string campaign_report_json(const CampaignResult& result);
 
-// Full CheckerReport serialization — the payload of the distributed
-// protocol's CellReport frame (src/net/protocol.h). Unlike the campaign
-// report above (which carries derived aggregates), this is a lossless round
-// trip: plans, violations, transitions and checkpoint counters all survive,
-// so a report merged from a remote worker is field-identical to one computed
-// in-process. from_json throws util::JsonError on malformed or out-of-range
-// input (the peer may be a mismatched binary).
+// Full CheckerReport serialization — the report payload of every journal
+// record (core/journal.h). Unlike the campaign report above (which carries
+// derived aggregates), this is a lossless round trip: plans, violations,
+// transitions and checkpoint counters all survive, so a report merged from
+// the journal on --resume is field-identical to one computed in-process.
+// from_json throws util::JsonError on malformed or out-of-range input (the
+// journal may be damaged or written by a mismatched binary).
 std::string checker_report_json(const CheckerReport& report, int indent = 0);
 CheckerReport checker_report_from_json(const util::Json& json);
 

@@ -190,9 +190,6 @@ CampaignJournal::Loaded CampaignJournal::load(const std::string& path) {
       JournalCellRecord record;
       record.index = static_cast<int>(json.at("index").as_int64());
       record.spec_hash = json.at("spec_hash").as_string();
-      record.attempts = static_cast<int>(json.get_int64("attempts", 1));
-      record.completed_by = json.get_string("completed_by", "local");
-      record.reassigned_from = json.get_string_array("reassigned_from", {});
       const util::Json* wall = json.find("wall_seconds");
       record.wall_seconds = wall != nullptr ? wall->as_double() : 0.0;
       record.report = checker_report_from_json(json.at("report"));
@@ -241,13 +238,7 @@ CampaignJournal::~CampaignJournal() {
 void CampaignJournal::append(const JournalCellRecord& record) {
   std::ostringstream os;
   os << "{\"type\": \"cell\", \"index\": " << record.index << ", \"spec_hash\": \""
-     << record.spec_hash << "\", \"attempts\": " << record.attempts << ", \"completed_by\": \""
-     << util::json_escape(record.completed_by) << "\", \"reassigned_from\": [";
-  for (std::size_t i = 0; i < record.reassigned_from.size(); ++i) {
-    if (i) os << ", ";
-    os << "\"" << util::json_escape(record.reassigned_from[i]) << "\"";
-  }
-  os << "], \"wall_seconds\": " << record.wall_seconds
+     << record.spec_hash << "\", \"wall_seconds\": " << record.wall_seconds
      << ", \"report\": " << p_single_line(checker_report_json(record.report)) << "}";
   p_write_line(os.str());
 }

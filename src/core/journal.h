@@ -1,11 +1,10 @@
-// Write-ahead cell journal for crash-safe campaigns (docs/DISTRIBUTED.md,
-// "Journaling & resume").
+// Write-ahead cell journal for crash-safe campaigns (docs/CRASH_SAFETY.md).
 //
 // A journal is a JSONL file. Line 1 is a header binding the campaign it
 // belongs to: one identity hash per grid cell (in grid order) plus the
 // report-affecting config knobs (checkpoint settings). Every
 // later line is one completed cell — its full lossless CheckerReport
-// (checker_report_json) plus execution provenance. Records are appended
+// (checker_report_json) plus its wall time. Records are appended
 // with a single write() and fsync'd before the campaign acts on the
 // completion, so after SIGKILL at any instant the file holds every
 // acknowledged cell plus at most one torn final line. load() detects the
@@ -16,8 +15,11 @@
 // in docs/PERFORMANCE.md), which is what makes resume sound: a journaled
 // report is bit-identical to what re-running the cell would produce, so a
 // resumed campaign's merged report matches an uninterrupted run modulo
-// wall-clock and provenance fields — the same masked-diff contract the
-// distributed merge path already honors (tests/test_distributed.cc).
+// wall-clock fields (tests/test_campaign.cc, the CI crash-and-resume smoke).
+//
+// Version 2 records written by older builds also carry per-cell execution
+// provenance keys from the retired distributed service; load() reads only
+// the keys it names, so those journals still resume (tests/test_journal.cc).
 #pragma once
 
 #include <cstdint>
@@ -42,13 +44,10 @@ class JournalError : public std::runtime_error {
 std::string cell_identity_hash(const CampaignCellSpec& cell);
 
 // One completed cell as journaled: where it sits in the grid, what it was
-// (spec hash), how it ran (provenance), and the full report.
+// (spec hash), how long it took, and the full report.
 struct JournalCellRecord {
   int index = -1;
   std::string spec_hash;
-  int attempts = 1;
-  std::string completed_by = "local";
-  std::vector<std::string> reassigned_from;
   double wall_seconds = 0.0;
   CheckerReport report;
 };
@@ -77,7 +76,7 @@ class CampaignJournal {
 
   // The header a campaign with this grid and config would write. Binds
   // everything that changes report bytes; deliberately excludes wall-clock
-  // knobs (worker counts, ports) that the masked-diff contract ignores.
+  // knobs (worker counts) that the masked-diff contract ignores.
   static Header bind(const std::vector<CampaignCellSpec>& grid,
                      const CheckpointConfig& checkpoints);
 
@@ -110,7 +109,7 @@ class CampaignJournal {
 
   // Append one completed cell: a single write() of the record line, then
   // fsync. On return the record is durable; call this *before* acting on
-  // the completion (marking the cell done, acking the worker).
+  // the completion (handing the cell to the caller's result).
   void append(const JournalCellRecord& record);
 
   const std::string& path() const { return path_; }

@@ -184,11 +184,6 @@ util::Registry<ApproachInfo>& approach_registry() {
                                  spec.constraints.window_end_ms,
                                  fault_type_mask(spec.constraints.fault_types)));
                        }});
-    r.add("sbfi", "alias for stratified-bfi",
-          ApproachInfo{"Strat. BFI", [](const MonitorModel& model, const ScenarioSpec& spec) {
-                         return approach_registry().at("stratified-bfi").factory.make(model,
-                                                                                      spec);
-                       }});
     return r;
   }();
   return registry;

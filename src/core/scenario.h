@@ -5,10 +5,10 @@
 // workload, environment preset, bug population) or a plain number (budget,
 // seeds, fault-plan constraints). The spec — not C++ code — is the unit of
 // experiment construction: `avis_campaign --scenario-file grid.json` runs a
-// grid of them, `--dump-scenario` writes one out, and a future cross-process
-// sharder can mail them between hosts (ROADMAP: the spec is the wire
-// format). from_json(to_json(spec)) == spec, and a campaign built from a
-// dumped file is report-identical to the same grid built via CSV flags
+// grid of them, `--dump-scenario` writes one out, and the campaign journal
+// binds each cell by a hash of its JSON (docs/CRASH_SAFETY.md).
+// from_json(to_json(spec)) == spec, and a campaign built from a dumped file
+// is report-identical to the same grid built via CSV flags
 // (tests/test_scenario.cc).
 #pragma once
 

@@ -28,12 +28,12 @@ class JsonError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-// Hard ceilings applied while parsing. Scenario files were the original
-// consumer, but the same parser now sits on the distributed campaign wire
-// (src/net/), where the peer may be a mismatched binary or an attacker: a
-// hostile document must produce a JsonError, never unbounded recursion
-// (stack overflow) or unbounded allocation. The defaults are far above
-// anything a legitimate grid, report, or protocol frame produces.
+// Hard ceilings applied while parsing. Scenario files and campaign journals
+// (docs/CRASH_SAFETY.md) come from outside the program and may be damaged,
+// written by a mismatched binary, or hostile: such a document must produce
+// a JsonError, never unbounded recursion (stack overflow) or unbounded
+// allocation. The defaults are far above anything a legitimate grid,
+// report, or journal record produces.
 struct JsonLimits {
   std::size_t max_depth = 64;                  // nested arrays/objects
   std::size_t max_string_bytes = 1 << 20;      // decoded bytes per string

@@ -177,15 +177,9 @@ TEST(Campaign, JsonReportCarriesPerCellMetrics) {
   // Grid order is preserved in the report.
   EXPECT_LT(json.find("\"index\": 0"), json.find("\"index\": 1"));
 
-  // Execution provenance (docs/DISTRIBUTED.md): a single-process run is one
-  // attempt per cell, completed locally, never reassigned.
-  EXPECT_NE(json.find("\"attempts\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"completed_by\": \"local\""), std::string::npos);
-  EXPECT_NE(json.find("\"reassigned_from\": []"), std::string::npos);
-
   // The campaign header carries checkpoint totals, and they are exactly the
-  // sums of the per-cell counters — the invariant the distributed merge
-  // path is held to.
+  // sums of the per-cell counters — the invariant a resumed campaign's merge
+  // (docs/CRASH_SAFETY.md) is held to.
   const util::Json parsed = util::Json::parse(json);
   const util::Json& campaign = parsed.at("campaign");
   std::int64_t hits = 0, misses = 0, evicted = 0, skipped = 0;

@@ -96,10 +96,10 @@ inline void expect_reports_equal(const core::CheckerReport& serial,
 }
 
 // Campaign-level report identity: cell-by-cell report equality in grid
-// order, plus the aggregated checkpoint totals — the distributed merge path
-// must reproduce the single-process sums exactly. Wall-clock and provenance
-// fields (wall_seconds, attempts, completed_by, reassigned_from) are
-// excluded by design: they describe how the campaign ran, not what it found.
+// order, plus the aggregated checkpoint totals — a campaign resumed from its
+// journal (docs/CRASH_SAFETY.md) must reproduce the uninterrupted sums
+// exactly. Wall-clock fields (wall_seconds) are excluded by design: they
+// describe how the campaign ran, not what it found.
 inline void expect_campaign_results_equal(const core::CampaignResult& expected,
                                           const core::CampaignResult& actual) {
   ASSERT_EQ(expected.cells.size(), actual.cells.size());

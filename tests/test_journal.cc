@@ -22,6 +22,7 @@
 #include "core/journal.h"
 #include "core/scenario.h"
 #include "test_helpers.h"
+#include "util/json.h"
 
 namespace {
 
@@ -40,7 +41,7 @@ std::vector<core::CampaignCellSpec> small_grid(std::uint64_t seed = 100) {
 
 // A report with enough non-default structure to catch lossy encoding; the
 // full CheckerReport round trip (unsafe records, coverage, transitions) is
-// pinned by checker_report_json's own tests.
+// pinned by RealCellReportRoundTripsLosslessly below.
 core::CheckerReport synthetic_report(int salt) {
   core::CheckerReport report;
   report.strategy_name = "Avis";
@@ -60,9 +61,6 @@ core::JournalCellRecord record_for(const std::vector<core::CampaignCellSpec>& gr
   core::JournalCellRecord record;
   record.index = index;
   record.spec_hash = core::cell_identity_hash(grid[static_cast<std::size_t>(index)]);
-  record.attempts = 1 + salt % 2;
-  record.completed_by = salt % 2 ? "worker-a" : "local";
-  if (salt % 2) record.reassigned_from = {"worker-b"};
   record.wall_seconds = 1.5 + salt;
   record.report = synthetic_report(salt);
   return record;
@@ -104,35 +102,65 @@ TEST(Journal, RoundTripsHeaderAndRecords) {
   checkpoints.interval_ms = 2500;
   const auto header = core::CampaignJournal::bind(grid, checkpoints);
 
-  const std::string path = temp_path("roundtrip");
-  {
-    core::CampaignJournal journal = core::CampaignJournal::start(path, header);
-    journal.append(record_for(grid, 0, 0));
-    journal.append(record_for(grid, 1, 1));
+  // Cell 1 as an older build wrote version-2 records, with the execution
+  // provenance keys of the retired distributed service. load() reads only
+  // the keys it names, so such a journal resumes exactly like a new one.
+  std::string legacy_report = core::checker_report_json(synthetic_report(1));
+  std::erase(legacy_report, '\n');
+  const std::string legacy_record =
+      "{\"type\": \"cell\", \"index\": 1, \"spec_hash\": \"" +
+      core::cell_identity_hash(grid[1]) +
+      "\", \"attempts\": 2, \"completed_by\": \"worker-a\", \"reassigned_from\": "
+      "[\"worker-b\"], \"wall_seconds\": 2.5, \"report\": " +
+      legacy_report + "}\n";
+
+  for (const bool legacy : {false, true}) {
+    SCOPED_TRACE(legacy ? "legacy record" : "current record");
+    const std::string path = temp_path("roundtrip");
+    {
+      core::CampaignJournal journal = core::CampaignJournal::start(path, header);
+      journal.append(record_for(grid, 0, 0));
+      if (!legacy) journal.append(record_for(grid, 1, 1));
+    }
+    if (legacy) write_file(path, read_file(path) + legacy_record);
+
+    const auto loaded = core::CampaignJournal::load(path);
+    EXPECT_FALSE(loaded.dropped_torn_record);
+    EXPECT_EQ(loaded.header.version, core::CampaignJournal::kVersion);
+    EXPECT_EQ(loaded.header.cells, grid.size());
+    EXPECT_TRUE(loaded.header.checkpoints_enabled);
+    EXPECT_TRUE(loaded.header.checkpoint_trees);
+    EXPECT_EQ(loaded.header.checkpoint_interval_ms, 2500);
+    EXPECT_EQ(loaded.header.checkpoint_budget_bytes, checkpoints.byte_budget);
+    ASSERT_EQ(loaded.header.cell_hashes.size(), grid.size());
+    EXPECT_EQ(loaded.header.cell_hashes[0], core::cell_identity_hash(grid[0]));
+
+    ASSERT_EQ(loaded.cells.size(), 2u);
+    const core::JournalCellRecord& second = loaded.cells[1];
+    EXPECT_EQ(second.index, 1);
+    EXPECT_EQ(second.spec_hash, core::cell_identity_hash(grid[1]));
+    EXPECT_DOUBLE_EQ(second.wall_seconds, 2.5);
+    avis::testing::expect_reports_equal(synthetic_report(1), second.report);
+    std::filesystem::remove(path);
   }
+}
 
-  const auto loaded = core::CampaignJournal::load(path);
-  EXPECT_FALSE(loaded.dropped_torn_record);
-  EXPECT_EQ(loaded.header.version, core::CampaignJournal::kVersion);
-  EXPECT_EQ(loaded.header.cells, grid.size());
-  EXPECT_TRUE(loaded.header.checkpoints_enabled);
-  EXPECT_TRUE(loaded.header.checkpoint_trees);
-  EXPECT_EQ(loaded.header.checkpoint_interval_ms, 2500);
-  EXPECT_EQ(loaded.header.checkpoint_budget_bytes, checkpoints.byte_budget);
-  ASSERT_EQ(loaded.header.cell_hashes.size(), grid.size());
-  EXPECT_EQ(loaded.header.cell_hashes[0], core::cell_identity_hash(grid[0]));
-
-  ASSERT_EQ(loaded.cells.size(), 2u);
-  const core::JournalCellRecord& second = loaded.cells[1];
-  EXPECT_EQ(second.index, 1);
-  EXPECT_EQ(second.spec_hash, core::cell_identity_hash(grid[1]));
-  EXPECT_EQ(second.attempts, 2);
-  EXPECT_EQ(second.completed_by, "worker-a");
-  ASSERT_EQ(second.reassigned_from.size(), 1u);
-  EXPECT_EQ(second.reassigned_from[0], "worker-b");
-  EXPECT_DOUBLE_EQ(second.wall_seconds, 2.5);
-  avis::testing::expect_reports_equal(synthetic_report(1), second.report);
-  std::filesystem::remove(path);
+// The journal's report payload must survive everything a real cell
+// produces: unsafe records with plans, violations, fired bugs and
+// transitions, plus coverage and checkpoint counters. Avis on the fence
+// mission finds an unsafe run within 15 simulated minutes.
+TEST(Journal, RealCellReportRoundTripsLosslessly) {
+  core::ScenarioGrid grid;
+  grid.approaches = {"avis"};
+  grid.personalities = {"ardupilot"};
+  grid.workloads = {"fence-mission"};
+  grid.environments = {"calm"};
+  grid.budget_ms = 15 * 60 * 1000;
+  const core::CampaignCellResult cell = core::run_cell(core::expand_to_cells(grid)[0], 2, {});
+  ASSERT_GT(cell.report.unsafe_count(), 0) << "precondition: the cell must find unsafe runs";
+  const core::CheckerReport reparsed =
+      core::checker_report_from_json(util::Json::parse(core::checker_report_json(cell.report)));
+  avis::testing::expect_reports_equal(cell.report, reparsed);
 }
 
 TEST(Journal, HeaderDiffIsEmptyForTheSameCampaign) {

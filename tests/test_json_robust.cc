@@ -1,8 +1,8 @@
-// util/json.h is a wire format (scenario files, and the distributed
-// campaign protocol in src/net/), so it must be robust against adversarial
-// and truncated input: every malformed document raises a clean JsonError —
-// never UB, unbounded recursion, or an exception type the frame dispatcher
-// does not expect.
+// util/json.h reads input from outside the program (scenario files, and
+// campaign journals — docs/CRASH_SAFETY.md), so it must be robust against
+// adversarial and truncated input: every malformed document raises a clean
+// JsonError — never UB, unbounded recursion, or an exception type the
+// journal's torn-record handling does not expect.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -66,8 +66,8 @@ TEST(JsonRobust, MalformedInputTable) {
   }
 }
 
-// Every proper prefix of a valid document is a truncation somebody's dying
-// peer could produce mid-frame; each must fail cleanly with a JsonError.
+// Every proper prefix of a valid document is a truncation a crash
+// mid-write could leave behind; each must fail cleanly with a JsonError.
 TEST(JsonRobust, EveryPrefixOfValidDocumentFailsCleanly) {
   const std::string doc =
       R"({"a": [1, -2.5e3, true, null, "x\u0041\n"], "b": {"c": false, "d": "\\"}})";
@@ -148,7 +148,8 @@ TEST(JsonRobust, NumberTokenLengthLimit) {
 }
 
 // Structured errors keep flowing through the typed accessors (these guard
-// the wire decoders' error paths, which map JsonError to a peer failure).
+// the journal loader's error paths, which map JsonError to a torn or
+// corrupt record).
 TEST(JsonRobust, AccessorErrorsAreJsonErrors) {
   const Json doc = Json::parse(R"({"n": 1.5, "neg": -3, "s": "x"})");
   EXPECT_THROW(doc.at("n").as_int64(), JsonError);

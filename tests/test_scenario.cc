@@ -118,7 +118,7 @@ TEST(ScenarioGrid, ExpandIsTheDeterministicProductPlusExplicitScenarios) {
 
 TEST(ScenarioGrid, JsonRoundTripIsIdentity) {
   core::ScenarioGrid grid;
-  grid.approaches = {"avis", "sbfi"};
+  grid.approaches = {"avis", "stratified-bfi"};
   grid.personalities = {"px4"};
   grid.workloads = {"wind-gust-box"};
   grid.environments = {"breeze", "gusty"};
@@ -137,7 +137,7 @@ TEST(ScenarioGrid, JsonRoundTripIsIdentity) {
 }
 
 TEST(Registries, BuiltinsArePresent) {
-  for (const char* name : {"avis", "stratified-bfi", "bfi", "random", "sbfi"}) {
+  for (const char* name : {"avis", "stratified-bfi", "bfi", "random"}) {
     EXPECT_TRUE(core::approach_registry().contains(name)) << name;
   }
   for (const char* name : {"auto", "box-manual", "fence-mission", "wind-gust-box", "survey"}) {

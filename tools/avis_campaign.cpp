@@ -7,7 +7,8 @@
 // The CSV flags are sugar that builds a grid through the registries; the
 // same grid can be written out with --dump-scenario and run later (or on
 // another host) with --scenario-file, producing a report identical to the
-// flag-built run modulo wall-clock timing fields.
+// flag-built run modulo wall-clock timing fields. --journal/--resume make a
+// long run crash-safe (docs/CRASH_SAFETY.md).
 //
 // Examples:
 //   avis_campaign                                   # full 4x2x2 grid, 2 h budget
@@ -39,9 +40,6 @@
 #include "core/journal.h"
 #include "core/scenario.h"
 #include "fuzz/fuzzer.h"
-#include "net/coordinator.h"
-#include "net/protocol.h"
-#include "net/worker.h"
 #include "sim/environment_presets.h"
 #include "util/table.h"
 #include "workload/registry.h"
@@ -49,6 +47,9 @@
 using namespace avis;
 
 namespace {
+
+// Human-readable build identity, printed by --version.
+constexpr const char* kBuildVersion = "avis-campaign 0.6";
 
 struct Options {
   core::ScenarioGrid grid;
@@ -73,28 +74,14 @@ struct Options {
   std::string fuzz_corpus;      // corpus document path ('-' = stdout)
   std::string fuzz_report;      // fuzz report path ('-' = stdout)
 
-  // Distributed modes (docs/DISTRIBUTED.md). --serve shards the grid across
-  // connected workers; --worker joins a coordinator's pool.
-  bool serve = false;
-  long long serve_port = 0;
-  std::string bind_address = "127.0.0.1";  // --bind; 0.0.0.0 = trusted-network mode
-  std::string worker_endpoint;  // HOST:PORT
-  std::string worker_id;
-  long long max_attempts = 3;
-  long long cell_deadline_ms = 0;  // 0 = derive from the cell budget
-  long long degraded_after_ms = 2000;
-  bool no_degraded = false;
-  std::string auth_token;          // shared secret for Hello (both sides)
-  long long net_chaos_seed = 0;    // 0 = chaos off
-
-  // Crash-safe campaigns (docs/DISTRIBUTED.md "Journaling & resume").
+  // Crash-safe campaigns (docs/CRASH_SAFETY.md).
   std::string journal_path;  // write-ahead cell journal for a fresh run
   std::string resume_path;   // continue a journaled run, skipping done cells
 };
 
 // SIGINT/SIGTERM request a graceful stop: finish in-flight cells, flush the
 // journal, write a partial report, exit 3. Only a flag is set here — all the
-// work happens on the normal paths via the should_stop callbacks.
+// work happens on the normal paths via the should_stop callback.
 volatile std::sig_atomic_t g_stop_signal = 0;
 void handle_stop_signal(int sig) { g_stop_signal = sig; }
 
@@ -182,29 +169,9 @@ int usage(const char* argv0) {
       << "  --fuzz-report FILE       write the fuzz report (coverage growth curve,\n"
       << "                           corpus, discoveries) as JSON ('-' = stdout)\n"
       << "  --list                   print every registry (names + descriptions) and exit\n"
-      << "  --quiet                  suppress the text table (and coordinator/worker logs)\n"
-      << "  --version                print build and protocol version and exit\n"
-      << "distributed mode (docs/DISTRIBUTED.md):\n"
-      << "  --serve PORT             coordinate: shard the grid across connected workers\n"
-      << "                           (PORT 0 = kernel-assigned, logged on stderr)\n"
-      << "  --bind ADDR              coordinator listen address (default 127.0.0.1;\n"
-      << "                           the protocol is unauthenticated — bind 0.0.0.0 only\n"
-      << "                           on a trusted network, see docs/DISTRIBUTED.md)\n"
-      << "  --worker HOST:PORT       join the coordinator at HOST:PORT as a worker\n"
-      << "  --worker-id NAME         stable worker name in logs and report provenance\n"
-      << "  --max-attempts N         assignment attempts per cell before the campaign\n"
-      << "                           aborts (default 3)\n"
-      << "  --cell-deadline-ms N     wall-clock deadline per assignment (default: derived\n"
-      << "                           from the cell budget, max(30s, budget/10))\n"
-      << "  --degraded-after-ms N    with no live workers for N ms, finish remaining\n"
-      << "                           cells in-process (default 2000)\n"
-      << "  --no-degraded            fail instead of completing in-process\n"
-      << "  --auth-token TOKEN       shared secret for the Hello handshake; both sides\n"
-      << "                           must pass the same value or registration is refused\n"
-      << "  --net-chaos-seed N       deterministic wire-fault injection (drop/delay/\n"
-      << "                           truncate/duplicate frames); same seed = same\n"
-      << "                           schedule; needs --serve or --worker (0 = off)\n"
-      << "crash safety (docs/DISTRIBUTED.md):\n"
+      << "  --quiet                  suppress the text table and status notes\n"
+      << "  --version                print the build version and exit\n"
+      << "crash safety (docs/CRASH_SAFETY.md):\n"
       << "  --journal FILE           write-ahead cell journal: one fsync'd record per\n"
       << "                           completed cell, so a crash loses at most the\n"
       << "                           in-flight cells\n"
@@ -361,62 +328,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--quiet") {
       options.quiet = true;
     } else if (arg == "--version") {
-      std::cout << net::kBuildVersion << " (protocol " << net::kProtocolVersion << ")\n";
+      std::cout << kBuildVersion << "\n";
       return 0;
-    } else if (arg == "--serve") {
-      if (!number(n)) return usage(argv[0]);
-      if (n < 0 || n > 65535) {
-        std::cerr << "--serve: port must be 0..65535 (got " << n << ")\n";
-        return usage(argv[0]);
-      }
-      options.serve = true;
-      options.serve_port = n;
-    } else if (arg == "--bind") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      options.bind_address = v;
-    } else if (arg == "--worker") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      options.worker_endpoint = v;
-    } else if (arg == "--worker-id") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      options.worker_id = v;
-    } else if (arg == "--max-attempts") {
-      if (!number(n)) return usage(argv[0]);
-      if (n < 1) {
-        std::cerr << "--max-attempts must be at least 1 (got " << n << ")\n";
-        return usage(argv[0]);
-      }
-      options.max_attempts = n;
-    } else if (arg == "--cell-deadline-ms") {
-      if (!number(n)) return usage(argv[0]);
-      if (n < 0) {
-        std::cerr << "--cell-deadline-ms must be non-negative (got " << n << ")\n";
-        return usage(argv[0]);
-      }
-      options.cell_deadline_ms = n;
-    } else if (arg == "--degraded-after-ms") {
-      if (!number(n)) return usage(argv[0]);
-      if (n < 0) {
-        std::cerr << "--degraded-after-ms must be non-negative (got " << n << ")\n";
-        return usage(argv[0]);
-      }
-      options.degraded_after_ms = n;
-    } else if (arg == "--no-degraded") {
-      options.no_degraded = true;
-    } else if (arg == "--auth-token") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      options.auth_token = v;
-    } else if (arg == "--net-chaos-seed") {
-      if (!number(n)) return usage(argv[0]);
-      if (n < 0) {
-        std::cerr << "--net-chaos-seed must be non-negative (got " << n << ")\n";
-        return usage(argv[0]);
-      }
-      options.net_chaos_seed = n;
     } else if (arg == "--journal") {
       const char* v = value();
       if (!v) return usage(argv[0]);
@@ -447,17 +360,10 @@ int main(int argc, char** argv) {
                  "fuzz mode; add --fuzz N (docs/FUZZING.md)\n";
     return 2;
   }
-  if (options.fuzz_generations > 0) {
-    if (options.serve || !options.worker_endpoint.empty()) {
-      std::cerr << "--fuzz runs in-process; the distributed modes (--serve/--worker) do "
-                   "not apply\n";
-      return 2;
-    }
-    if (!options.out.empty() || !options.dump_scenario.empty()) {
-      std::cerr << "--fuzz writes --fuzz-corpus/--fuzz-report documents; --out and "
-                   "--dump-scenario do not apply\n";
-      return 2;
-    }
+  if (options.fuzz_generations > 0 && (!options.out.empty() || !options.dump_scenario.empty())) {
+    std::cerr << "--fuzz writes --fuzz-corpus/--fuzz-report documents; --out and "
+                 "--dump-scenario do not apply\n";
+    return 2;
   }
 
   if (!options.journal_path.empty() && !options.resume_path.empty()) {
@@ -466,51 +372,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   if ((!options.journal_path.empty() || !options.resume_path.empty()) &&
-      (options.fuzz_generations > 0 || !options.dump_scenario.empty() ||
-       !options.worker_endpoint.empty())) {
-    std::cerr << "--journal/--resume apply to campaign runs (in-process or --serve); "
-                 "they do not combine with --fuzz, --dump-scenario or --worker\n";
+      (options.fuzz_generations > 0 || !options.dump_scenario.empty())) {
+    std::cerr << "--journal/--resume apply to campaign runs; they do not combine with "
+                 "--fuzz or --dump-scenario\n";
     return 2;
-  }
-  if (options.net_chaos_seed != 0 && !options.serve && options.worker_endpoint.empty()) {
-    std::cerr << "--net-chaos-seed injects faults on the wire; it needs --serve or "
-                 "--worker\n";
-    return 2;
-  }
-  if (!options.auth_token.empty() && !options.serve && options.worker_endpoint.empty()) {
-    std::cerr << "--auth-token guards the distributed handshake; it needs --serve or "
-                 "--worker\n";
-    return 2;
-  }
-
-  if (!options.worker_endpoint.empty()) {
-    if (options.serve || options.grid_flag_seen || !options.scenario_file.empty()) {
-      std::cerr << "--worker takes its cells from the coordinator; --serve, --scenario-file "
-                   "and the grid-shaping flags do not apply\n";
-      return 2;
-    }
-    const std::size_t colon = options.worker_endpoint.rfind(':');
-    long long port = 0;
-    if (colon == std::string::npos || colon == 0 ||
-        !parse_number(options.worker_endpoint.c_str() + colon + 1, port) || port < 1 ||
-        port > 65535) {
-      std::cerr << "--worker expects HOST:PORT (got " << options.worker_endpoint << ")\n";
-      return 2;
-    }
-    net::WorkerOptions worker_options;
-    worker_options.host = options.worker_endpoint.substr(0, colon);
-    worker_options.port = static_cast<std::uint16_t>(port);
-    worker_options.worker_id = options.worker_id;
-    worker_options.experiment_workers = options.experiment_workers;
-    worker_options.auth_token = options.auth_token;
-    worker_options.chaos.seed = static_cast<std::uint64_t>(options.net_chaos_seed);
-    if (!options.quiet) worker_options.log = &std::cerr;
-    try {
-      return net::run_worker(worker_options) ? 0 : 1;
-    } catch (const std::exception& err) {
-      std::cerr << "worker failed: " << err.what() << "\n";
-      return 1;
-    }
   }
 
   if (!options.scenario_file.empty() && options.grid_flag_seen) {
@@ -679,58 +544,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Graceful interruption (campaign modes only — a worker's lifetime belongs
-  // to its coordinator). The handlers feed the should_stop callbacks below.
+  // Graceful interruption: the handlers only raise a flag, which the
+  // runner's should_stop callback polls between cells.
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
-  const auto should_stop = [] { return g_stop_signal != 0; };
 
+  core::CampaignOptions campaign_options;
+  campaign_options.total_workers = options.total_workers;
+  campaign_options.cell_workers = options.cell_workers;
+  campaign_options.experiment_workers = options.experiment_workers;
+  campaign_options.checkpoints = options.checkpoints;
+  campaign_options.journal = journal ? &*journal : nullptr;
+  campaign_options.resume = resuming ? &loaded.cells : nullptr;
+  campaign_options.should_stop = [] { return g_stop_signal != 0; };
   core::CampaignResult result;
-  if (options.serve) {
-    net::CoordinatorOptions serve_options;
-    serve_options.port = static_cast<std::uint16_t>(options.serve_port);
-    serve_options.bind_address = options.bind_address;
-    serve_options.max_attempts = static_cast<int>(options.max_attempts);
-    serve_options.cell_deadline_ms = options.cell_deadline_ms;
-    serve_options.allow_degraded = !options.no_degraded;
-    serve_options.degraded_after_ms = static_cast<int>(options.degraded_after_ms);
-    serve_options.experiment_workers = options.experiment_workers;
-    serve_options.checkpoints = options.checkpoints;
-    serve_options.auth_token = options.auth_token;
-    serve_options.chaos.seed = static_cast<std::uint64_t>(options.net_chaos_seed);
-    serve_options.journal = journal ? &*journal : nullptr;
-    serve_options.resume = resuming ? &loaded.cells : nullptr;
-    serve_options.should_stop = should_stop;
-    if (!options.quiet) serve_options.log = &std::cerr;
-    try {
-      net::CampaignCoordinator coordinator(std::move(grid), serve_options);
-      if (!options.quiet) {
-        std::cerr << "[coordinator] listening on port " << coordinator.port() << "\n";
-      }
-      result = coordinator.run();
-    } catch (const net::CampaignAborted& err) {
-      std::cerr << "campaign aborted: " << err.what() << "\n";
-      return 1;
-    } catch (const std::exception& err) {
-      std::cerr << "coordinator failed: " << err.what() << "\n";
-      return 1;
-    }
-  } else {
-    core::CampaignOptions campaign_options;
-    campaign_options.total_workers = options.total_workers;
-    campaign_options.cell_workers = options.cell_workers;
-    campaign_options.experiment_workers = options.experiment_workers;
-    campaign_options.checkpoints = options.checkpoints;
-    campaign_options.journal = journal ? &*journal : nullptr;
-    campaign_options.resume = resuming ? &loaded.cells : nullptr;
-    campaign_options.should_stop = should_stop;
-    const core::CampaignRunner runner(campaign_options);
-    try {
-      result = runner.run(grid);
-    } catch (const core::JournalError& err) {
-      std::cerr << "journal write failed: " << err.what() << "\n";
-      return 1;
-    }
+  try {
+    result = core::CampaignRunner(campaign_options).run(grid);
+  } catch (const core::JournalError& err) {
+    std::cerr << "journal write failed: " << err.what() << "\n";
+    return 1;
   }
 
   if (result.interrupted && !options.quiet) {
