@@ -57,6 +57,30 @@ static void BM_HinjRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_HinjRoundTrip);
 
+// One instrumented sensor read with noise, in the shape the harness runs it:
+// SensorBus asks hinj (through a RecordingDirector over an empty-plan
+// ScheduledDirector), then the 1 kHz gyro draws a fresh noisy sample.
+static void BM_SensorRead(benchmark::State& state) {
+  util::Rng seeds(7);
+  sensors::SensorSuite suite(core::SimulationHarness::iris_suite(), seeds);
+  core::ScheduledDirector scheduled{core::FaultPlan{}};
+  core::RecordingDirector director(scheduled);
+  hinj::Server server(director);
+  hinj::Client client(server);
+  fw::SensorBus bus(suite, client);
+  const sim::Environment env;
+  sim::VehicleState truth;
+  truth.body_rates = {0.01, -0.02, 0.03};
+  sensors::GyroSample sample;
+  sim::SimTimeMs now = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bus.read_gyro(0, ++now, truth, env, sample));
+    benchmark::DoNotOptimize(sample);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SensorRead);
+
 // Provisioning cost of one experiment with and without a reusable arena.
 // Short runs (2 s simulated) make the per-run constant visible: Arg(0)
 // rebuilds the simulator/suite/firmware/channel from scratch every

@@ -40,6 +40,8 @@ struct AttitudeTrig {
 namespace detail {
 
 struct TrigCache {
+  // A step touches about three attitudes; a 4-slot memo measured no faster
+  // than 8 on the campaign benchmark (docs/PERFORMANCE.md).
   static constexpr int kSlots = 8;
   AttitudeTrig slots[kSlots];
   int next = 0;  // round-robin victim

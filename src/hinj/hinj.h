@@ -12,14 +12,15 @@
 // about the engine except the per-read decision — the same isolation the
 // paper gets from its RPC.
 //
-// The round trip is the inner loop of every experiment (~10 instrumented
-// reads per 1 kHz firmware step), so the transport is built around a pair of
-// connection-owned frame buffers: the client encodes each request into its
-// reusable request buffer, the server decodes it in place and encodes any
-// response into the client's reusable response buffer. After the first
-// frame warms the buffers up, a read round trip performs zero heap
-// allocations (tests/test_hinj_alloc.cc pins this) while the bytes crossing
-// the boundary stay identical to the general encode()/decode() path.
+// The read round trip is the inner loop of every experiment (~8.5
+// instrumented reads per 1 kHz firmware step), so it travels as fixed-size
+// frames by value: the client encodes an 11-byte ReadRequest on its stack,
+// the server decodes it by index and answers with a 2-byte ReadResponse.
+// The rarer ModeUpdate and Heartbeat frames go through a pair of
+// connection-owned ByteWriters that keep their capacity between frames.
+// Either way a steady-state round trip performs zero heap allocations
+// (tests/test_hinj_alloc.cc pins this), and the bytes crossing the boundary
+// are exactly those of the general encode()/decode() path.
 #pragma once
 
 #include <functional>
@@ -63,24 +64,25 @@ class Server {
  public:
   explicit Server(FaultDirector& director) : director_(&director) {}
 
-  // Zero-allocation dispatch: decodes one frame in place and, when the
+  // The read fast path: one fixed-size ReadRequest frame in, one
+  // ReadResponse frame out. A frame whose type byte is not ReadRequest
+  // throws WireError.
+  ReadResponseFrame handle_read(const ReadRequestFrame& frame) {
+    return p_read(decode_read_request(frame));
+  }
+
+  // General dispatch: decodes one frame of any type in place and, when the
   // message warrants a response (only ReadRequest does), encodes it into
-  // `response` (cleared first). ReadRequest/ReadResponse take the
-  // fixed-size fast path; the rare string-carrying ModeUpdate decodes its
+  // `response` (cleared first). The string-carrying ModeUpdate decodes its
   // mode name as a string_view over the frame, so even mode transitions
   // cross the wire without a heap allocation on the server side.
   void handle_frame(std::span<const std::uint8_t> frame, ByteWriter& response) {
     response.clear();
     ByteReader r(frame);
     switch (static_cast<MessageType>(r.u8())) {
-      case MessageType::kReadRequest: {
-        const std::int64_t time_ms = r.i64();
-        sensors::SensorId sensor;
-        sensor.type = static_cast<sensors::SensorType>(r.u8());
-        sensor.instance = r.u8();
-        encode_read_response(response, director_->should_fail(sensor, time_ms));
+      case MessageType::kReadRequest:
+        response.raw(p_read(decode_read_request(frame)));
         return;
-      }
       case MessageType::kModeUpdate: {
         const std::int64_t time_ms = r.i64();
         const std::uint16_t mode_id = r.u16();
@@ -109,32 +111,30 @@ class Server {
   void set_director(FaultDirector& director) { director_ = &director; }
 
  private:
+  ReadResponseFrame p_read(const ReadRequest& req) {
+    return encode_read_response(director_->should_fail(req.sensor, req.time_ms));
+  }
+
   FaultDirector* director_;
 };
 
 // Firmware side. The instrumented call sites are:
 //   * every sensor driver's read(): `if (hinj.sensor_read(id, now)) -> fail`
 //   * the mode controller's set_mode(): `hinj.update_mode(...)`
-// One Client is one connection: it owns the request/response frame buffers
-// its calls reuse, so a long-lived client (e.g. in a reused
-// core::ExperimentContext) keeps its warmed-up capacity across runs.
+// Sensor reads carry their frames on the stack; one Client is one
+// connection for the other messages: it owns the request/response buffers
+// ModeUpdate and Heartbeat reuse, so a long-lived client (e.g. in a reused
+// core::ExperimentContext) keeps their warmed-up capacity across runs.
 class Client {
  public:
-  explicit Client(Server& server) : server_(&server) {
-    request_.reserve(kFixedFrameCapacity);
-    response_.reserve(kFixedFrameCapacity);
-  }
+  explicit Client(Server& server) : server_(&server) {}
 
   // Returns true if the engine directs this read to fail.
   bool sensor_read(const sensors::SensorId& sensor, std::int64_t time_ms) {
-    request_.clear();
-    encode_read_request(request_, time_ms, sensor);
-    server_->handle_frame(request_.span(), response_);
-    util::expects(!response_.empty(), "hinj read request must produce a response");
-    ByteReader r(response_.span());
-    util::expects(static_cast<MessageType>(r.u8()) == MessageType::kReadResponse,
+    const ReadResponseFrame response = server_->handle_read(encode_read_request(time_ms, sensor));
+    util::expects(response[0] == static_cast<std::uint8_t>(MessageType::kReadResponse),
                   "hinj read response has wrong type");
-    return r.u8() != 0;
+    return decode_read_response(response).fail;
   }
 
   void update_mode(std::uint16_t mode_id, std::string_view mode_name, std::int64_t time_ms) {

@@ -5,16 +5,20 @@
 // and sensor reads (via the call inserted into each driver's read()) — and
 // receives one thing back: the scheduler's per-read fail/pass decision.
 //
-// Two encode/decode paths share one wire layout:
-//  * the per-message-type encode_*() helpers write straight into a reusable
-//    ByteWriter — the zero-allocation path the Client/Server round trip
-//    uses for every instrumented sensor read;
-//  * encode(Message)/decode(bytes) wrap the same helpers behind the
-//    std::variant, for tests and any caller that wants owned values.
-// Because encode(Message) is implemented on top of the helpers, the two
-// paths are byte-identical by construction (tests/test_hinj.cc pins this).
+// Every message has exactly one encoder and one decoder:
+//  * ReadRequest and ReadResponse are fixed-size frames (11 and 2 bytes)
+//    carried by value in std::arrays and encoded/decoded by index. They make
+//    up the ~8.5 round trips of every 1 kHz step, so they never touch a
+//    growable buffer or a bounds-checked reader;
+//  * ModeUpdate (string-carrying) and Heartbeat write into a reusable
+//    ByteWriter;
+//  * encode(Message)/decode(bytes) wrap those same functions behind the
+//    std::variant, for tests and any caller that wants owned values, so the
+//    two views of the wire are byte-identical by construction
+//    (tests/test_hinj.cc pins this).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -58,12 +62,55 @@ struct Heartbeat {
 
 using Message = std::variant<ModeUpdate, ReadRequest, ReadResponse, Heartbeat>;
 
-// Largest fixed-size frame (ReadRequest: type + i64 + 2x u8); reserving this
-// up front makes even the first frame through a fresh writer allocation-free
-// after the single warm-up growth.
-inline constexpr std::size_t kFixedFrameCapacity = 11;
+// --- fixed-size read frames ------------------------------------------------
+//
+// ReadRequest: type, time_ms (i64 little-endian), sensor type, instance.
+// ReadResponse: type, fail flag.
 
-// --- direct frame encoders (the zero-allocation path) ----------------------
+inline constexpr std::size_t kReadRequestSize = 11;
+inline constexpr std::size_t kReadResponseSize = 2;
+using ReadRequestFrame = std::array<std::uint8_t, kReadRequestSize>;
+using ReadResponseFrame = std::array<std::uint8_t, kReadResponseSize>;
+
+inline ReadRequestFrame encode_read_request(std::int64_t time_ms,
+                                            const sensors::SensorId& sensor) {
+  ReadRequestFrame f;
+  f[0] = static_cast<std::uint8_t>(MessageType::kReadRequest);
+  const auto bits = static_cast<std::uint64_t>(time_ms);
+  for (std::size_t i = 0; i < 8; ++i) f[1 + i] = static_cast<std::uint8_t>(bits >> (8 * i));
+  f[9] = static_cast<std::uint8_t>(sensor.type);
+  f[10] = sensor.instance;
+  return f;
+}
+
+inline ReadRequest decode_read_request(std::span<const std::uint8_t> frame) {
+  if (frame.size() != kReadRequestSize) throw WireError("bad ReadRequest frame length");
+  if (frame[0] != static_cast<std::uint8_t>(MessageType::kReadRequest)) {
+    throw WireError("frame is not a ReadRequest");
+  }
+  std::uint64_t bits = 0;
+  for (std::size_t i = 0; i < 8; ++i) bits |= static_cast<std::uint64_t>(frame[1 + i]) << (8 * i);
+  ReadRequest req;
+  req.time_ms = static_cast<std::int64_t>(bits);
+  req.sensor.type = static_cast<sensors::SensorType>(frame[9]);
+  req.sensor.instance = frame[10];
+  return req;
+}
+
+inline ReadResponseFrame encode_read_response(bool fail) {
+  return {static_cast<std::uint8_t>(MessageType::kReadResponse),
+          static_cast<std::uint8_t>(fail ? 1 : 0)};
+}
+
+inline ReadResponse decode_read_response(std::span<const std::uint8_t> frame) {
+  if (frame.size() != kReadResponseSize) throw WireError("bad ReadResponse frame length");
+  if (frame[0] != static_cast<std::uint8_t>(MessageType::kReadResponse)) {
+    throw WireError("frame is not a ReadResponse");
+  }
+  return ReadResponse{frame[1] != 0};
+}
+
+// --- buffered frame encoders -------------------------------------------------
 
 inline void encode_mode_update(ByteWriter& w, std::int64_t time_ms, std::uint16_t mode_id,
                                std::string_view mode_name) {
@@ -71,19 +118,6 @@ inline void encode_mode_update(ByteWriter& w, std::int64_t time_ms, std::uint16_
   w.i64(time_ms);
   w.u16(mode_id);
   w.str(mode_name);
-}
-
-inline void encode_read_request(ByteWriter& w, std::int64_t time_ms,
-                                const sensors::SensorId& sensor) {
-  w.u8(static_cast<std::uint8_t>(MessageType::kReadRequest));
-  w.i64(time_ms);
-  w.u8(static_cast<std::uint8_t>(sensor.type));
-  w.u8(sensor.instance);
-}
-
-inline void encode_read_response(ByteWriter& w, bool fail) {
-  w.u8(static_cast<std::uint8_t>(MessageType::kReadResponse));
-  w.u8(fail ? 1 : 0);
 }
 
 inline void encode_heartbeat(ByteWriter& w, std::int64_t time_ms) {
@@ -98,9 +132,9 @@ inline std::vector<std::uint8_t> encode(const Message& msg) {
   if (const auto* m = std::get_if<ModeUpdate>(&msg)) {
     encode_mode_update(w, m->time_ms, m->mode_id, m->mode_name);
   } else if (const auto* r = std::get_if<ReadRequest>(&msg)) {
-    encode_read_request(w, r->time_ms, r->sensor);
+    w.raw(encode_read_request(r->time_ms, r->sensor));
   } else if (const auto* resp = std::get_if<ReadResponse>(&msg)) {
-    encode_read_response(w, resp->fail);
+    w.raw(encode_read_response(resp->fail));
   } else if (const auto* h = std::get_if<Heartbeat>(&msg)) {
     encode_heartbeat(w, h->time_ms);
   }
@@ -109,8 +143,7 @@ inline std::vector<std::uint8_t> encode(const Message& msg) {
 
 inline Message decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  const auto type = static_cast<MessageType>(r.u8());
-  switch (type) {
+  switch (static_cast<MessageType>(r.u8())) {
     case MessageType::kModeUpdate: {
       ModeUpdate m;
       m.time_ms = r.i64();
@@ -118,18 +151,10 @@ inline Message decode(std::span<const std::uint8_t> bytes) {
       m.mode_name = r.str();
       return m;
     }
-    case MessageType::kReadRequest: {
-      ReadRequest req;
-      req.time_ms = r.i64();
-      req.sensor.type = static_cast<sensors::SensorType>(r.u8());
-      req.sensor.instance = r.u8();
-      return req;
-    }
-    case MessageType::kReadResponse: {
-      ReadResponse resp;
-      resp.fail = r.u8() != 0;
-      return resp;
-    }
+    case MessageType::kReadRequest:
+      return decode_read_request(bytes);
+    case MessageType::kReadResponse:
+      return decode_read_response(bytes);
     case MessageType::kHeartbeat: {
       Heartbeat h;
       h.time_ms = r.i64();

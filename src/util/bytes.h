@@ -55,13 +55,14 @@ class ByteWriter {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
+  // Append an already-encoded frame (e.g. a protocol's fixed-size frame).
+  void raw(std::span<const std::uint8_t> bytes) {
+    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+  }
+
   // Drop the current frame but keep the capacity, so the next frame written
   // through this writer is allocation-free once the buffer has warmed up.
   void clear() { buf_.clear(); }
-
-  // Grow the retained capacity up front (e.g. to a protocol's largest
-  // fixed-size frame) so even the first frame avoids reallocation steps.
-  void reserve(std::size_t n) { buf_.reserve(n); }
 
   bool empty() const { return buf_.empty(); }
   std::size_t size() const { return buf_.size(); }

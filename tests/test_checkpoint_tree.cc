@@ -80,9 +80,9 @@ TEST(CheckpointTree, TreeRestoredChainsAreBitIdenticalAcrossTheRegistrySurface) 
   const SensorId baro{SensorType::kBarometer, 0};
 
   int deep_restores = 0;
-  for (const std::string& personality : {"ardupilot", "px4"}) {
-    for (const std::string& workload : {"auto", "fence-mission"}) {
-      const std::string label = personality + "/" + workload;
+  for (const char* personality : {"ardupilot", "px4"}) {
+    for (const char* workload : {"auto", "fence-mission"}) {
+      const std::string label = std::string(personality) + "/" + workload;
       SCOPED_TRACE(label);
       ScenarioSpec scenario;
       scenario.personality = personality;

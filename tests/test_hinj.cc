@@ -1,10 +1,27 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <span>
+#include <vector>
+
 #include "hinj/hinj.h"
 #include "hinj/messages.h"
 
 namespace avis::hinj {
 namespace {
+
+// Answers every read with `fail` and counts the reads that reach it.
+class CountingFailDirector final : public FaultDirector {
+ public:
+  bool should_fail(const sensors::SensorId&, std::int64_t) override {
+    ++reads;
+    return fail;
+  }
+  void on_mode_update(std::uint16_t, std::string_view, std::int64_t) override {}
+
+  bool fail = false;
+  int reads = 0;
+};
 
 TEST(HinjMessages, ModeUpdateRoundTrip) {
   ModeUpdate m;
@@ -61,22 +78,41 @@ TEST(HinjMessages, UnknownTypeThrows) {
   EXPECT_THROW(decode(bytes), WireError);
 }
 
-// The fixed-size fast-path encoders must emit frames byte-identical to the
-// general encode(Message) path — the wire format is the isolation boundary,
-// so the fast path may not change a single byte of it.
-TEST(HinjMessages, FastPathFramesMatchGeneralEncode) {
-  ByteWriter w;
-
-  encode_read_request(w, 777, {sensors::SensorType::kCompass, 2});
-  EXPECT_EQ(w.bytes(), encode(ReadRequest{777, {sensors::SensorType::kCompass, 2}}));
+// The fixed-size read frames must be exactly the bytes of the general
+// encode(Message) path, and decode back to the same values — the wire
+// format is the isolation boundary, so the fast path may not change a
+// single byte of it. Covers the time_ms extremes (sign bit, all-ones,
+// INT64_MIN/MAX), every sensor type and the instance byte's range.
+TEST(HinjMessages, FixedReadFramesMatchGeneralEncode) {
+  const std::int64_t times[] = {0, -1, std::numeric_limits<std::int64_t>::min(),
+                                std::numeric_limits<std::int64_t>::max(), 777};
+  const std::uint8_t instances[] = {0, 2, 255};
+  for (const std::int64_t t : times) {
+    for (const sensors::SensorType type : sensors::kAllSensorTypes) {
+      for (const std::uint8_t instance : instances) {
+        const sensors::SensorId id{type, instance};
+        const ReadRequestFrame frame = encode_read_request(t, id);
+        const auto general = encode(ReadRequest{t, id});
+        EXPECT_EQ(std::vector<std::uint8_t>(frame.begin(), frame.end()), general);
+        const ReadRequest back = decode_read_request(frame);
+        EXPECT_EQ(back.time_ms, t);
+        EXPECT_EQ(back.sensor, id);
+      }
+    }
+  }
+  EXPECT_EQ(sensors::kAllSensorTypes.size(), 6u);
 
   for (bool fail : {true, false}) {
-    w.clear();
-    encode_read_response(w, fail);
-    EXPECT_EQ(w.bytes(), encode(ReadResponse{fail}));
+    const ReadResponseFrame frame = encode_read_response(fail);
+    EXPECT_EQ(std::vector<std::uint8_t>(frame.begin(), frame.end()),
+              encode(ReadResponse{fail}));
+    EXPECT_EQ(decode_read_response(frame).fail, fail);
   }
+}
 
-  w.clear();
+// The buffered encoders behind encode(Message) for the two other messages.
+TEST(HinjMessages, BufferedFramesMatchGeneralEncode) {
+  ByteWriter w;
   encode_heartbeat(w, 999);
   EXPECT_EQ(w.bytes(), encode(Heartbeat{999}));
 
@@ -85,31 +121,73 @@ TEST(HinjMessages, FastPathFramesMatchGeneralEncode) {
   EXPECT_EQ(w.bytes(), encode(ModeUpdate{12345, 0x0501, "auto-wp1"}));
 }
 
-// Server::handle_frame (the in-place dispatch the client's fast path uses)
-// must produce exactly the response bytes of the general handle() path.
+// Server::handle_read (the client's fixed-frame path) and handle_frame (the
+// general dispatch) must answer with the same bytes as handle().
 TEST(HinjMessages, HandleFrameResponsesMatchGeneralHandle) {
-  NullDirector director;
+  CountingFailDirector director;
   Server server(director);
 
-  const auto request = encode(ReadRequest{42, {sensors::SensorType::kGps, 0}});
-  ByteWriter response;
-  server.handle_frame(request, response);
-  EXPECT_EQ(response.bytes(), server.handle(request));
+  for (bool fail : {false, true}) {
+    director.fail = fail;
+    const ReadRequestFrame request = encode_read_request(42, {sensors::SensorType::kGps, 0});
+    ByteWriter response;
+    server.handle_frame(request, response);
+    const ReadResponseFrame fixed = server.handle_read(request);
+    EXPECT_EQ(response.bytes(), std::vector<std::uint8_t>(fixed.begin(), fixed.end()));
+    EXPECT_EQ(response.bytes(), server.handle({request.begin(), request.end()}));
+    EXPECT_EQ(decode_read_response(fixed).fail, fail);
+  }
 
   // Messages without a response leave the (cleared) buffer empty, exactly
   // as handle() returns an empty frame.
+  ByteWriter response;
   server.handle_frame(encode(Heartbeat{500}), response);
   EXPECT_TRUE(response.empty());
   EXPECT_TRUE(server.handle(encode(Heartbeat{500})).empty());
 }
 
+// Malformed read frames fail loudly on every entry point and never reach
+// the director.
+TEST(HinjMessages, MalformedReadFramesThrow) {
+  CountingFailDirector director;
+  Server server(director);
+  const ReadRequestFrame good = encode_read_request(100, {sensors::SensorType::kGps, 0});
+
+  // Truncated (and over-long) ReadRequest through the general dispatch.
+  ByteWriter response;
+  std::vector<std::uint8_t> truncated(good.begin(), good.end() - 1);
+  EXPECT_THROW(server.handle_frame(truncated, response), WireError);
+  std::vector<std::uint8_t> trailing(good.begin(), good.end());
+  trailing.push_back(0);
+  EXPECT_THROW(server.handle_frame(trailing, response), WireError);
+
+  // A fixed-size frame whose type byte is not ReadRequest.
+  for (const MessageType type : {MessageType::kModeUpdate, MessageType::kReadResponse,
+                                 MessageType::kHeartbeat}) {
+    ReadRequestFrame wrong = good;
+    wrong[0] = static_cast<std::uint8_t>(type);
+    EXPECT_THROW(server.handle_read(wrong), WireError);
+  }
+  ReadRequestFrame unknown = good;
+  unknown[0] = 0xEE;
+  EXPECT_THROW(server.handle_read(unknown), WireError);
+  EXPECT_EQ(director.reads, 0);
+
+  // The response decoder checks length and type the same way.
+  const ReadResponseFrame resp = encode_read_response(true);
+  EXPECT_THROW(decode_read_response(std::span(resp).first(1)), WireError);
+  EXPECT_THROW(decode_read_response(good), WireError);
+}
+
 TEST(HinjMessages, ByteWriterClearRetainsCapacity) {
   ByteWriter w;
-  encode_read_request(w, 1, {sensors::SensorType::kGyroscope, 0});
+  encode_heartbeat(w, 1);
   const auto first = w.bytes();
+  const std::size_t capacity = w.bytes().capacity();
   w.clear();
   EXPECT_TRUE(w.empty());
-  encode_read_request(w, 1, {sensors::SensorType::kGyroscope, 0});
+  EXPECT_EQ(w.bytes().capacity(), capacity);
+  encode_heartbeat(w, 1);
   EXPECT_EQ(w.bytes(), first);
 }
 

@@ -10,12 +10,12 @@
 // flag-built run modulo wall-clock timing fields. --journal/--resume make a
 // long run crash-safe (docs/CRASH_SAFETY.md).
 //
-// Examples:
+// Examples (one command each; continuation lines are indented):
 //   avis_campaign                                   # full 4x2x2 grid, 2 h budget
-//   avis_campaign --approaches avis,random --personalities ardupilot \
-//                 --workloads box-manual,fence-mission \
+//   avis_campaign --approaches avis,random --personalities ardupilot
+//                 --workloads box-manual,fence-mission
 //                 --budget-ms 60000 --out report.json   # CI smoke grid
-//   avis_campaign --workloads wind-gust-box --environments gusty \
+//   avis_campaign --workloads wind-gust-box --environments gusty
 //                 --dump-scenario grid.json             # write, don't run
 //   avis_campaign --scenario-file grid.json --out report.json
 //   avis_campaign --list                                # registry listing

@@ -11,9 +11,9 @@ noisy runner does not block an innocent change. A real hot-loop regression
 Usage: check_bench_regression.py CURRENT.json BASELINE.json [GATED_NAME...]
 
 Extra arguments override the default gated-name list, so the same gate can
-run against other bench binaries (CI gates perf_micro's BM_FullFirmwareStep
-and BM_FuzzGeneration rows against bench/baselines/BENCH_perf_micro.json
-this way).
+run against other bench binaries (CI gates perf_micro's BM_FullFirmwareStep,
+BM_HinjRoundTrip, BM_SensorRead and BM_FuzzGeneration rows against
+bench/baselines/BENCH_perf_micro.json this way).
 """
 
 import json
