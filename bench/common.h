@@ -5,9 +5,11 @@
 // two-hour-equivalent budget and aggregates the unsafe conditions found.
 // Approaches, personalities, workloads and environments are registry names
 // (core/scenario.h): a bench describes its grid as a list of ScenarioSpec
-// cells and runs it through core::CampaignRunner, which shards whole cells
-// across the machine on top of the per-cell experiment pool; cell reports
-// are bit-identical to the serial run_cell loop (tests/test_campaign.cc).
+// cells and runs it through core::CampaignRunner, which calibrates each
+// scenario once (cells with the same prototype share one Checker) and
+// shards those groups across the machine on top of the per-cell experiment
+// pool; cell reports are bit-identical to the serial run_cell loop
+// (tests/test_campaign.cc).
 #pragma once
 
 #include <map>

@@ -81,6 +81,33 @@ static void BM_SensorRead(benchmark::State& state) {
 }
 BENCHMARK(BM_SensorRead);
 
+// One 1 kHz estimator update, fusion plus the sensor reads it drives, over a
+// recorded truth state: the vehicle after 2 s of climb at above-hover thrust, so
+// the filter integrates a moving, airborne state rather than a parked one.
+static void BM_EstimatorUpdate(benchmark::State& state) {
+  util::Rng seeds(7);
+  sensors::SensorSuite suite(core::SimulationHarness::iris_suite(), seeds);
+  core::ScheduledDirector scheduled{core::FaultPlan{}};
+  core::RecordingDirector director(scheduled);
+  hinj::Server server(director);
+  hinj::Client client(server);
+  fw::SensorBus bus(suite, client);
+  const sim::Environment env;
+  sim::Simulator simulator(env, sim::QuadcopterParams{}, 1);
+  sim::MotorCommands climb;
+  for (double& v : climb.value) v = 0.55;
+  for (int i = 0; i < 2000; ++i) simulator.step(climb);
+  const sim::VehicleState truth = simulator.state();
+  fw::StateEstimator estimator(fw::FirmwareConfig::ardupilot(), bus);
+  sim::SimTimeMs now = 0;
+  for (auto _ : state) {
+    estimator.update(++now, truth, env);
+    benchmark::DoNotOptimize(estimator.state());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EstimatorUpdate);
+
 // Provisioning cost of one experiment with and without a reusable arena.
 // Short runs (2 s simulated) make the per-run constant visible: Arg(0)
 // rebuilds the simulator/suite/firmware/channel from scratch every
@@ -112,11 +139,15 @@ static void BM_MavlinkRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_MavlinkRoundTrip);
 
-static void BM_StateDistance(benchmark::State& state) {
-  // Calibrate once on the quick auto workload.
+// A monitor model calibrated once on the quick auto workload.
+static const core::MonitorModel& calibrated_model() {
   static core::Checker checker(fw::Personality::kArduPilotLike, workload::WorkloadId::kAuto,
                                fw::BugRegistry::current_code_base());
-  const core::MonitorModel& model = checker.model();
+  return checker.model();
+}
+
+static void BM_StateDistance(benchmark::State& state) {
+  const core::MonitorModel& model = calibrated_model();
   const core::StateSample a = model.profiling_state(0, 5000);
   const core::StateSample b = model.profiling_state(1, 15000);
   for (auto _ : state) {
@@ -125,6 +156,26 @@ static void BM_StateDistance(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StateDistance);
+
+// One 10 Hz monitor sample against a calibrated model, replaying the golden
+// run's trace (the fault-free stream most of an experiment looks like); the
+// session restarts at the end of the trace so its history stays bounded.
+static void BM_MonitorSample(benchmark::State& state) {
+  const core::MonitorModel& model = calibrated_model();
+  const std::vector<core::StateSample>& trace = model.golden_run().trace;
+  core::MonitorSession session(model);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    if (i == trace.size()) {
+      session.restart(model);
+      i = 0;
+    }
+    benchmark::DoNotOptimize(
+        session.on_sample(trace[i++], false, sim::CrashCause::kNone, false));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MonitorSample);
 
 static void BM_ScheduledDirectorShouldFail(benchmark::State& state) {
   // A three-event plan, queried for both a sensor the plan touches and one

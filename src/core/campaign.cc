@@ -4,6 +4,7 @@
 #include <chrono>
 #include <future>
 #include <limits>
+#include <map>
 #include <sstream>
 
 #include "core/journal.h"
@@ -13,32 +14,58 @@
 
 namespace avis::core {
 
-// One cell, end to end: resolve the scenario through the registries,
-// calibrate, build the strategy, run the campaign loop. Everything the cell
-// touches is constructed here, so cells are safe to run on pool threads.
+namespace {
+
+// A calibration group's results, one slot per member cell; nullopt for a
+// cell a stop request kept from starting.
+using GroupResult = std::vector<std::optional<CampaignCellResult>>;
+
+// Runs a calibration group's cells back to back on one Checker; the first
+// pays for profiling and the prefix recording. p_campaign clears the tree
+// per campaign, so each report equals a run on a fresh Checker. Approaches
+// resolve first: a typo must throw before the group simulates anything.
+GroupResult p_run_group(const std::vector<const CampaignCellSpec*>& cells,
+                        int experiment_workers, const CheckpointConfig& checkpoints,
+                        const std::function<bool()>& should_stop) {
+  auto start = std::chrono::steady_clock::now();
+  for (const CampaignCellSpec* cell : cells) {
+    if (!cell->make_strategy) approach_registry().at(cell->scenario.approach);
+  }
+  ExperimentSpec prototype = scenario_prototype(cells.front()->scenario);
+  if (cells.front()->bugs_override) prototype.bugs = *cells.front()->bugs_override;
+  Checker checker(std::move(prototype), checkpoints);
+  GroupResult results(cells.size());
+  for (std::size_t i = 0; i < cells.size() && !(should_stop && should_stop()); ++i) {
+    const CampaignCellSpec& spec = *cells[i];
+    CampaignCellResult& result = results[i].emplace();
+    result.spec = spec;
+    const MonitorModel& model = checker.model();
+    result.strategy = spec.make_strategy
+                          ? spec.make_strategy(model, spec.scenario.strategy_seed)
+                          : make_scenario_strategy(spec.scenario, model);
+    util::expects(result.strategy != nullptr, "campaign cell produced no strategy");
+    BudgetClock budget(spec.scenario.budget_ms);
+    result.report = checker.run_parallel(*result.strategy, budget, experiment_workers);
+    const auto end = std::chrono::steady_clock::now();
+    result.wall_seconds = std::chrono::duration<double>(end - start).count();
+    start = end;
+  }
+  return results;
+}
+
+}  // namespace
+
 CampaignCellResult run_cell(const CampaignCellSpec& spec, int experiment_workers,
                             const CheckpointConfig& checkpoints) {
-  CampaignCellResult result;
-  result.spec = spec;
-  const auto start = std::chrono::steady_clock::now();
-  // Resolve the approach name before calibration: a typo must throw before
-  // the cell burns its three profiling simulations (the header's "before
-  // any simulation starts" promise). Cells with a pinned factory skip the
-  // registry entirely.
-  if (!spec.make_strategy) approach_registry().at(spec.scenario.approach);
-  ExperimentSpec prototype = scenario_prototype(spec.scenario);
-  if (spec.bugs_override) prototype.bugs = *spec.bugs_override;
-  Checker checker(std::move(prototype), checkpoints);
-  const MonitorModel& model = checker.model();
-  result.strategy = spec.make_strategy
-                        ? spec.make_strategy(model, spec.scenario.strategy_seed)
-                        : make_scenario_strategy(spec.scenario, model);
-  util::expects(result.strategy != nullptr, "campaign cell produced no strategy");
-  BudgetClock budget(spec.scenario.budget_ms);
-  result.report = checker.run_parallel(*result.strategy, budget, experiment_workers);
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return result;
+  return std::move(*p_run_group({&spec}, experiment_workers, checkpoints, {}).front());
+}
+
+PrototypeKey prototype_key(const CampaignCellSpec& cell) {
+  const ScenarioSpec& s = cell.scenario;
+  PrototypeKey key{s.personality, s.workload, s.environment, s.seed, {}};
+  key.bugs = (cell.bugs_override ? *cell.bugs_override : resolve_bugs(s.bugs)).enabled_bugs();
+  std::sort(key.bugs.begin(), key.bugs.end());
+  return key;
 }
 
 std::vector<CampaignCellSpec> expand_to_cells(const ScenarioGrid& grid) {
@@ -104,7 +131,6 @@ CampaignResult CampaignRunner::run(const std::vector<CampaignCellSpec>& grid) co
     cell.grid_index = record.index;
     return cell;
   };
-  const auto stopped = [this] { return options_.should_stop && options_.should_stop(); };
   // Journal at collection time: the calling thread collects in grid order,
   // so the journal is written in grid order and fsync'd before the result
   // becomes visible to the caller.
@@ -118,57 +144,51 @@ CampaignResult CampaignRunner::run(const std::vector<CampaignCellSpec>& grid) co
     options_.journal->append(record);
   };
 
-  if (result.split.campaign_workers <= 1 || grid.size() <= 1) {
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (resumed[i] != nullptr) {
-        result.cells.push_back(from_journal(*resumed[i]));
-        continue;
-      }
-      if (stopped()) {
-        result.interrupted = true;
-        break;
-      }
-      CampaignCellResult cell =
-          run_cell(grid[i], result.split.experiment_workers, options_.checkpoints);
-      cell.grid_index = static_cast<int>(i);
-      journal_cell(cell, i);
-      result.cells.push_back(std::move(cell));
+  // Calibration groups over the fresh cells, numbered in order of their
+  // first cell; slot[i] is cell i's (group, member) position.
+  std::vector<std::vector<const CampaignCellSpec*>> groups;
+  std::vector<std::pair<std::size_t, std::size_t>> slot(grid.size());
+  std::map<PrototypeKey, std::size_t> group_of;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (resumed[i] != nullptr) continue;
+    const auto [it, added] = group_of.try_emplace(prototype_key(grid[i]), groups.size());
+    if (added) groups.emplace_back();
+    slot[i] = {it->second, groups[it->second].size()};
+    groups[it->second].push_back(&grid[i]);
+  }
+  // One task per group, on the cell pool or deferred to its collection on
+  // this thread (as Checker::run reuses p_campaign). A task polls the stop
+  // flag before each cell: running cells finish, no new one starts.
+  std::optional<util::ThreadPool> pool;
+  if (result.split.campaign_workers > 1 && groups.size() > 1) {
+    pool.emplace(result.split.campaign_workers);
+  }
+  std::vector<std::future<GroupResult>> tasks;
+  for (const auto& cells : groups) {
+    auto task = [this, &cells, workers = result.split.experiment_workers] {
+      return p_run_group(cells, workers, options_.checkpoints, options_.should_stop);
+    };
+    tasks.push_back(pool ? pool->submit(std::move(task))
+                         : std::async(std::launch::deferred, std::move(task)));
+  }
+  // Collection in grid order keeps the result vector (and the journal) in
+  // grid order no matter which group finishes first.
+  std::vector<GroupResult> done(groups.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (resumed[i] != nullptr) {
+      result.cells.push_back(from_journal(*resumed[i]));
+      continue;
     }
-  } else {
-    util::ThreadPool pool(result.split.campaign_workers);
-    // One future per *fresh* cell, keyed by grid index. A task that finds
-    // the stop flag raised before it starts returns nullopt — that is the
-    // "stop assigning new cells" semantics; cells already simulating run to
-    // completion (and get journaled).
-    std::vector<std::pair<std::size_t, std::future<std::optional<CampaignCellResult>>>> in_flight;
-    in_flight.reserve(grid.size());
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (resumed[i] != nullptr) continue;
-      in_flight.emplace_back(
-          i, pool.submit([&spec = grid[i], workers = result.split.experiment_workers,
-                          checkpoints = options_.checkpoints,
-                          &stopped]() -> std::optional<CampaignCellResult> {
-            if (stopped()) return std::nullopt;
-            return run_cell(spec, workers, checkpoints);
-          }));
+    const auto [group, member] = slot[i];
+    if (tasks[group].valid()) done[group] = tasks[group].get();
+    std::optional<CampaignCellResult>& cell = done[group][member];
+    if (!cell) {
+      result.interrupted = true;
+      continue;
     }
-    // Collection in submission order keeps the result vector in grid order
-    // no matter which cell finishes first.
-    std::size_t next_fresh = 0;
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (resumed[i] != nullptr) {
-        result.cells.push_back(from_journal(*resumed[i]));
-        continue;
-      }
-      std::optional<CampaignCellResult> cell = in_flight[next_fresh++].second.get();
-      if (!cell) {
-        result.interrupted = true;
-        continue;
-      }
-      cell->grid_index = static_cast<int>(i);
-      journal_cell(*cell, i);
-      result.cells.push_back(std::move(*cell));
-    }
+    cell->grid_index = static_cast<int>(i);
+    journal_cell(*cell, i);
+    result.cells.push_back(std::move(*cell));
   }
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();

@@ -1,18 +1,19 @@
 // Campaign-level parallel execution (ROADMAP: "shard whole campaigns").
 //
-// A campaign is a grid of independent cells, each described by a
-// declarative ScenarioSpec (core/scenario.h): registry names for approach,
-// personality, workload, environment and bug population, plus budget and
-// seeds. Each cell owns its own Checker (and therefore its own profiling
-// runs and monitor model), its own strategy, and its own BudgetClock. Cells
-// share nothing mutable, so the runner executes them concurrently on a
-// cell-level ThreadPool layered on top of each cell's in-process experiment
-// pool, and collects results in deterministic grid order. Every cell report
-// is bit-identical to a serial run of the same cell regardless of either
-// worker count (tests/test_campaign.cc; docs/PERFORMANCE.md has the full
-// contract).
+// A campaign is a grid of cells, each a declarative ScenarioSpec
+// (core/scenario.h). Cells with equal prototype_key() form a calibration
+// group: one Checker runs them back to back, so they share its profiling
+// runs, monitor model and root checkpoint store, while each cell keeps its
+// own strategy, BudgetClock and checkpoint tree. Groups share nothing
+// mutable, so the runner executes them concurrently on a cell-level
+// ThreadPool layered on top of each cell's in-process experiment pool, and
+// collects results in deterministic grid order. Every cell report is
+// bit-identical to a run of the same cell on a fresh Checker regardless of
+// either worker count (tests/test_campaign.cc; docs/PERFORMANCE.md has the
+// full contract).
 #pragma once
 
+#include <compare>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -57,6 +58,20 @@ struct CampaignCellSpec {
   }
 };
 
+// What defines a cell's ExperimentSpec prototype, and so its calibration:
+// personality, workload, environment, seed and the resolved bug set (sorted
+// ids of bugs_override when set, else of the named population). Approach,
+// strategy seed, budget, constraints and label are deliberately left out.
+// cell_identity_hash reads the bug set from here too. Throws
+// util::UnknownNameError for an unregistered population.
+struct PrototypeKey {
+  std::string personality, workload, environment;
+  std::uint64_t seed = 0;
+  std::vector<fw::BugId> bugs;
+  auto operator<=>(const PrototypeKey&) const = default;
+};
+PrototypeKey prototype_key(const CampaignCellSpec& cell);
+
 // The grid a ScenarioGrid document describes, as runnable cells.
 std::vector<CampaignCellSpec> expand_to_cells(const ScenarioGrid& grid);
 
@@ -67,6 +82,9 @@ struct CampaignCellResult {
   // benches read SABRE's pruning counters through it). Cells merged back
   // from a resumed journal carry no strategy object.
   std::unique_ptr<InjectionStrategy> strategy;
+  // The cell's own wall time. The first cell of a calibration group also
+  // carries the group's profiling runs and prefix recording; later cells
+  // time only their own campaign.
   double wall_seconds = 0.0;
 
   // Position in the requested grid (-1 = "my position in the results
@@ -147,8 +165,8 @@ struct CampaignResult {
 
 // One cell, end to end, on the calling thread (plus the cell's experiment
 // pool): resolve the scenario through the registries, calibrate, build the
-// strategy, run the checker loop. This is the unit the campaign pool
-// executes; cells touch nothing shared, so it is safe to call concurrently.
+// strategy, run the checker loop. A one-cell calibration group; it touches
+// nothing shared, so it is safe to call concurrently.
 CampaignCellResult run_cell(const CampaignCellSpec& spec, int experiment_workers,
                             const CheckpointConfig& checkpoints);
 
@@ -159,9 +177,9 @@ struct CampaignOptions {
   int total_workers = util::default_worker_count();
   int cell_workers = 0;
   int experiment_workers = 0;
-  // Checkpointed prefix forking, per cell (each cell's Checker records its
-  // own fault-free prefix). On by default; the CLI's --no-checkpoints and
-  // parity tests turn it off.
+  // Checkpointed prefix forking, per calibration group (each group's Checker
+  // records one fault-free prefix). On by default; the CLI's
+  // --no-checkpoints and parity tests turn it off.
   CheckpointConfig checkpoints;
 
   // Crash safety (core/journal.h; docs/CRASH_SAFETY.md). When `journal` is
@@ -173,7 +191,7 @@ struct CampaignOptions {
   CampaignJournal* journal = nullptr;
   const std::vector<JournalCellRecord>* resume = nullptr;
 
-  // Cooperative interrupt (SIGINT/SIGTERM): polled between cells. When it
+  // Cooperative interrupt (SIGINT/SIGTERM): polled before each cell. When it
   // returns true the runner stops starting new cells, finishes (and
   // journals) the ones already running, and returns a partial result with
   // interrupted = true.
@@ -185,9 +203,10 @@ class CampaignRunner {
   explicit CampaignRunner(CampaignOptions options = {}) : options_(options) {}
 
   // Runs every cell of the grid and returns their results in grid order.
-  // Exceptions thrown inside a cell (propagated through the pool's futures)
-  // surface on the calling thread; unregistered scenario names throw
-  // util::UnknownNameError before any simulation starts.
+  // The pool runs one task per calibration group, in order of each group's
+  // first cell. Exceptions thrown inside a cell (propagated through the
+  // pool's futures) surface on the calling thread; unregistered scenario
+  // names throw util::UnknownNameError before their group simulates.
   CampaignResult run(const std::vector<CampaignCellSpec>& grid) const;
 
   // Convenience: expand a scenario grid and run it.

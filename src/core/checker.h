@@ -125,7 +125,9 @@ class Checker {
       : Checker(p_make_prototype(personality, workload, std::move(bugs), seed_base)) {}
 
   // Profiling runs + monitor calibration happen on first use and are reused
-  // across strategies so comparisons share the same model.
+  // by every campaign on this checker, so comparisons share the same model:
+  // core::CampaignRunner runs each calibration group's cells (equal
+  // core::prototype_key) back to back on one Checker.
   const MonitorModel& model() {
     if (!model_) {
       auto context = contexts_.acquire();
@@ -318,7 +320,7 @@ class Checker {
 
   // Records the scenario's fault-free prefix once; every later call returns
   // the same store. The recording is one extra fault-free simulation —
-  // amortized across the campaign the way profiling already is. On top of
+  // amortized across every campaign on this checker the way profiling is. On top of
   // the cadence grid, a snapshot is captured at every golden mode-transition
   // timestamp: the search strategies concentrate their injections exactly
   // there (SABRE seeds its queue from the golden transitions), so those

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "util/json.h"
@@ -50,6 +51,14 @@ std::string cell_identity_hash(const CampaignCellSpec& cell) {
   mix(cell.label);
   mix("\x1f");  // unit separator: "a"+"bc" must not collide with "ab"+"c"
   mix(cell.scenario.to_json());
+  // An override replaces the named population the JSON carries. Mixed in
+  // only when set, so override-free (CLI) cells keep their v2 hashes.
+  if (cell.bugs_override) {
+    mix("\x1f");
+    for (const fw::BugId id : prototype_key(cell).bugs) {
+      mix(std::to_string(static_cast<int>(id)) + ",");
+    }
+  }
   return p_hex64(hash);
 }
 

@@ -38,9 +38,11 @@ class JournalError : public std::runtime_error {
 };
 
 // Content-addressed cell identity: FNV-1a 64 over label + 0x1f +
-// ScenarioSpec::to_json() (byte-stable key order), as 16 hex digits. A
-// journal record only ever resumes a cell whose spec is bit-identical —
-// changing any grid flag changes the hash and fails the header bind.
+// ScenarioSpec::to_json() (byte-stable key order), plus — only when
+// bugs_override is set — 0x1f and the override's sorted bug ids
+// (prototype_key), as 16 hex digits. A journal record only ever resumes a
+// cell whose spec is bit-identical — changing any grid flag or re-inserted
+// bug changes the hash and fails the header bind.
 std::string cell_identity_hash(const CampaignCellSpec& cell);
 
 // One completed cell as journaled: where it sits in the grid, what it was

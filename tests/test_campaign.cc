@@ -6,7 +6,11 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
 
 #include "baselines/random_injection.h"
 #include "core/campaign.h"
@@ -17,6 +21,7 @@
 #include "util/checked.h"
 #include "util/concurrency.h"
 #include "util/json.h"
+#include "workload/registry.h"
 
 namespace {
 
@@ -61,13 +66,15 @@ std::vector<core::CampaignCellSpec> test_grid() {
 }
 
 // The serial reference: the run_cell loop every table bench used before the
-// campaign runner — one Checker, strategy, and budget per cell, run through
-// the serial checker path, in grid order.
+// campaign runner — one fresh Checker, strategy, and budget per cell, run
+// through the serial checker path, in grid order.
 std::vector<core::CheckerReport> serial_reference(
     const std::vector<core::CampaignCellSpec>& grid) {
   std::vector<core::CheckerReport> reports;
   for (const auto& spec : grid) {
-    core::Checker checker(core::scenario_prototype(spec.scenario));
+    core::ExperimentSpec prototype = core::scenario_prototype(spec.scenario);
+    if (spec.bugs_override) prototype.bugs = *spec.bugs_override;
+    core::Checker checker(std::move(prototype));
     auto strategy = spec.make_strategy(checker.model(), spec.scenario.strategy_seed);
     core::BudgetClock budget(spec.scenario.budget_ms);
     reports.push_back(checker.run(*strategy, budget));
@@ -351,6 +358,185 @@ TEST(Campaign, UnknownApproachFailsLoudly) {
     EXPECT_NE(std::string(err.what()).find("registered approach"), std::string::npos)
         << err.what();
   }
+}
+
+// --- Calibration groups ----------------------------------------------------
+
+// Blocks until `count` callers arrived, or a minute passed: a grouping bug
+// then fails the assertions instead of hanging the test.
+class Rendezvous {
+ public:
+  explicit Rendezvous(int count) : waiting_(count) {}
+  void arrive_and_wait() {
+    std::unique_lock lock(mutex_);
+    if (--waiting_ <= 0) cv_.notify_all();
+    cv_.wait_for(lock, std::chrono::minutes(1), [this] { return waiting_ <= 0; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  int waiting_;
+};
+
+// Wraps a factory to record which MonitorModel object the cell was built
+// against; `meet`, when set, holds the cell until every group's first cell
+// has its model, so all those Checkers are alive at once and their models
+// cannot share an address by reuse.
+core::StrategyFactory recording(core::StrategyFactory inner, const core::MonitorModel** seen,
+                                Rendezvous* meet) {
+  return [inner = std::move(inner), seen, meet](const core::MonitorModel& model,
+                                                 std::uint64_t seed) {
+    *seen = &model;
+    if (meet != nullptr) meet->arrive_and_wait();
+    return inner(model, seed);
+  };
+}
+
+// Avis and Random cells on one scenario (cells 0, 1 and 5 share a prototype;
+// cell 5 also differs in budget and constraints, which the key leaves out),
+// plus near misses that must calibrate alone: another seed, another
+// environment, and a re-inserted bug population.
+std::vector<core::CampaignCellSpec> group_grid() {
+  std::vector<core::CampaignCellSpec> grid = test_grid();
+  grid.resize(2);  // avis + random on "auto"
+  grid.push_back(grid[0]);
+  grid.back().scenario.seed = 101;
+  grid.push_back(grid[1]);
+  grid.back().scenario.environment = "breeze";
+  grid.push_back(grid[0]);
+  fw::BugRegistry bugs = core::resolve_bugs("current");
+  bugs.enable(fw::BugId::kApm5428);
+  grid.back().bugs_override = bugs;
+  grid.push_back(grid[1]);
+  grid.back().scenario.budget_ms = kBudgetMs / 2;
+  grid.back().scenario.constraints.window_start_ms = 5000;
+  return grid;
+}
+
+TEST(Campaign, SamePrototypeCellsShareOneCalibration) {
+  auto grid = group_grid();
+  const auto key = [](const core::CampaignCellSpec& cell) { return core::prototype_key(cell); };
+  EXPECT_EQ(key(grid[0]), key(grid[1]));
+  EXPECT_EQ(key(grid[0]), key(grid[5]));
+  for (const std::size_t miss : {2, 3, 4}) EXPECT_NE(key(grid[0]), key(grid[miss])) << miss;
+  // An override equal to the named population is the same prototype.
+  core::CampaignCellSpec same_bugs = grid[0];
+  same_bugs.bugs_override = core::resolve_bugs(same_bugs.scenario.bugs);
+  EXPECT_EQ(key(grid[0]), key(same_bugs));
+
+  // Four groups, each first cell (0, 2, 3, 4) on its own cell worker.
+  std::vector<const core::MonitorModel*> seen(grid.size(), nullptr);
+  Rendezvous meet(4);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const bool first = i == 0 || i == 2 || i == 3 || i == 4;
+    grid[i].make_strategy =
+        recording(grid[i].make_strategy, &seen[i], first ? &meet : nullptr);
+  }
+  core::CampaignOptions options;
+  options.cell_workers = 4;
+  options.experiment_workers = 1;
+  const core::CampaignResult result = core::CampaignRunner(options).run(grid);
+  ASSERT_EQ(result.cells.size(), grid.size());
+  for (const auto* model : seen) ASSERT_NE(model, nullptr);
+  EXPECT_EQ(seen[0], seen[1]);
+  EXPECT_EQ(seen[0], seen[5]);
+  for (const std::size_t miss : {2, 3, 4}) EXPECT_NE(seen[0], seen[miss]) << miss;
+  EXPECT_NE(seen[2], seen[3]);
+  EXPECT_NE(seen[2], seen[4]);
+  EXPECT_NE(seen[3], seen[4]);
+}
+
+TEST(Campaign, GroupedCellsMatchFreshCheckerPerCell) {
+  const auto grid = group_grid();
+  const std::vector<core::CheckerReport> serial = serial_reference(grid);
+  for (const int cell_workers : {1, 3}) {
+    SCOPED_TRACE("cell_workers " + std::to_string(cell_workers));
+    core::CampaignOptions options;
+    options.cell_workers = cell_workers;
+    options.experiment_workers = 1;
+    const core::CampaignResult result = core::CampaignRunner(options).run(grid);
+    ASSERT_EQ(result.cells.size(), grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      SCOPED_TRACE("cell " + std::to_string(i));
+      EXPECT_EQ(result.cells[i].grid_index, static_cast<int>(i));
+      avis::testing::expect_reports_equal(serial[i], result.cells[i].report);
+    }
+  }
+}
+
+// A typo in a group's *second* cell must throw before the group runs a
+// single simulation: the counting workload below sees every one of them.
+std::atomic<int> g_counted_workloads{0};
+
+TEST(Campaign, UnknownApproachInGroupFailsBeforeProfiling) {
+  auto& workloads = workload::workload_registry();
+  if (!workloads.contains("counted-box-manual")) {
+    workloads.add("counted-box-manual", "box-manual, counting constructions", [] {
+      g_counted_workloads.fetch_add(1);
+      return workload::workload_registry().at("box-manual").factory();
+    });
+  }
+  auto grid = journal_grid();  // avis, random on one scenario
+  for (auto& cell : grid) cell.scenario.workload = "counted-box-manual";
+  ASSERT_EQ(core::prototype_key(grid[0]), core::prototype_key(grid[1]));
+  grid[1].scenario.approach = "broken";
+  for (const int cell_workers : {1, 2}) {
+    g_counted_workloads = 0;
+    core::CampaignOptions options;
+    options.cell_workers = cell_workers;
+    options.experiment_workers = 1;
+    EXPECT_THROW(core::CampaignRunner(options).run(grid), util::UnknownNameError);
+    EXPECT_EQ(g_counted_workloads.load(), 0) << "cell_workers " << cell_workers;
+  }
+  // Control: the counter does see the group's simulations once it runs.
+  grid[1].scenario.approach = "random";
+  core::CampaignRunner().run(grid);
+  EXPECT_GT(g_counted_workloads.load(), 3);
+}
+
+// Interrupt between the two cells of each group (every group task is
+// admitted for its first cell only), then resume: the resumed cells run as
+// singleton groups on fresh Checkers, and the merged report is identical
+// to an uninterrupted run.
+TEST(Campaign, InterruptInsideGroupThenResumeCompletesIdentically) {
+  core::ScenarioGrid scenarios;
+  scenarios.approaches = {"avis", "random"};
+  scenarios.personalities = {"ardupilot"};
+  scenarios.workloads = {"box-manual", "auto"};
+  scenarios.budget_ms = 20000;
+  const auto grid = core::expand_to_cells(scenarios);  // groups {0, 2} and {1, 3}
+  core::CampaignOptions base;
+  base.cell_workers = 2;
+  base.experiment_workers = 1;
+  const core::CampaignResult reference = core::CampaignRunner(base).run(grid);
+
+  const std::string path = ::testing::TempDir() + "avis_campaign_group_" +
+                           std::to_string(::getpid()) + ".jsonl";
+  {
+    core::CampaignJournal journal = core::CampaignJournal::start(
+        path, core::CampaignJournal::bind(grid, base.checkpoints));
+    core::CampaignOptions first = base;
+    first.journal = &journal;
+    auto polls = std::make_shared<std::atomic<int>>(0);
+    first.should_stop = [polls] { return polls->fetch_add(1) >= 2; };
+    const core::CampaignResult partial = core::CampaignRunner(first).run(grid);
+    EXPECT_TRUE(partial.interrupted);
+    ASSERT_EQ(partial.cells.size(), 2u);
+    EXPECT_EQ(partial.cells[0].grid_index, 0);
+    EXPECT_EQ(partial.cells[1].grid_index, 1);
+  }
+
+  const auto loaded = core::CampaignJournal::load(path);
+  ASSERT_EQ(loaded.cells.size(), 2u);
+  core::CampaignJournal journal = core::CampaignJournal::append_to(path);
+  core::CampaignOptions second = base;
+  second.journal = &journal;
+  second.resume = &loaded.cells;
+  const core::CampaignResult resumed = core::CampaignRunner(second).run(grid);
+  EXPECT_FALSE(resumed.interrupted);
+  avis::testing::expect_campaign_results_equal(reference, resumed);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -96,6 +96,38 @@ TEST(Journal, CellIdentityHashIsStableAndSpecSensitive) {
             core::cell_identity_hash(small_grid(101)[0]));
 }
 
+// Table V's pattern: cells that differ only in a re-inserted bug population
+// (bugs_override) are different cells, so a resume must not graft one's
+// record onto the other. Override-free cells keep the hashes journals
+// written before the override was hashed already carry.
+TEST(Journal, CellIdentityHashSeesBugsOverride) {
+  const auto plain = small_grid();
+  EXPECT_EQ(core::cell_identity_hash(plain[0]), "149686358d63cf5c");
+  EXPECT_EQ(core::cell_identity_hash(plain[1]), "7cc690232669a7d8");
+
+  const auto with_bug = [&plain](std::initializer_list<fw::BugId> ids) {
+    auto grid = plain;
+    for (auto& cell : grid) {
+      fw::BugRegistry bugs;
+      for (const fw::BugId id : ids) bugs.enable(id);
+      cell.bugs_override = bugs;
+    }
+    return grid;
+  };
+  const auto a = with_bug({fw::BugId::kApm5428});
+  const auto b = with_bug({fw::BugId::kApm9349});
+  EXPECT_NE(core::cell_identity_hash(a[0]), core::cell_identity_hash(b[0]));
+  EXPECT_NE(core::cell_identity_hash(a[0]), core::cell_identity_hash(plain[0]));
+  // The ids are hashed sorted: enable order does not matter.
+  EXPECT_EQ(core::cell_identity_hash(with_bug({fw::BugId::kApm5428, fw::BugId::kApm9349})[0]),
+            core::cell_identity_hash(with_bug({fw::BugId::kApm9349, fw::BugId::kApm5428})[0]));
+
+  const std::string diff = core::CampaignJournal::header_diff(
+      core::CampaignJournal::bind(a, {}), core::CampaignJournal::bind(b, {}), b);
+  EXPECT_NE(diff.find("cell 0"), std::string::npos) << diff;
+  EXPECT_NE(diff.find("cell 1"), std::string::npos) << diff;
+}
+
 TEST(Journal, RoundTripsHeaderAndRecords) {
   const auto grid = small_grid();
   core::CheckpointConfig checkpoints;
