@@ -92,6 +92,67 @@ BENCHMARK(BM_CheckerCampaign)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
 
+// Forwards to SABRE and counts the checker's requests (next_batch calls):
+// fewer, fuller requests mean fewer wave barriers.
+class RequestCountingSabre final : public core::InjectionStrategy {
+ public:
+  explicit RequestCountingSabre(const core::MonitorModel& model)
+      : inner_(core::SimulationHarness::iris_suite(), model.golden_transitions()) {}
+
+  std::optional<core::FaultPlan> next(core::BudgetClock& budget) override {
+    ++requests_;
+    return inner_.next(budget);
+  }
+  std::vector<core::FaultPlan> next_batch(core::BudgetClock& budget, int max_plans) override {
+    ++requests_;
+    return inner_.next_batch(budget, max_plans);
+  }
+  void feedback(const core::FaultPlan& plan, const core::ExperimentResult& result) override {
+    inner_.feedback(plan, result);
+  }
+  int chain_extension_limit() const override { return inner_.chain_extension_limit(); }
+  const char* name() const override { return inner_.name(); }
+
+  int requests() const { return requests_; }
+
+ private:
+  core::SabreScheduler inner_;
+  int requests_ = 0;
+};
+
+// The same campaign at the paper's budget (2 h of simulated time, §VI):
+// the representative cell, where the augmented lane, pair strata and the
+// budget-end discard all come into play. requests/campaign counts checker
+// requests; experiments/campaign must not vary with the worker count.
+static void BM_CheckerCampaign2h(benchmark::State& state) {
+  const int workers = static_cast<int>(state.range(0));
+  core::Checker& checker = shared_checker();
+  const core::MonitorModel& model = checker.model();
+
+  std::int64_t experiments = 0;
+  std::int64_t requests = 0;
+  for (auto _ : state) {
+    RequestCountingSabre sabre(model);
+    core::BudgetClock budget(7200 * 1000);
+    const core::CheckerReport report = checker.run_parallel(sabre, budget, workers);
+    experiments += report.experiments;
+    requests += sabre.requests();
+    benchmark::DoNotOptimize(report);
+  }
+  const auto iterations = static_cast<double>(state.iterations());
+  state.SetItemsProcessed(experiments);
+  state.counters["experiments/campaign"] =
+      benchmark::Counter(static_cast<double>(experiments) / iterations);
+  state.counters["requests/campaign"] =
+      benchmark::Counter(static_cast<double>(requests) / iterations);
+}
+BENCHMARK(BM_CheckerCampaign2h)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kSecond)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime();
+
 // Whole-campaign sharding: a 4-cell Avis grid (both personalities x both
 // default workloads) run at N concurrent cells with a single experiment
 // worker per cell, so the reported wall time isolates cell-level

@@ -34,6 +34,7 @@ GroupResult p_run_group(const std::vector<const CampaignCellSpec*>& cells,
   ExperimentSpec prototype = scenario_prototype(cells.front()->scenario);
   if (cells.front()->bugs_override) prototype.bugs = *cells.front()->bugs_override;
   Checker checker(std::move(prototype), checkpoints);
+  checker.set_workers(experiment_workers);  // before model(): profiling fans out too
   GroupResult results(cells.size());
   for (std::size_t i = 0; i < cells.size() && !(should_stop && should_stop()); ++i) {
     const CampaignCellSpec& spec = *cells[i];
@@ -82,9 +83,9 @@ std::vector<CampaignCellSpec> expand_to_cells(const ScenarioGrid& grid) {
   return cells;
 }
 
-util::WorkerBudget CampaignRunner::worker_split(std::size_t cells) const {
+util::WorkerBudget CampaignRunner::worker_split(std::size_t groups) const {
   const int total = std::max(1, options_.total_workers);
-  util::WorkerBudget split = util::split_worker_budget(total, static_cast<int>(cells));
+  util::WorkerBudget split = util::split_worker_budget(total, static_cast<int>(groups));
   if (options_.cell_workers > 0 && options_.experiment_workers > 0) {
     // Both halves pinned: the caller explicitly owns the thread count.
     split.campaign_workers = options_.cell_workers;
@@ -97,7 +98,7 @@ util::WorkerBudget CampaignRunner::worker_split(std::size_t cells) const {
   } else if (options_.experiment_workers > 0) {
     split.experiment_workers = options_.experiment_workers;
     split.campaign_workers = std::max(
-        1, std::min(static_cast<int>(std::max<std::size_t>(cells, 1)),
+        1, std::min(static_cast<int>(std::max<std::size_t>(groups, 1)),
                     total / options_.experiment_workers));
   }
   return split;
@@ -105,7 +106,6 @@ util::WorkerBudget CampaignRunner::worker_split(std::size_t cells) const {
 
 CampaignResult CampaignRunner::run(const std::vector<CampaignCellSpec>& grid) const {
   CampaignResult result;
-  result.split = worker_split(grid.size());
   result.checkpoints_enabled = options_.checkpoints.enabled;
   result.checkpoint_trees = options_.checkpoints.enabled && options_.checkpoints.trees;
   result.checkpoint_budget_bytes = options_.checkpoints.byte_budget;
@@ -156,6 +156,9 @@ CampaignResult CampaignRunner::run(const std::vector<CampaignCellSpec>& grid) co
     slot[i] = {it->second, groups[it->second].size()};
     groups[it->second].push_back(&grid[i]);
   }
+  // The cell pool runs group tasks, so the hardware budget divides by
+  // groups: the workers a group's cells cannot use go to its Checker.
+  result.split = worker_split(groups.size());
   // One task per group, on the cell pool or deferred to its collection on
   // this thread (as Checker::run reuses p_campaign). A task polls the stop
   // flag before each cell: running cells finish, no new one starts.

@@ -212,8 +212,9 @@ class CampaignRunner {
   // Convenience: expand a scenario grid and run it.
   CampaignResult run(const ScenarioGrid& grid) const { return run(expand_to_cells(grid)); }
 
-  // The worker split `run` would use for a grid of this size.
-  util::WorkerBudget worker_split(std::size_t cells) const;
+  // The worker split `run` uses for a grid with this many calibration
+  // groups (one cell-pool task each).
+  util::WorkerBudget worker_split(std::size_t groups) const;
 
  private:
   CampaignOptions options_;

@@ -9,6 +9,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -127,21 +128,53 @@ class Checker {
   // Profiling runs + monitor calibration happen on first use and are reused
   // by every campaign on this checker, so comparisons share the same model:
   // core::CampaignRunner runs each calibration group's cells (equal
-  // core::prototype_key) back to back on one Checker.
+  // core::prototype_key) back to back on one Checker. The profiling runs
+  // are independent, so they fan out over the experiment pool (when
+  // set_workers gave it more than one worker) and calibrate in seed order:
+  // the model is the same at every worker count.
   const MonitorModel& model() {
     if (!model_) {
-      auto context = contexts_.acquire();
-      model_ = harness_.profile(prototype_, /*runs=*/3, prototype_.seed, context.get());
-      contexts_.release(std::move(context));
+      std::vector<std::future<ExperimentResult>> runs;
+      for (int i = 0; i < kProfilingRuns; ++i) {
+        auto task = [this, seed = prototype_.seed + static_cast<std::uint64_t>(i)] {
+          auto context = contexts_.acquire();
+          ExperimentResult result = harness_.profile_run(prototype_, seed, context.get());
+          contexts_.release(std::move(context));
+          return result;
+        };
+        runs.push_back(pool_ ? pool_->submit(std::move(task))
+                             : std::async(std::launch::deferred, std::move(task)));
+      }
+      for (auto& run : runs) run.wait();  // no run outlives a failed one
+      std::vector<ExperimentResult> profiling;
+      for (auto& run : runs) profiling.push_back(run.get());
+      model_ = MonitorModel::calibrate(std::move(profiling));
     }
     return *model_;
   }
 
+  // Sizes the experiment pool this Checker owns for its whole life: model()
+  // profiles on it and run_parallel() farms experiments out to it. 1 (the
+  // default) means no pool, everything runs on the calling thread. Call it
+  // before model() for the profiling runs to fan out; run_parallel()
+  // rebuilds the pool only when asked for a different worker count.
+  void set_workers(int workers) {
+    if (workers <= 1) {
+      pool_.reset();
+    } else if (!pool_ || pool_->worker_count() != workers) {
+      pool_.emplace(workers);
+    }
+  }
+
+  static constexpr int kProfilingRuns = 3;
   // Strategy request size: run() asks for up to kRequestChunk plans at a
-  // time and run_parallel() for 2 x workers x kRequestChunk, both capped by
-  // p_adaptive_width near the budget boundary. A strategy's plan sequence is
-  // independent of the request size (the next_batch contract), so this
-  // moves wall clock only, never the report.
+  // time and run_parallel() for 2 x workers x kRequestChunk, either capped
+  // at p_adaptive_width's estimate of how many experiments still fit the
+  // budget. SABRE fills a request across expansion waves as long as
+  // in-flight feedback cannot change them, so the cap is what keeps a
+  // request from running plans the budget will discard. A strategy's plan
+  // sequence is independent of the request size (the next_batch contract),
+  // so this moves wall clock only, never the report.
   static constexpr int kRequestChunk = 4;
   // Slack every experiment gets past the profiled mission duration before
   // it is cut off (p_make_spec); a safe run that uses all of it counts as
@@ -157,20 +190,28 @@ class Checker {
     return p_campaign(strategy, budget, nullptr);
   }
 
-  // Parallel variant: every plan of a request is its own pool task, and
-  // results are applied on this thread in proposal order. Budget charging,
-  // feedback() and UnsafeRecord collection are therefore single-threaded,
-  // so BudgetClock needs no locking and the report is bit-identical to
-  // run() for the same plan sequence (strategies stop a request at the
-  // boundary where a serial run's feedback could change the next plan —
-  // SABRE at its expansion wave). If the budget exhausts mid-request, the
+  // Parallel variant, on the Checker's pool sized to `workers` (1 = run()):
+  // every plan of a request is its own pool task, and results are applied
+  // on this thread in proposal order. Budget charging, feedback() and
+  // UnsafeRecord collection are therefore single-threaded, so BudgetClock
+  // needs no locking and the report is bit-identical to run() for the same
+  // plan sequence (strategies never hand out a plan that a serial run's
+  // feedback could have changed — SABRE crosses an expansion wave only
+  // when the next one is settled). If the budget exhausts mid-request, the
   // remainder is discarded — exactly the experiments a serial run would
   // never have started — and tasks that have not started yet skip their
   // simulation. See docs/PERFORMANCE.md.
   CheckerReport run_parallel(InjectionStrategy& strategy, BudgetClock& budget, int workers) {
-    if (workers <= 1) return run(strategy, budget);
-    util::ThreadPool pool(workers);
-    return p_campaign(strategy, budget, &pool);
+    set_workers(workers);
+    try {
+      return p_campaign(strategy, budget, pool_ ? &*pool_ : nullptr);
+    } catch (...) {
+      // Tasks of the failed request may still be queued or running against
+      // the checkpoint store; joining the pool (it drops unstarted tasks)
+      // keeps them away from the next campaign's clear_tree().
+      pool_.reset();
+      throw;
+    }
   }
 
   // The scenario's checkpoint store (recorded on first use when enabled);
@@ -225,14 +266,15 @@ class Checker {
     const int capture_limit =
         checkpoints != nullptr && checkpoints->trees_enabled() ? strategy.chain_extension_limit()
                                                                : 0;
-    const int request_factor = pool != nullptr ? 2 * pool->worker_count() : 1;
+    const int request_width =
+        pool != nullptr ? 2 * pool->worker_count() * kRequestChunk : kRequestChunk;
     CheckerReport report;
     report.strategy_name = strategy.name();
     bool out_of_budget = false;
     std::vector<PendingMerge> deferred;
     while (!out_of_budget && !budget.exhausted()) {
-      std::vector<FaultPlan> plans = strategy.next_batch(
-          budget, request_factor * p_adaptive_width(budget, kRequestChunk));
+      std::vector<FaultPlan> plans =
+          strategy.next_batch(budget, p_adaptive_width(budget, request_width));
       if (plans.empty()) break;
       // Plans at or past this index are never applied; their tasks skip the
       // simulation unless they already started. Shared with the tasks so it
@@ -402,6 +444,9 @@ class Checker {
   ExperimentContextPool contexts_;
   std::optional<MonitorModel> model_;
   std::optional<CheckpointStore> checkpoints_;
+  // Last member: destroyed (joined) first, while everything its tasks
+  // reference is still alive.
+  std::optional<util::ThreadPool> pool_;
 };
 
 }  // namespace avis::core

@@ -390,17 +390,24 @@ ExperimentResult SimulationHarness::p_run(const ExperimentSpec& spec,
   return result;
 }
 
+ExperimentResult SimulationHarness::profile_run(const ExperimentSpec& prototype,
+                                               std::uint64_t seed,
+                                               ExperimentContext* context) const {
+  ExperimentSpec spec = prototype;
+  spec.plan = FaultPlan{};
+  spec.seed = seed;
+  ExperimentResult result = run(spec, nullptr, context);
+  util::expects(result.workload_passed, "profiling run did not complete its workload");
+  return result;
+}
+
 MonitorModel SimulationHarness::profile(const ExperimentSpec& prototype, int runs,
                                         std::uint64_t seed_base,
                                         ExperimentContext* context) const {
   std::vector<ExperimentResult> profiling;
   for (int i = 0; i < runs; ++i) {
-    ExperimentSpec spec = prototype;
-    spec.plan = FaultPlan{};
-    spec.seed = seed_base + static_cast<std::uint64_t>(i);
-    profiling.push_back(run(spec, nullptr, context));
-    util::expects(profiling.back().workload_passed,
-                  "profiling run did not complete its workload");
+    profiling.push_back(
+        profile_run(prototype, seed_base + static_cast<std::uint64_t>(i), context));
   }
   return MonitorModel::calibrate(std::move(profiling));
 }

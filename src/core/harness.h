@@ -279,6 +279,12 @@ class SimulationHarness {
   MonitorModel profile(fw::Personality personality, workload::WorkloadId workload,
                        const fw::BugRegistry& bugs, int runs = 3,
                        std::uint64_t seed_base = 1, ExperimentContext* context = nullptr) const;
+  // One of profile()'s runs: the prototype fault-free at `seed`; throws if
+  // the workload did not complete. Runs are independent, so a caller may
+  // run them concurrently and calibrate the results in seed order
+  // (Checker::model() profiles on its experiment pool).
+  ExperimentResult profile_run(const ExperimentSpec& prototype, std::uint64_t seed,
+                               ExperimentContext* context = nullptr) const;
 
   // Per-run step hook for benches that need full-rate traces (Fig. 9/10).
   using StepHook = std::function<void(sim::SimTimeMs, const sim::VehicleState&,

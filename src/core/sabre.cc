@@ -218,51 +218,68 @@ std::optional<FaultPlan> SabreScheduler::p_pop_batch() {
   return std::nullopt;
 }
 
+bool SabreScheduler::p_in_flight_at(sim::SimTimeMs timestamp) const {
+  for (const auto& [sig, pending] : pending_) {
+    if (pending.timestamp == timestamp) return true;
+  }
+  return false;
+}
+
+bool SabreScheduler::p_expand_step(bool settled_only) {
+  const bool primaries_empty = queue_.empty() && augmented_queue_.empty();
+  // Feedback only ever appends to the augmented lane, so with both primary
+  // lanes empty an in-flight plan could still make a primary step due.
+  if (primaries_empty && (settled_only || pair_queue_.empty())) return false;
+  const bool pairs_due =
+      !pair_queue_.empty() && (primaries_empty || batches_since_pairs_ >= config_.pair_interleave);
+  if (pairs_due) {
+    if (settled_only && p_in_flight_at(pair_queue_.front().timestamp)) return false;
+    batches_since_pairs_ = 0;
+    PairEntry entry = pair_queue_.front();
+    pair_queue_.pop_front();
+    p_expand_pairs(std::move(entry));
+    return true;
+  }
+  // The augmented lane outranks the primary queue, rate-limited so the
+  // breadth pass over the seeded transitions still completes within the
+  // paper's budget (see feedback()).
+  const bool augmented_turn =
+      queue_.empty() || primary_since_augmented_ >= config_.augmented_interleave;
+  // An empty lane whose turn it is could be refilled by in-flight feedback.
+  if (settled_only && augmented_turn && augmented_queue_.empty()) return false;
+  const bool augmented = augmented_turn && !augmented_queue_.empty();
+  std::deque<QueueEntry>& lane = augmented ? augmented_queue_ : queue_;
+  // Plan-aware scheduling (checkpoint trees): a parent's follow-up entries
+  // are adjacent in the augmented lane and share its base plan, whose
+  // recording every expansion would restore from. Expanding them into the
+  // same wave groups the chain extensions together while the parent
+  // recording is freshest; the entries are feedback-complete (their shared
+  // parent already ran), and feedback appends only entries with other
+  // bases, so the sibling run is settled too.
+  std::size_t entries = 1;
+  while (augmented && entries < lane.size() &&
+         lane[entries].base.signature() == lane.front().base.signature()) {
+    ++entries;
+  }
+  if (settled_only) {
+    for (std::size_t i = 0; i < entries; ++i) {
+      if (p_in_flight_at(lane[i].timestamp)) return false;
+    }
+  }
+  ++batches_since_pairs_;
+  primary_since_augmented_ = augmented ? 0 : primary_since_augmented_ + 1;
+  for (std::size_t i = 0; i < entries; ++i) {
+    const QueueEntry entry = lane.front();
+    lane.pop_front();
+    p_expand_primary(entry);
+  }
+  return true;
+}
+
 std::optional<FaultPlan> SabreScheduler::next(BudgetClock& budget) {
   if (budget.exhausted()) return std::nullopt;
   for (;;) {
-    while (batch_.empty() &&
-           (!queue_.empty() || !augmented_queue_.empty() || !pair_queue_.empty())) {
-      const bool primaries_empty = queue_.empty() && augmented_queue_.empty();
-      const bool pairs_due = !pair_queue_.empty() &&
-                             (primaries_empty || batches_since_pairs_ >= config_.pair_interleave);
-      if (pairs_due) {
-        batches_since_pairs_ = 0;
-        PairEntry entry = pair_queue_.front();
-        pair_queue_.pop_front();
-        p_expand_pairs(std::move(entry));
-        continue;
-      }
-      ++batches_since_pairs_;
-      // The augmented lane outranks the primary queue, rate-limited so the
-      // breadth pass over the seeded transitions still completes within the
-      // paper's budget (see feedback()).
-      const bool augmented_due =
-          !augmented_queue_.empty() &&
-          (queue_.empty() || primary_since_augmented_ >= config_.augmented_interleave);
-      if (augmented_due) {
-        primary_since_augmented_ = 0;
-        const QueueEntry entry = augmented_queue_.front();
-        augmented_queue_.pop_front();
-        p_expand_primary(entry);
-        // Plan-aware scheduling (checkpoint trees): a parent's follow-up
-        // entries are adjacent in the lane and share its base plan, whose
-        // recording both expansions would restore from. Expanding them into
-        // the same wave groups the chain extensions together while the
-        // parent recording is freshest; the entries are feedback-complete
-        // (their shared parent already ran), so wave semantics are intact.
-        while (!augmented_queue_.empty() &&
-               augmented_queue_.front().base.signature() == entry.base.signature()) {
-          const QueueEntry sibling = augmented_queue_.front();
-          augmented_queue_.pop_front();
-          p_expand_primary(sibling);
-        }
-      } else {
-        ++primary_since_augmented_;
-        const QueueEntry entry = queue_.front();
-        queue_.pop_front();
-        p_expand_primary(entry);
-      }
+    while (batch_.empty() && p_expand_step(/*settled_only=*/false)) {
     }
     if (batch_.empty()) return std::nullopt;
     if (auto plan = p_pop_batch()) return plan;
@@ -287,22 +304,22 @@ std::vector<FaultPlan> SabreScheduler::next_batch(BudgetClock& budget, int max_p
   std::vector<FaultPlan> plans;
   while (static_cast<int>(plans.size()) < max_plans) {
     if (plans.empty()) {
-      // The batch's first plan may expand a fresh wave (the previous one
-      // was fully consumed and fed back before this call).
+      // The batch's first plan may expand a wave freely: every earlier
+      // plan was fed back before this call.
       auto plan = next(budget);
       if (!plan) break;
       plans.push_back(std::move(*plan));
       continue;
     }
-    // Subsequent plans come strictly from the current wave: p_pop_batch
-    // never expands, so even if proposal-time pruning drains the wave the
-    // batch ends here rather than crossing into a wave that must see this
-    // batch's feedback first. SABRE charges nothing while proposing, so
-    // the budget check at the first next() covers the whole batch.
-    if (batch_.empty()) break;
-    auto plan = p_pop_batch();
-    if (!plan) break;
-    plans.push_back(std::move(*plan));
+    // Later plans drain the current wave, then cross into the next one
+    // only while that expansion is settled — exactly what serial execution
+    // would expand after this batch's feedback. SABRE charges nothing while
+    // proposing, so the budget check at the first next() covers the batch.
+    if (batch_.empty()) {
+      if (!p_expand_step(/*settled_only=*/true)) break;
+      continue;  // an expansion may emit nothing; try the next step
+    }
+    if (auto plan = p_pop_batch()) plans.push_back(std::move(*plan));
   }
   return plans;
 }

@@ -82,11 +82,15 @@ class SabreScheduler final : public InjectionStrategy {
                  SabreConfig config = {});
 
   std::optional<FaultPlan> next(BudgetClock& budget) override;
-  // Hands out plans from the current expansion wave only: scenarios inside
-  // one wave were emitted together and are independent, while the next wave
-  // may depend on this wave's feedback (found-bug pruning, augmented
-  // frontier). Stopping at the wave boundary keeps a parallel checker's
-  // plan sequence identical to serial execution.
+  // Hands out the rest of the current expansion wave (scenarios inside one
+  // wave were emitted together and are independent), then keeps expanding
+  // later waves into the same request while each expansion is *settled*:
+  // in-flight feedback cannot change it. That holds when the lane choice
+  // cannot flip (a primary lane is non-empty and the augmented lane is not
+  // due while empty — feedback only refills that lane) and no in-flight
+  // plan shares a timestamp with the expansion (found-bug pruning and the
+  // proposal-time re-check are per timestamp). The plan sequence therefore
+  // equals one-plan-at-a-time execution.
   std::vector<FaultPlan> next_batch(BudgetClock& budget, int max_plans) override;
   void feedback(const FaultPlan& plan, const ExperimentResult& result) override;
   // Checkpoint-tree recording contract: the augmented frontier extends
@@ -115,6 +119,13 @@ class SabreScheduler final : public InjectionStrategy {
     std::size_t cursor = 0;  // continuation point into the canonical set list
   };
 
+  // One step of the expansion loop: expands the front entry of whichever
+  // lane the interleave counters make due into batch_ (it may emit nothing)
+  // and returns true; false when there is nothing to expand or, with
+  // `settled_only`, when in-flight feedback could change the step — then
+  // no state is touched.
+  bool p_expand_step(bool settled_only);
+  bool p_in_flight_at(sim::SimTimeMs timestamp) const;
   void p_expand_primary(const QueueEntry& entry);
   void p_expand_pairs(PairEntry entry);
   bool p_in_window(sim::SimTimeMs timestamp) const {

@@ -23,14 +23,17 @@ class InjectionStrategy {
   // return nullopt when out of candidates or when the budget is exhausted.
   virtual std::optional<FaultPlan> next(BudgetClock& budget) = 0;
 
-  // Propose up to `max_plans` plans that may be simulated concurrently,
-  // i.e. without feedback from one influencing the generation of the next.
-  // The default falls back to repeated next(), which is exact for
-  // strategies that neither learn from feedback nor charge the budget while
-  // proposing (Random). SABRE overrides it to stop at its expansion-wave
-  // boundary so pruning decisions never straddle an in-flight batch; the
-  // BFI variants cap batches at one plan because labeling charges the
-  // budget inside next().
+  // Propose up to `max_plans` plans that may be simulated concurrently:
+  // the batch must equal what repeated next() would propose if each plan's
+  // feedback arrived before the next one was generated, so no plan in it
+  // may depend on the feedback of an earlier one. The checker applies the
+  // results in order and discards the tail once the budget runs out; the
+  // plan sequence must not depend on `max_plans`. The default falls back to
+  // repeated next(), which is exact for strategies that neither learn from
+  // feedback nor charge the budget while proposing (Random). SABRE
+  // overrides it to cross into a later expansion wave only when in-flight
+  // feedback cannot change that wave (core/sabre.h); the BFI variants cap
+  // batches at one plan because labeling charges the budget inside next().
   virtual std::vector<FaultPlan> next_batch(BudgetClock& budget, int max_plans) {
     std::vector<FaultPlan> plans;
     plans.reserve(max_plans > 0 ? static_cast<std::size_t>(max_plans) : 0);

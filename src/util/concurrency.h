@@ -14,25 +14,25 @@ inline int default_worker_count() {
 }
 
 // How a fixed hardware budget is divided between the two nested pool
-// levels of a campaign: the campaign pool running whole (approach,
-// personality, workload) cells concurrently, and each cell's experiment
-// pool. campaign_workers * experiment_workers never exceeds the budget,
-// so nested parallelism cannot oversubscribe the machine
+// levels of a campaign: the campaign pool running calibration groups of
+// cells concurrently, and each group Checker's experiment pool.
+// campaign_workers * experiment_workers never exceeds the budget, so
+// nested parallelism cannot oversubscribe the machine
 // (docs/PERFORMANCE.md, "Campaign-level parallelism").
 struct WorkerBudget {
-  int campaign_workers = 1;    // cells simulated concurrently
-  int experiment_workers = 1;  // experiment pool size inside each cell
+  int campaign_workers = 1;    // groups simulated concurrently
+  int experiment_workers = 1;  // experiment pool size inside each group
 };
 
-// Favour cell-level parallelism: cells never synchronize, while experiment
-// batches barrier at every wave boundary, so a worker spent on a cell buys
-// more throughput than one spent inside a cell. Leftover workers (budget
-// not divisible by the cell count) go to the experiment pools.
-inline WorkerBudget split_worker_budget(int total_workers, int cells) {
+// Favour group-level parallelism: groups never synchronize, while
+// experiment requests barrier, so a worker spent on a group buys more
+// throughput than one spent inside a cell. Leftover workers (budget not
+// divisible by the group count) go to the experiment pools.
+inline WorkerBudget split_worker_budget(int total_workers, int groups) {
   total_workers = std::max(1, total_workers);
-  cells = std::max(1, cells);
+  groups = std::max(1, groups);
   WorkerBudget split;
-  split.campaign_workers = std::min(cells, total_workers);
+  split.campaign_workers = std::min(groups, total_workers);
   split.experiment_workers = std::max(1, total_workers / split.campaign_workers);
   return split;
 }

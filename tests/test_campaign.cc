@@ -134,6 +134,26 @@ TEST(WorkerBudget, SingleSidedOverrideRederivesTheOtherHalf) {
   EXPECT_EQ(split.experiment_workers, 2);
 }
 
+// The cell pool runs one task per calibration group, so the default split
+// divides the budget by groups: 4 cells in 2 groups on 4 workers run 2
+// groups at a time with 2 experiment workers each, not 4 x 1 with two
+// workers idle.
+TEST(WorkerBudget, DefaultSplitCountsCalibrationGroups) {
+  core::ScenarioGrid scenarios;
+  scenarios.approaches = {"avis", "random"};
+  scenarios.personalities = {"ardupilot"};
+  scenarios.workloads = {"box-manual", "auto"};
+  scenarios.budget_ms = 20000;
+  const auto grid = core::expand_to_cells(scenarios);  // groups {0, 2} and {1, 3}
+  ASSERT_EQ(grid.size(), 4u);
+  core::CampaignOptions options;
+  options.total_workers = 4;
+  const core::CampaignResult result = core::CampaignRunner(options).run(grid);
+  ASSERT_EQ(result.cells.size(), 4u);
+  EXPECT_EQ(result.split.campaign_workers, 2);
+  EXPECT_EQ(result.split.experiment_workers, 2);
+}
+
 TEST(Campaign, ConcurrentCellsMatchSerialRunCellLoop) {
   const auto grid = test_grid();
   const std::vector<core::CheckerReport> serial = serial_reference(grid);

@@ -1,9 +1,9 @@
-// Serial-vs-parallel checker parity: run_parallel must produce a report
-// bit-identical to run() for the same (strategy, budget, seed), because
-// results are applied on the caller thread in submission order and the
-// strategy's request boundaries preserve the serial plan sequence. Every
-// plan is its own pool task, so worker counts that do not divide a wave
-// (3) or exceed it (8) must change nothing either.
+// Checker parity: run() and run_parallel must produce reports bit-identical
+// to one-plan-at-a-time execution for the same (strategy, budget, seed),
+// because results are applied on the caller thread in submission order and
+// a strategy only hands out plans that earlier in-flight feedback cannot
+// change. Every plan is its own pool task, so worker counts that do not
+// divide a wave (3) or exceed it (8) must change nothing either.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -22,11 +22,39 @@ using namespace avis;
 // A modest simulated budget: enough for a multi-request campaign (several
 // expansion waves, at least one unsafe result) while keeping the test quick.
 constexpr sim::SimTimeMs kBudgetMs = 600 * 1000;
-// A budget that runs out in the middle of a SABRE wave, so the tail of the
+// A budget that runs out in the middle of a request, so the tail of the
 // in-flight request is discarded (asserted below).
 constexpr sim::SimTimeMs kMidWaveBudgetMs = 250 * 1000;
 
 using avis::testing::expect_reports_equal;
+
+// The strict reference: one plan per request, so every plan is proposed
+// after the feedback of all earlier ones — the execution Algorithm 1
+// describes. run() and run_parallel() both hand out several plans per
+// request, so neither is a reference for the other.
+class OneAtATime final : public core::InjectionStrategy {
+ public:
+  explicit OneAtATime(core::InjectionStrategy& inner) : inner_(inner) {}
+
+  std::optional<core::FaultPlan> next(core::BudgetClock& budget) override {
+    return inner_.next(budget);
+  }
+  std::vector<core::FaultPlan> next_batch(core::BudgetClock& budget, int max_plans) override {
+    std::vector<core::FaultPlan> plans;
+    if (max_plans > 0) {
+      if (auto plan = inner_.next(budget)) plans.push_back(std::move(*plan));
+    }
+    return plans;
+  }
+  void feedback(const core::FaultPlan& plan, const core::ExperimentResult& result) override {
+    inner_.feedback(plan, result);
+  }
+  int chain_extension_limit() const override { return inner_.chain_extension_limit(); }
+  const char* name() const override { return inner_.name(); }
+
+ private:
+  core::InjectionStrategy& inner_;
+};
 
 // Forwards to SABRE and counts the plans it hands out: more plans proposed
 // than applied means a request was cut short by the budget.
@@ -58,11 +86,8 @@ class CountingSabre final : public core::InjectionStrategy {
   int proposed_ = 0;
 };
 
-core::Checker& checker_with_trees(bool trees) {
-  if (trees) {
-    return avis::testing::cached_checker(fw::Personality::kArduPilotLike,
-                                         workload::WorkloadId::kAuto);
-  }
+// The ArduPilot/auto scenario with checkpoint trees off (root store only).
+core::Checker& root_only_checker() {
   static core::Checker root_only = [] {
     core::ExperimentSpec prototype;
     prototype.personality = fw::Personality::kArduPilotLike;
@@ -76,36 +101,100 @@ core::Checker& checker_with_trees(bool trees) {
   return root_only;
 }
 
-// The identity matrix: SABRE at 2, 3, 4 and 8 workers, checkpoint trees on
-// and off, under a roomy budget and one that exhausts mid-wave — every
-// report identical to the serial run's.
-TEST(CheckerParallel, SabreMatchesSerialAcrossWorkersTreesAndBudgets) {
-  for (const bool trees : {true, false}) {
-    core::Checker& checker = checker_with_trees(trees);
+// The identity matrix: SABRE on ArduPilot and PX4 over two workloads with
+// checkpoint trees, under a roomy budget and one that exhausts mid-request,
+// at 1 (the serial path), 3, 4 and 8 workers — every report identical to the
+// one-plan-at-a-time reference. A root-only store runs at 4 workers.
+TEST(CheckerParallel, SabreMatchesOneAtATimeAcrossScenariosWorkersAndBudgets) {
+  struct Scenario {
+    const char* label;
+    core::Checker* checker;
+    std::vector<int> workers;
+  };
+  std::vector<Scenario> scenarios = {{"root only", &root_only_checker(), {4}}};
+  for (const fw::Personality personality :
+       {fw::Personality::kArduPilotLike, fw::Personality::kPx4Like}) {
+    for (const workload::WorkloadId workload :
+         {workload::WorkloadId::kAuto, workload::WorkloadId::kBoxManual}) {
+      scenarios.push_back({workload::to_string(workload),
+                           &avis::testing::cached_checker(personality, workload), {1, 3, 4, 8}});
+    }
+  }
+  bool tree_restores = false;
+  for (const Scenario& scenario : scenarios) {
+    core::Checker& checker = *scenario.checker;
     const core::MonitorModel& model = checker.model();
     for (const sim::SimTimeMs budget_ms : {kBudgetMs, kMidWaveBudgetMs}) {
-      SCOPED_TRACE(std::string(trees ? "trees" : "root only") +
+      SCOPED_TRACE(std::string(scenario.label) + " personality=" +
+                   std::to_string(static_cast<int>(checker.personality())) +
                    " budget_ms=" + std::to_string(budget_ms));
-      CountingSabre serial_strategy(model);
-      core::BudgetClock serial_budget(budget_ms);
-      const core::CheckerReport serial = checker.run(serial_strategy, serial_budget);
-      ASSERT_GE(serial.experiments, 3) << "budget too small to exercise parallel requests";
-      if (trees && budget_ms == kBudgetMs) {
-        EXPECT_GT(serial.checkpoint_hits_by_level.size(), 1u) << "no tree restores";
-      }
+      core::SabreScheduler reference_sabre(core::SimulationHarness::iris_suite(),
+                                           model.golden_transitions());
+      OneAtATime reference_strategy(reference_sabre);
+      core::BudgetClock reference_budget(budget_ms);
+      const core::CheckerReport reference = checker.run(reference_strategy, reference_budget);
+      ASSERT_GE(reference.experiments, 3) << "budget too small to exercise parallel requests";
+      tree_restores |= reference.checkpoint_hits_by_level.size() > 1;
 
-      for (const int workers : {2, 3, 4, 8}) {
+      for (const int workers : scenario.workers) {
         SCOPED_TRACE("workers=" + std::to_string(workers));
-        CountingSabre parallel_strategy(model);
-        core::BudgetClock parallel_budget(budget_ms);
-        const core::CheckerReport parallel =
-            checker.run_parallel(parallel_strategy, parallel_budget, workers);
-        expect_reports_equal(serial, parallel);
-        if (budget_ms == kMidWaveBudgetMs) {
-          EXPECT_GT(parallel_strategy.proposed(), parallel.experiments)
+        CountingSabre strategy(model);
+        core::BudgetClock budget(budget_ms);
+        const core::CheckerReport report = checker.run_parallel(strategy, budget, workers);
+        expect_reports_equal(reference, report);
+        if (budget_ms == kMidWaveBudgetMs && workers > 1) {
+          EXPECT_GT(strategy.proposed(), report.experiments)
               << "the budget did not exhaust mid-request";
         }
       }
+    }
+  }
+  EXPECT_TRUE(tree_restores);
+}
+
+void expect_samples_equal(const core::StateSample& a, const core::StateSample& b) {
+  EXPECT_EQ(a.time_ms, b.time_ms);
+  EXPECT_EQ(a.position, b.position) << "t=" << a.time_ms;
+  EXPECT_EQ(a.acceleration, b.acceleration) << "t=" << a.time_ms;
+  EXPECT_EQ(a.mode_id, b.mode_id) << "t=" << a.time_ms;
+  EXPECT_EQ(a.on_ground, b.on_ground) << "t=" << a.time_ms;
+  EXPECT_EQ(a.armed, b.armed) << "t=" << a.time_ms;
+}
+
+// Checker::model() runs its profiling runs on the experiment pool; they are
+// independent and calibrate in seed order, so the model must equal serial
+// SimulationHarness::profile's field for field.
+TEST(CheckerParallel, PoolProfilingMatchesSerialProfile) {
+  core::ExperimentSpec prototype;
+  prototype.personality = fw::Personality::kPx4Like;
+  prototype.workload = workload::WorkloadId::kBoxManual;
+  prototype.bugs = fw::BugRegistry::current_code_base();
+  prototype.seed = 100;
+  const core::MonitorModel serial =
+      core::SimulationHarness().profile(prototype, core::Checker::kProfilingRuns, prototype.seed);
+  core::Checker checker(prototype);
+  checker.set_workers(4);
+  const core::MonitorModel& pooled = checker.model();
+
+  EXPECT_EQ(serial.tau(), pooled.tau());
+  EXPECT_EQ(serial.max_position_spread(), pooled.max_position_spread());
+  EXPECT_EQ(serial.max_accel_spread(), pooled.max_accel_spread());
+  EXPECT_EQ(serial.profiling_duration_ms(), pooled.profiling_duration_ms());
+  EXPECT_EQ(serial.max_home_distance(), pooled.max_home_distance());
+  ASSERT_EQ(serial.golden_transitions().size(), pooled.golden_transitions().size());
+  for (std::size_t i = 0; i < serial.golden_transitions().size(); ++i) {
+    EXPECT_EQ(serial.golden_transitions()[i].time_ms, pooled.golden_transitions()[i].time_ms);
+    EXPECT_EQ(serial.golden_transitions()[i].mode_id, pooled.golden_transitions()[i].mode_id);
+  }
+  ASSERT_EQ(serial.golden_run().trace.size(), pooled.golden_run().trace.size());
+  for (std::size_t i = 0; i < serial.golden_run().trace.size(); ++i) {
+    expect_samples_equal(serial.golden_run().trace[i], pooled.golden_run().trace[i]);
+  }
+  ASSERT_EQ(serial.profiling_run_count(), pooled.profiling_run_count());
+  for (std::size_t run = 0; run < serial.profiling_run_count(); ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    for (sim::SimTimeMs t = 0; t <= serial.profiling_duration_ms(); t += core::kSamplePeriodMs) {
+      expect_samples_equal(serial.profiling_state(run, t), pooled.profiling_state(run, t));
     }
   }
 }
@@ -179,84 +268,6 @@ TEST(CheckerParallel, StratifiedBfiParityAtFourWorkers) {
       checker.run_parallel(parallel_strategy, parallel_budget, /*workers=*/4);
 
   expect_reports_equal(serial, parallel);
-}
-
-TEST(CheckerParallel, OneWorkerTakesTheSerialPath) {
-  core::Checker& checker =
-      avis::testing::cached_checker(fw::Personality::kArduPilotLike, workload::WorkloadId::kAuto);
-  const core::MonitorModel& model = checker.model();
-  const auto suite = core::SimulationHarness::iris_suite();
-
-  core::SabreScheduler serial_strategy(suite, model.golden_transitions());
-  core::BudgetClock serial_budget(kBudgetMs);
-  const core::CheckerReport serial = checker.run(serial_strategy, serial_budget);
-
-  core::SabreScheduler one_worker_strategy(suite, model.golden_transitions());
-  core::BudgetClock one_worker_budget(kBudgetMs);
-  const core::CheckerReport one_worker =
-      checker.run_parallel(one_worker_strategy, one_worker_budget, /*workers=*/1);
-
-  expect_reports_equal(serial, one_worker);
-}
-
-TEST(CheckerParallel, SabreBatchStopsAtWaveBoundary) {
-  core::Checker& checker =
-      avis::testing::cached_checker(fw::Personality::kArduPilotLike, workload::WorkloadId::kAuto);
-  const core::MonitorModel& model = checker.model();
-  const auto suite = core::SimulationHarness::iris_suite();
-
-  // next_batch must hand out the same plan sequence as repeated next().
-  core::SabreScheduler by_next(suite, model.golden_transitions());
-  core::SabreScheduler by_batch(suite, model.golden_transitions());
-  core::BudgetClock budget_a(kBudgetMs);
-  core::BudgetClock budget_b(kBudgetMs);
-
-  std::vector<std::string> next_sigs;
-  for (int i = 0; i < 12; ++i) {
-    auto plan = by_next.next(budget_a);
-    if (!plan) break;
-    next_sigs.push_back(plan->signature());
-  }
-  std::vector<std::string> batch_sigs;
-  while (batch_sigs.size() < next_sigs.size()) {
-    const auto plans = by_batch.next_batch(budget_b, 5);
-    if (plans.empty()) break;
-    for (const auto& plan : plans) batch_sigs.push_back(plan.signature());
-  }
-  batch_sigs.resize(std::min(batch_sigs.size(), next_sigs.size()));
-  next_sigs.resize(batch_sigs.size());
-  EXPECT_EQ(batch_sigs, next_sigs);
-  EXPECT_FALSE(batch_sigs.empty());
-}
-
-TEST(CheckerParallel, SabreSerializesConfigsWithIntraWavePruning) {
-  core::Checker& checker =
-      avis::testing::cached_checker(fw::Personality::kArduPilotLike, workload::WorkloadId::kAuto);
-  const core::MonitorModel& model = checker.model();
-  const auto suite = core::SimulationHarness::iris_suite();
-  core::BudgetClock budget(kBudgetMs);
-
-  // Full-powerset waves can contain a set and its same-timestamp superset,
-  // and disabled symmetry folding can put role-identical sets in one wave;
-  // serial execution prunes those at proposal time after a mid-wave bug, so
-  // batching must fall back to one plan at a time to preserve parity.
-  core::SabreConfig powerset;
-  powerset.full_powerset_batches = true;
-  core::SabreScheduler powerset_sabre(suite, model.golden_transitions(), powerset);
-  EXPECT_LE(powerset_sabre.next_batch(budget, 8).size(), 1u);
-
-  core::SabreConfig no_symmetry;
-  no_symmetry.symmetry_pruning = false;
-  core::SabreScheduler no_symmetry_sabre(suite, model.golden_transitions(), no_symmetry);
-  EXPECT_LE(no_symmetry_sabre.next_batch(budget, 8).size(), 1u);
-
-  // With found-bug pruning off there is nothing to prune mid-wave, so the
-  // full-powerset wave may batch freely again.
-  core::SabreConfig no_pruning;
-  no_pruning.full_powerset_batches = true;
-  no_pruning.found_bug_pruning = false;
-  core::SabreScheduler no_pruning_sabre(suite, model.golden_transitions(), no_pruning);
-  EXPECT_GT(no_pruning_sabre.next_batch(budget, 8).size(), 1u);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
 
 #include "core/harness.h"
@@ -220,6 +222,172 @@ TEST_F(SabreTest, AugmentedFrontierOutranksInitialFrontier) {
   // ...and the chain outranks the last seeded transition's own wave.
   ASSERT_GT(last_transition_index, 0);
   EXPECT_LT(chain_index, last_transition_index);
+}
+
+// Settled-wave batching. next_batch may expand later waves into one
+// request only where the feedback of the plans already in it cannot change
+// the expansion, so a batched schedule equals one-plan-at-a-time.
+
+std::set<sim::SimTimeMs> injection_times(const std::vector<FaultPlan>& plans) {
+  std::set<sim::SimTimeMs> times;
+  for (const auto& plan : plans) times.insert(plan.events.back().time_ms);
+  return times;
+}
+
+TEST_F(SabreTest, BatchCrossesSettledWaves) {
+  SabreScheduler sabre(suite_, toy_transitions());
+  const std::vector<FaultPlan> batch = sabre.next_batch(budget_, 100);
+  // The 9-singleton wave at the first transition, then the second
+  // transition's wave: nothing in flight can change that expansion.
+  EXPECT_GT(batch.size(), 9u);
+  EXPECT_EQ(injection_times(batch), (std::set<sim::SimTimeMs>{3540, 13000}));
+}
+
+TEST_F(SabreTest, BatchNeverCrossesIntoADueEmptyAugmentedLane) {
+  SabreScheduler sabre(suite_, toy_transitions());
+  // After two primary waves the augmented lane's turn is due. It is empty,
+  // but the in-flight plans' feedback could refill it, so the batch stops
+  // short of the third transition however much room it has.
+  const std::vector<FaultPlan> batch = sabre.next_batch(budget_, 100);
+  EXPECT_FALSE(injection_times(batch).contains(34000));
+  ExperimentResult clean = ok_result();
+  clean.transitions = {{20000, 0x0900, "land"}};
+  for (const auto& plan : batch) sabre.feedback(plan, clean);
+  // The feedback did refill it: the next wave extends a finished plan.
+  auto next = sabre.next(budget_);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->size(), 2u);
+  EXPECT_EQ(next->events.back().time_ms, 20000);
+}
+
+TEST_F(SabreTest, BatchNeverCrossesWhileBothPrimaryLanesAreEmpty) {
+  SabreConfig config;
+  config.max_offsets = 0;        // the seed's two crawl steps, then nothing
+  config.pair_interleave = 100;  // pairs only once the primary lanes drain
+  SabreScheduler sabre(suite_, {{5000, 0x0400, "takeoff"}}, config);
+  // Waves at 5000 and 5200, then the empty augmented lane is due.
+  const std::vector<FaultPlan> first = sabre.next_batch(budget_, 100);
+  EXPECT_EQ(injection_times(first), (std::set<sim::SimTimeMs>{5000, 5200}));
+  for (const auto& plan : first) sabre.feedback(plan, ok_result());
+  // The 4800 wave drains the primary queue. Pairs at 5000 would be next
+  // with both primary lanes empty, but the 4800 feedback may refill the
+  // augmented lane, which would outrank them.
+  const std::vector<FaultPlan> second = sabre.next_batch(budget_, 100);
+  EXPECT_EQ(injection_times(second), (std::set<sim::SimTimeMs>{4800}));
+  ExperimentResult clean = ok_result();
+  clean.transitions = {{20000, 0x0900, "land"}};
+  for (const auto& plan : second) sabre.feedback(plan, clean);
+  auto next = sabre.next(budget_);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->events.back().time_ms, 20000);
+}
+
+TEST_F(SabreTest, BatchNeverExpandsAtAnInFlightTimestamp) {
+  SabreConfig config;
+  config.pair_interleave = 1;         // the pair wave at 3540 is due next
+  config.augmented_interleave = 100;  // and the augmented lane is not
+  SabreScheduler sabre(suite_, toy_transitions(), config);
+  const std::vector<FaultPlan> batch = sabre.next_batch(budget_, 100);
+  // The singletons at 3540 are in flight; a bug among them prunes pairs at
+  // 3540, so the pair wave must wait for their feedback.
+  ASSERT_EQ(batch.size(), 9u);
+  for (const auto& plan : batch) {
+    EXPECT_EQ(plan.size(), 1u);
+    EXPECT_EQ(plan.events[0].time_ms, 3540);
+  }
+  const std::string buggy = role_signature_of_set({batch[0].events[0].sensor});
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    sabre.feedback(batch[i], i == 0 ? unsafe_result() : ok_result());
+  }
+  const std::vector<FaultPlan> pairs = sabre.next_batch(budget_, 100);
+  ASSERT_FALSE(pairs.empty());
+  EXPECT_EQ(pairs[0].size(), 2u);
+  EXPECT_EQ(pairs[0].events[0].time_ms, 3540);
+  EXPECT_GT(sabre.pruned_by_found_bug(), 0);
+  for (const auto& plan : pairs) {
+    if (plan.size() != 2 || plan.events[0].time_ms != 3540) continue;
+    std::vector<sensors::SensorId> set;
+    for (const auto& e : plan.events) set.push_back(e.sensor);
+    EXPECT_FALSE(role_signature_subset(buggy, role_signature_of_set(set)))
+        << plan.to_string();
+  }
+}
+
+TEST_F(SabreTest, IntraWavePruningConfigsStillSerialize) {
+  // Full-powerset waves can contain a set and its same-timestamp superset,
+  // and disabled symmetry folding can put role-identical sets in one wave;
+  // serial execution prunes those at proposal time after a mid-wave bug, so
+  // batching falls back to one plan at a time.
+  SabreConfig powerset;
+  powerset.full_powerset_batches = true;
+  SabreConfig no_symmetry;
+  no_symmetry.symmetry_pruning = false;
+  for (const SabreConfig& config : {powerset, no_symmetry}) {
+    SabreScheduler sabre(suite_, toy_transitions(), config);
+    for (int i = 0; i < 20; ++i) {
+      const std::vector<FaultPlan> batch = sabre.next_batch(budget_, 100);
+      ASSERT_EQ(batch.size(), 1u);
+      sabre.feedback(batch[0], ok_result());
+    }
+  }
+  // With found-bug pruning off there is nothing to prune mid-wave, so the
+  // full-powerset wave batches freely again.
+  SabreConfig no_pruning = powerset;
+  no_pruning.found_bug_pruning = false;
+  SabreScheduler sabre(suite_, toy_transitions(), no_pruning);
+  EXPECT_GT(sabre.next_batch(budget_, 100).size(), 1u);
+}
+
+// A deterministic stand-in for simulation: some plans trigger a bug, the
+// rest finish and report transitions after their newest injection, so the
+// schedule exercises found-bug pruning and the augmented lane.
+ExperimentResult synthetic_result(const FaultPlan& plan) {
+  const std::size_t h = std::hash<std::string>{}(plan.signature());
+  if (h % 5 == 0) return unsafe_result();
+  ExperimentResult r = ok_result();
+  const sim::SimTimeMs newest = plan.events.back().time_ms;
+  r.transitions = {{newest + 400 + static_cast<sim::SimTimeMs>(h % 3) * 200, 0x0501, "wp"},
+                   {newest + 6000, 0x0900, "land"}};
+  return r;
+}
+
+TEST_F(SabreTest, BatchedScheduleEqualsOneAtATimeUnderFeedback) {
+  // The default search (cut at kPlans) and a short one that runs until
+  // every lane drains.
+  constexpr std::size_t kPlans = 1500;
+  SabreConfig short_search;
+  short_search.max_offsets = 2;
+  for (const SabreConfig& config : {SabreConfig{}, short_search}) {
+    SabreScheduler reference(suite_, toy_transitions(), config);
+    std::vector<std::string> expected;
+    while (expected.size() < kPlans) {
+      auto plan = reference.next(budget_);
+      if (!plan) break;
+      expected.push_back(plan->signature());
+      reference.feedback(*plan, synthetic_result(*plan));
+    }
+    for (const int width : {2, 5, 17, 64}) {
+      SCOPED_TRACE("max_offsets " + std::to_string(config.max_offsets) + " width " +
+                   std::to_string(width));
+      SabreScheduler sabre(suite_, toy_transitions(), config);
+      std::vector<std::string> actual;
+      std::size_t widest = 0;
+      while (actual.size() < kPlans) {
+        const std::vector<FaultPlan> batch = sabre.next_batch(budget_, width);
+        if (batch.empty()) break;
+        widest = std::max(widest, batch.size());
+        for (const auto& plan : batch) {
+          actual.push_back(plan.signature());
+          sabre.feedback(plan, synthetic_result(plan));
+        }
+      }
+      actual.resize(std::min(actual.size(), kPlans));
+      EXPECT_EQ(actual, expected);
+      if (width == 64) {
+        EXPECT_GT(widest, 9u) << "batches never crossed a wave";
+      }
+    }
+  }
 }
 
 TEST(SabreSignatures, SubsetComparisonIsTokenExact) {

@@ -22,10 +22,12 @@ import sys
 
 # Single-worker benches worth gating; names must match google-benchmark's
 # JSON "name" field exactly. BM_SingleExperiment is one scalar experiment,
-# the path every checker experiment takes.
+# the path every checker experiment takes; BM_CheckerCampaign2h is a SABRE
+# campaign at the paper's 2 h budget.
 GATED = [
     "BM_SingleExperiment",
     "BM_CheckerCampaign/1/process_time/real_time",
+    "BM_CheckerCampaign2h/1/process_time/real_time",
 ]
 
 # Fail only below this fraction of the baseline rate (>30% regression).
