@@ -24,6 +24,44 @@ static void BM_SimulatorStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorStep);
 
+// Physics in flight, the BM_EstimatorUpdate recipe applied to the
+// simulator: a fault-free auto mission is flown to 20 s (airborne, on its
+// way to the first waypoint), the firmware's motor commands for the next
+// 1,000 steps are recorded, and the bench replays them from the saved
+// airborne state in a loop. Body rates and attitude move every step, as in
+// a campaign; BM_SimulatorStep hovers on the ground with zero rates, where
+// the attitude trig memo always hits.
+static void BM_SimulatorStepAirborne(benchmark::State& state) {
+  core::SimulationHarness harness;
+  core::ExperimentContext context;
+  core::ExperimentSpec spec;
+  spec.max_duration_ms = 20000;
+  harness.run(spec, nullptr, &context);
+  sim::Simulator& flight = *context.simulator;
+  if (flight.state().on_ground) {
+    state.SkipWithError("the recorded vehicle is not airborne");
+    return;
+  }
+  const sim::Simulator::Snapshot airborne = flight.save();
+  std::vector<sim::MotorCommands> commands;
+  for (int i = 0; i < 1000; ++i) {
+    commands.push_back(context.firmware->step(flight.now_ms(), flight.state()));
+    flight.step(commands.back());
+  }
+  sim::Simulator simulator(flight.environment(), sim::QuadcopterParams{}, 1);
+  simulator.load(airborne);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == commands.size()) {
+      simulator.load(airborne);
+      next = 0;
+    }
+    benchmark::DoNotOptimize(simulator.step(commands[next++]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimulatorStepAirborne);
+
 static void BM_FullFirmwareStep(benchmark::State& state) {
   util::Rng seeds(7);
   sensors::SensorSuite suite(core::SimulationHarness::iris_suite(), seeds);
@@ -262,13 +300,13 @@ static void BM_CheckpointTree(benchmark::State& state) {
   const sensors::SensorId gps{sensors::SensorType::kGps, 0};
   const sensors::SensorId baro{sensors::SensorType::kBarometer, 0};
   core::CheckpointStore store{core::CheckpointConfig{}};
-  store.begin(core::ExperimentSpec{}, false);
+  std::vector<core::ExperimentSnapshot> root;
   for (sim::SimTimeMs t = 1000; t <= 30000; t += 1000) {
-    core::ExperimentSnapshot snap;
-    snap.time_ms = t;
-    store.add(std::move(snap));
+    root.emplace_back();
+    root.back().time_ms = t;
   }
-  store.finish(core::ExperimentResult{});
+  store.install_root(core::ExperimentSpec{}, nullptr, std::move(root), core::ExperimentResult{},
+                     {});
   for (int r = 0; r < recordings; ++r) {
     core::FaultPlan plan;
     plan.add(10000 + r, compass);

@@ -58,6 +58,24 @@ static void BM_SingleExperiment(benchmark::State& state) {
 }
 BENCHMARK(BM_SingleExperiment)->Unit(benchmark::kMillisecond);
 
+// Scenario set-up, the fixed cost every campaign cell pays before its first
+// experiment: a fresh Checker for ardupilot/fence-mission runs its
+// profiling runs and monitor calibration (model()) and builds its
+// checkpoint root (checkpoint_store()), all on the calling thread. items/s
+// is set-ups per wall second.
+static void BM_CheckerSetup(benchmark::State& state) {
+  std::int64_t setups = 0;
+  for (auto _ : state) {
+    core::Checker checker(fw::Personality::kArduPilotLike, workload::WorkloadId::kFenceMission,
+                          fw::BugRegistry::current_code_base());
+    benchmark::DoNotOptimize(checker.model());
+    benchmark::DoNotOptimize(checker.checkpoint_store());
+    setups += 1;
+  }
+  state.SetItemsProcessed(setups);
+}
+BENCHMARK(BM_CheckerSetup)->Unit(benchmark::kMillisecond);
+
 // Full SABRE campaign at N workers. Arg(1) runs the serial Checker::run
 // path; higher counts dispatch batches across the worker pool. The reports
 // are identical by construction (see tests/test_checker_parallel.cc), so

@@ -21,7 +21,7 @@ namespace {
 using GroupResult = std::vector<std::optional<CampaignCellResult>>;
 
 // Runs a calibration group's cells back to back on one Checker; the first
-// pays for profiling and the prefix recording. p_campaign clears the tree
+// pays for profiling and the checkpoint root. p_campaign clears the tree
 // per campaign, so each report equals a run on a fresh Checker. Approaches
 // resolve first: a typo must throw before the group simulates anything.
 GroupResult p_run_group(const std::vector<const CampaignCellSpec*>& cells,

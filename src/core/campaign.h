@@ -178,7 +178,7 @@ struct CampaignOptions {
   int cell_workers = 0;
   int experiment_workers = 0;
   // Checkpointed prefix forking, per calibration group (each group's Checker
-  // records one fault-free prefix). On by default; the CLI's
+  // builds one fault-free root, from its golden profiling run). On by default; the CLI's
   // --no-checkpoints and parity tests turn it off.
   CheckpointConfig checkpoints;
 

@@ -131,14 +131,23 @@ class Checker {
   // core::prototype_key) back to back on one Checker. The profiling runs
   // are independent, so they fan out over the experiment pool (when
   // set_workers gave it more than one worker) and calibrate in seed order:
-  // the model is the same at every worker count.
+  // the model is the same at every worker count. With checkpointing on, the
+  // golden run (run 0, at the experiments' own seed) also captures the
+  // cadence snapshots p_checkpoints builds the scenario's root from.
   const MonitorModel& model() {
     if (!model_) {
+      RootCapture golden_capture;
+      if (checkpoint_config_.enabled) {
+        golden_capture = plan_root_capture(checkpoint_config_, prototype_.max_duration_ms);
+      }
       std::vector<std::future<ExperimentResult>> runs;
       for (int i = 0; i < kProfilingRuns; ++i) {
-        auto task = [this, seed = prototype_.seed + static_cast<std::uint64_t>(i)] {
+        RootCapture* capture =
+            i == 0 && checkpoint_config_.enabled ? &golden_capture : nullptr;
+        auto task = [this, capture, seed = prototype_.seed + static_cast<std::uint64_t>(i)] {
           auto context = contexts_.acquire();
-          ExperimentResult result = harness_.profile_run(prototype_, seed, context.get());
+          ExperimentResult result =
+              harness_.profile_run(prototype_, seed, context.get(), capture);
           contexts_.release(std::move(context));
           return result;
         };
@@ -149,6 +158,7 @@ class Checker {
       std::vector<ExperimentResult> profiling;
       for (auto& run : runs) profiling.push_back(run.get());
       model_ = MonitorModel::calibrate(std::move(profiling));
+      if (checkpoint_config_.enabled) golden_capture_ = std::move(golden_capture);
     }
     return *model_;
   }
@@ -214,7 +224,7 @@ class Checker {
     }
   }
 
-  // The scenario's checkpoint store (recorded on first use when enabled);
+  // The scenario's checkpoint store (built on first use when enabled);
   // nullptr when checkpointing is off. Exposed for tests and tools.
   const CheckpointStore* checkpoint_store() {
     if (!checkpoint_config_.enabled) return nullptr;
@@ -251,7 +261,7 @@ class Checker {
 
   // The checker loop behind run() (pool == nullptr: each plan runs on this
   // thread when its result is due) and run_parallel(). The checkpoint store
-  // is recorded on this thread before any plan runs; while a request is in
+  // is built on this thread before any plan runs; while a request is in
   // flight the store is strictly read-only, and tree merges wait for the
   // request's boundary, which is what lets the next wave's children resolve
   // their parents' recordings without a worker ever observing a mutation.
@@ -360,13 +370,17 @@ class Checker {
     return spec;
   }
 
-  // Records the scenario's fault-free prefix once; every later call returns
-  // the same store. The recording is one extra fault-free simulation —
-  // amortized across every campaign on this checker the way profiling is. On top of
-  // the cadence grid, a snapshot is captured at every golden mode-transition
-  // timestamp: the search strategies concentrate their injections exactly
-  // there (SABRE seeds its queue from the golden transitions), so those
-  // plans restore with zero re-simulated prefix.
+  // Builds the scenario's fault-free root once; every later call returns
+  // the same store. The golden profiling run is the prefix run's twin —
+  // same seed, same spec, empty plan — so the root is built from its
+  // captures (SimulationHarness::root_from_run): no extra fault-free
+  // simulation, only short re-simulations to the capture times off the
+  // cadence grid and a monitor replay. Those extra times are the golden
+  // mode-transition timestamps: the search strategies concentrate their
+  // injections exactly there (SABRE seeds its queue from the golden
+  // transitions), so those plans restore with zero re-simulated prefix. A
+  // golden run its own duration cap cut short is not the prefix run's twin
+  // (the prefix spec's cap is longer); the prefix is then simulated anew.
   const CheckpointStore* p_checkpoints(const MonitorModel& monitor) {
     if (!checkpoint_config_.enabled) return nullptr;
     if (!checkpoints_) {
@@ -374,10 +388,15 @@ class Checker {
       for (const ModeTransition& t : monitor.golden_transitions()) {
         config.capture_at.push_back(t.time_ms);
       }
+      const ExperimentSpec spec = p_make_spec(FaultPlan{}, monitor);
+      const ExperimentResult& golden = monitor.golden_run();
       auto context = contexts_.acquire();
-      checkpoints_ = harness_.record_prefix(p_make_spec(FaultPlan{}, monitor), &monitor,
-                                            config, context.get());
+      checkpoints_ = golden.duration_ms < prototype_.max_duration_ms
+                         ? harness_.root_from_run(spec, &monitor, config, golden,
+                                                  std::move(*golden_capture_), context.get())
+                         : harness_.record_prefix(spec, &monitor, config, context.get());
       contexts_.release(std::move(context));
+      golden_capture_.reset();
     }
     return &*checkpoints_;
   }
@@ -443,6 +462,9 @@ class Checker {
   SimulationHarness harness_;
   ExperimentContextPool contexts_;
   std::optional<MonitorModel> model_;
+  // The golden run's root captures, from model() until p_checkpoints
+  // builds the root out of them.
+  std::optional<RootCapture> golden_capture_;
   std::optional<CheckpointStore> checkpoints_;
   // Last member: destroyed (joined) first, while everything its tasks
   // reference is still alive.

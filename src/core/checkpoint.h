@@ -3,11 +3,20 @@
 // Every experiment in a checker campaign shares its spec with every other
 // experiment except for the fault plan, and `ScheduledDirector` makes a run
 // plan-independent strictly before the plan's earliest activation time. So
-// the harness runs the fault-free "prefix run" once, capturing complete
-// world-state snapshots at a fixed cadence, and every subsequent experiment
-// restores the latest snapshot at-or-before its plan's first injection time,
-// splices the recorded trace/transition prefix into its result, and
-// simulates only the suffix.
+// the root holds complete world-state snapshots of the scenario's fault-free
+// run, taken at a fixed cadence, and every subsequent experiment restores
+// the latest snapshot at-or-before its plan's first injection time, splices
+// the recorded trace/transition prefix into its result, and simulates only
+// the suffix.
+//
+// The root is built from a fault-free run that was simulated anyway: the
+// checker's golden profiling run (same seed, same spec, no plan) captures
+// the cadence snapshots while it runs. That run is unmonitored, so the
+// store replays its trace through a MonitorSession afterwards to fill each
+// snapshot's monitor capsule and to cut the root where a monitored prefix
+// run would have stopped (install_root); snapshots at extra times off the
+// cadence grid (the golden transitions) come from short re-simulations out
+// of the preceding cadence snapshot (SimulationHarness::root_from_run).
 //
 // The checkpoint tree generalizes this to *faulty* prefixes: directed runs
 // the strategy may later extend into chains ({A@t0} -> {A@t0, B@t1}) are
@@ -183,6 +192,42 @@ struct TreeCapture {
   std::vector<ExperimentSnapshot> snapshots;
 };
 
+// What the invariant monitor is fed alongside one trace sample
+// (MonitorSession::on_sample's flags), plus how many mode transitions the
+// run had recorded by the end of that sample's iteration. An unmonitored
+// fault-free run keeps one per sample, which is all it takes to replay the
+// monitored prefix run's session and to find where that run would stop.
+struct SampleFlags {
+  bool crashed = false;
+  sim::CrashCause crash_cause = sim::CrashCause::kNone;
+  bool firmware_dead = false;
+  bool workload_failed = false;
+  std::size_t transitions_len = 0;
+};
+
+// Capture sink for the fault-free root (SimulationHarness::p_run): a
+// snapshot at each of `times`, and the flags of every sample taken. A
+// re-simulation to extra capture times sets `stop_after_last`: the run
+// ends as soon as its last snapshot is taken.
+struct RootCapture {
+  std::vector<sim::SimTimeMs> times;  // ascending, deduplicated
+  bool stop_after_last = false;
+  std::vector<ExperimentSnapshot> snapshots;
+  std::vector<SampleFlags> samples;
+};
+
+// The cadence grid of a fault-free run capped at `max_duration_ms`. Time 0
+// is excluded: a snapshot there is just a cold start.
+inline RootCapture plan_root_capture(const CheckpointConfig& config,
+                                     sim::SimTimeMs max_duration_ms) {
+  util::expects(config.interval_ms > 0, "checkpoint cadence must be positive");
+  RootCapture capture;
+  for (sim::SimTimeMs t = config.interval_ms; t < max_duration_ms; t += config.interval_ms) {
+    capture.times.push_back(t);
+  }
+  return capture;
+}
+
 // A run whose post-injection transitions never arrive would otherwise keep
 // assembling snapshots on the cadence grid all the way to max_duration —
 // pure waste, since such a run has no extension points and spawns no
@@ -222,12 +267,12 @@ inline TreeCapture plan_tree_capture(const ExperimentSpec& spec,
   return capture;
 }
 
-// One scenario's checkpoint set: the prefix run's shared trace/transitions
-// plus the cadenced snapshots, recorded once by
-// `SimulationHarness::record_prefix`, and the checkpoint tree of recorded
-// faulty runs. Shared read-only across pool workers during a dispatch wave;
-// all mutation (merge_run, clear_tree) happens on the checker's caller
-// thread strictly between waves, so no synchronization is needed.
+// One scenario's checkpoint set: the fault-free root — the prefix's shared
+// trace/transitions plus its snapshots, built once by install_root — and
+// the checkpoint tree of recorded faulty runs. Shared read-only across
+// pool workers during a dispatch wave; all mutation (merge_run,
+// clear_tree) happens on the checker's caller thread strictly between
+// waves, so no synchronization is needed.
 class CheckpointStore {
  public:
   CheckpointStore() = default;
@@ -256,7 +301,7 @@ class CheckpointStore {
   const std::vector<StateSample>& prefix_trace() const { return prefix_trace_; }
   const std::vector<ModeTransition>& prefix_transitions() const { return prefix_transitions_; }
 
-  // The prefix run is one spec with its plan cleared; a store only
+  // The root is one spec with its plan cleared; a store only
   // accelerates specs that differ from it by plan alone. The factory fields
   // (workload, environment) are not comparable, so the checkable identity
   // is asserted here and the factory identity is the caller's contract —
@@ -332,32 +377,76 @@ class CheckpointStore {
     return {};
   }
 
-  // --- Recording interface (SimulationHarness::record_prefix) -------------
-  void begin(const ExperimentSpec& spec, bool monitored) {
-    snapshots_.clear();
-    prefix_trace_.clear();
-    prefix_transitions_.clear();
-    clear_tree();  // a re-recorded root invalidates every descendant
-    evicted_ = 0;
-    total_bytes_ = 0;
+  // --- Root recording interface --------------------------------------------
+  // Builds the root for `spec` (plan cleared) from an *unmonitored*
+  // fault-free run of it: `snapshots` were captured from that run, in
+  // ascending time order, and `samples` holds the flags of every sample of
+  // `run.trace`. With a `model`, the store must read exactly as if the
+  // prefix had run under that model: the run's trace is replayed through a
+  // MonitorSession fed the recorded flags, each snapshot's monitor capsule
+  // is the session at its capture time (every sample taken before it), and
+  // when the replay reports a violation under stop_on_violation, the root
+  // keeps only what the monitored run records before it stops — snapshots
+  // up to the violating sample's iteration, the trace through that sample,
+  // and the transitions recorded by then. Replaces any previous root and
+  // every tree recording descending from it.
+  void install_root(const ExperimentSpec& spec, const MonitorModel* model,
+                    std::vector<ExperimentSnapshot> snapshots, const ExperimentResult& run,
+                    const std::vector<SampleFlags>& samples) {
+    clear_tree();
     seed_ = spec.seed;
     max_duration_ms_ = spec.max_duration_ms;
     stop_on_violation_ = spec.stop_on_violation;
     personality_ = spec.personality;
-    monitored_ = monitored;
-  }
+    monitored_ = model != nullptr;
+    std::size_t trace_len = run.trace.size();
+    std::size_t transitions_len = run.transitions.size();
+    if (model != nullptr) {
+      util::expects(samples.size() == run.trace.size(),
+                    "root replay needs the flags of every sample");
+      MonitorSession session(*model);
+      std::optional<Violation> first;
+      std::size_t next = 0;
+      bool stopped = false;
+      // Feeds the next sample; true once the monitored run would stop.
+      const auto feed = [&] {
+        const SampleFlags& flags = samples[next];
+        const auto violation = session.on_sample(run.trace[next], flags.crashed,
+                                                 flags.crash_cause, flags.firmware_dead,
+                                                 flags.workload_failed);
+        ++next;
+        if (violation && !first) first = violation;
+        return first.has_value() && spec.stop_on_violation;
+      };
+      std::size_t kept = 0;
+      for (; kept < snapshots.size(); ++kept) {
+        ExperimentSnapshot& snap = snapshots[kept];
+        while (!stopped && next < run.trace.size() && run.trace[next].time_ms < snap.time_ms) {
+          stopped = feed();
+        }
+        if (stopped) break;  // the monitored run stopped before this capture
+        snap.monitor = session.save();
+        snap.violation = first;
+      }
+      snapshots.erase(snapshots.begin() + static_cast<std::ptrdiff_t>(kept), snapshots.end());
+      while (!stopped && next < run.trace.size()) stopped = feed();
+      if (stopped) {
+        trace_len = next;
+        transitions_len = samples[next - 1].transitions_len;
+      }
+    }
+    prefix_trace_.assign(run.trace.begin(),
+                         run.trace.begin() + static_cast<std::ptrdiff_t>(trace_len));
+    prefix_transitions_.assign(
+        run.transitions.begin(),
+        run.transitions.begin() + static_cast<std::ptrdiff_t>(transitions_len));
 
-  void add(ExperimentSnapshot snapshot) {
-    total_bytes_ += snapshot.approx_bytes();
-    snapshots_.push_back(std::move(snapshot));
-  }
-
-  // Install the finished prefix run's shared trace/transitions and enforce
-  // the byte budget by thinning to every other snapshot (coarser cadence,
-  // same coverage span) until the set fits.
-  void finish(const ExperimentResult& prefix) {
-    prefix_trace_ = prefix.trace;
-    prefix_transitions_ = prefix.transitions;
+    // Byte budget: thin to every other snapshot (coarser cadence, same
+    // coverage span) until the set fits.
+    snapshots_ = std::move(snapshots);
+    evicted_ = 0;
+    total_bytes_ = 0;
+    for (const ExperimentSnapshot& snap : snapshots_) total_bytes_ += snap.approx_bytes();
     while (config_.byte_budget > 0 && total_bytes_ > config_.byte_budget &&
            snapshots_.size() > 1) {
       std::vector<ExperimentSnapshot> kept;

@@ -6,20 +6,31 @@
 
 namespace avis::core {
 
+namespace {
+// The restore point `checkpoints` offers `spec` (cold when there is none).
+CheckpointResume resume_point(const CheckpointStore* checkpoints, const ExperimentSpec& spec,
+                              bool monitored) {
+  if (checkpoints == nullptr || !checkpoints->has_restore_points()) return {};
+  checkpoints->require_matches(spec, monitored);
+  return checkpoints->resolve(spec.plan);
+}
+}  // namespace
+
 ExperimentResult SimulationHarness::run(const ExperimentSpec& spec,
                                         const MonitorModel* monitor_model,
                                         ExperimentContext* context,
                                         const CheckpointStore* checkpoints, int capture_limit,
                                         std::vector<ExperimentSnapshot>* tree_captures) const {
   ScheduledDirector director(spec.plan);
+  const CheckpointResume resume = resume_point(checkpoints, spec, monitor_model != nullptr);
   const auto events = static_cast<int>(spec.plan.events.size());
   if (tree_captures == nullptr || checkpoints == nullptr || !checkpoints->trees_enabled() ||
       events == 0 || events > capture_limit) {
-    return p_run(spec, director, monitor_model, context, checkpoints, nullptr);
+    return p_run(spec, director, monitor_model, context, resume);
   }
   TreeCapture capture = plan_tree_capture(spec, checkpoints->config());
   ExperimentResult result =
-      p_run(spec, director, monitor_model, context, checkpoints, nullptr, &capture);
+      p_run(spec, director, monitor_model, context, resume, nullptr, &capture);
   *tree_captures = std::move(capture.snapshots);
   return result;
 }
@@ -28,22 +39,77 @@ ExperimentResult SimulationHarness::run_with_director(const ExperimentSpec& spec
                                                       hinj::FaultDirector& custom_director,
                                                       const MonitorModel* monitor_model,
                                                       ExperimentContext* context) const {
-  return p_run(spec, custom_director, monitor_model, context, nullptr, nullptr);
+  return p_run(spec, custom_director, monitor_model, context);
 }
 
 CheckpointStore SimulationHarness::record_prefix(const ExperimentSpec& spec,
                                                  const MonitorModel* monitor_model,
                                                  const CheckpointConfig& config,
                                                  ExperimentContext* context) const {
-  util::expects(config.interval_ms > 0, "checkpoint cadence must be positive");
-  CheckpointStore store(config);
   ExperimentSpec prefix_spec = spec;
   prefix_spec.plan = FaultPlan{};
-  store.begin(prefix_spec, monitor_model != nullptr);
+  RootCapture capture = plan_root_capture(config, prefix_spec.max_duration_ms);
   ScheduledDirector director(prefix_spec.plan);
-  const ExperimentResult prefix =
-      p_run(prefix_spec, director, monitor_model, context, nullptr, &store);
-  store.finish(prefix);
+  const ExperimentResult run = p_run(prefix_spec, director, nullptr, context, {}, &capture);
+  return root_from_run(prefix_spec, monitor_model, config, run, std::move(capture), context);
+}
+
+CheckpointStore SimulationHarness::root_from_run(const ExperimentSpec& spec,
+                                                 const MonitorModel* monitor_model,
+                                                 const CheckpointConfig& config,
+                                                 const ExperimentResult& run, RootCapture capture,
+                                                 ExperimentContext* context) const {
+  util::expects(run.duration_ms <= spec.max_duration_ms,
+                "the fault-free run outlasts the prefix it stands in for");
+  ExperimentSpec prefix_spec = spec;
+  prefix_spec.plan = FaultPlan{};
+  std::vector<ExperimentSnapshot> snapshots = std::move(capture.snapshots);
+
+  // Extra capture times off the cadence grid that the run reaches (it takes
+  // a snapshot at the top of every iteration before duration_ms).
+  std::vector<sim::SimTimeMs> extra;
+  for (sim::SimTimeMs t : config.capture_at) {
+    if (t > 0 && t < run.duration_ms && t % config.interval_ms != 0) extra.push_back(t);
+  }
+  std::sort(extra.begin(), extra.end());
+  extra.erase(std::unique(extra.begin(), extra.end()), extra.end());
+
+  // One short re-simulation per cadence interval holding extra times:
+  // restore the interval's opening snapshot (cold before the first one) and
+  // step through the interval's extra times, capturing each. The restored
+  // world plus the run's own trace and transitions reproduce the run
+  // exactly (the checkpoint parity contract), unmonitored like the run;
+  // install_root fills the monitor capsules of all snapshots alike.
+  for (std::size_t i = 0; i < extra.size();) {
+    const sim::SimTimeMs opening_ms = extra[i] / config.interval_ms * config.interval_ms;
+    RootCapture resim;
+    resim.stop_after_last = true;
+    while (i < extra.size() && extra[i] < opening_ms + config.interval_ms) {
+      resim.times.push_back(extra[i++]);
+    }
+    CheckpointResume resume;
+    if (opening_ms > 0) {
+      const auto opening = std::find_if(
+          snapshots.begin(), snapshots.end(),
+          [opening_ms](const ExperimentSnapshot& snap) { return snap.time_ms == opening_ms; });
+      util::expects(opening != snapshots.end(), "cadence snapshot missing from the root run");
+      resume.snapshot = &*opening;
+      resume.trace = &run.trace;
+      resume.transitions = &run.transitions;
+    }
+    ScheduledDirector director(prefix_spec.plan);
+    p_run(prefix_spec, director, nullptr, context, resume, &resim);
+    util::expects(resim.snapshots.size() == resim.times.size(),
+                  "a root re-simulation missed a capture time");
+    for (ExperimentSnapshot& snap : resim.snapshots) snapshots.push_back(std::move(snap));
+  }
+  std::sort(snapshots.begin(), snapshots.end(),
+            [](const ExperimentSnapshot& a, const ExperimentSnapshot& b) {
+              return a.time_ms < b.time_ms;
+            });
+
+  CheckpointStore store(config);
+  store.install_root(prefix_spec, monitor_model, std::move(snapshots), run, capture.samples);
   return store;
 }
 
@@ -54,7 +120,8 @@ ExperimentResult SimulationHarness::run_recording(const ExperimentSpec& spec,
   ScheduledDirector director(spec.plan);
   TreeCapture capture = plan_tree_capture(spec, store.config());
   ExperimentResult result =
-      p_run(spec, director, monitor_model, context, &store, nullptr, &capture);
+      p_run(spec, director, monitor_model, context,
+            resume_point(&store, spec, monitor_model != nullptr), nullptr, &capture);
   // An unsafe run's snapshots can never be restored (strategies only extend
   // bug-free chains), so merging them would only burn budget.
   if (!result.unsafe()) {
@@ -69,8 +136,8 @@ ExperimentResult SimulationHarness::p_run(const ExperimentSpec& spec,
                                           hinj::FaultDirector& custom_director,
                                           const MonitorModel* monitor_model,
                                           ExperimentContext* context,
-                                          const CheckpointStore* restore_from,
-                                          CheckpointStore* capture_into,
+                                          const CheckpointResume& resume,
+                                          RootCapture* root_capture,
                                           TreeCapture* tree_capture) const {
   // Without a caller-supplied arena, provision into a one-shot local one —
   // same code path, same construction order, the storage just dies with the
@@ -86,12 +153,6 @@ ExperimentResult SimulationHarness::p_run(const ExperimentSpec& spec,
   // first, fault-free root as fallback — skips the re-simulation of the
   // shared prefix without changing a single observable bit
   // (docs/PERFORMANCE.md).
-  CheckpointResume resume;
-  if (restore_from != nullptr && restore_from->has_restore_points()) {
-    restore_from->require_matches(spec, monitor_model != nullptr);
-    resume = restore_from->resolve(spec.plan);
-  }
-
   const bool restoring = static_cast<bool>(resume);
   util::expects(!restoring || (resume.trace != nullptr && resume.transitions != nullptr),
                 "a resume snapshot must come with its recording");
@@ -224,25 +285,7 @@ ExperimentResult SimulationHarness::p_run(const ExperimentSpec& spec,
   sim::Simulator& simulator = *world.simulator;
   fw::Firmware& firmware = *world.firmware;
 
-  // Capture schedule (prefix run only): the cadence grid merged with the
-  // config's exact extra times (golden transition timestamps), ascending
-  // and deduplicated. Time 0 is excluded — a snapshot there is just a cold
-  // start.
-  std::vector<sim::SimTimeMs> capture_times;
-  std::size_t capture_idx = 0;
-  if (capture_into != nullptr) {
-    const CheckpointConfig& config = capture_into->config();
-    for (sim::SimTimeMs t = config.interval_ms; t < spec.max_duration_ms;
-         t += config.interval_ms) {
-      capture_times.push_back(t);
-    }
-    for (sim::SimTimeMs t : config.capture_at) {
-      if (t > 0 && t < spec.max_duration_ms) capture_times.push_back(t);
-    }
-    std::sort(capture_times.begin(), capture_times.end());
-    capture_times.erase(std::unique(capture_times.begin(), capture_times.end()),
-                        capture_times.end());
-  }
+  std::size_t capture_idx = 0;  // next root capture time
 
   // Tree capture schedule (directed run, checkpoint trees on): planned by
   // plan_tree_capture. A restored run starts past some of the planned
@@ -284,9 +327,11 @@ ExperimentResult SimulationHarness::p_run(const ExperimentSpec& spec,
   for (sim::SimTimeMs now = start_ms; now < spec.max_duration_ms; ++now) {
     // Checkpoint capture, at the top of the iteration so a restored run
     // re-enters the loop at exactly this point.
-    if (capture_idx < capture_times.size() && now == capture_times[capture_idx]) {
+    if (root_capture != nullptr && capture_idx < root_capture->times.size() &&
+        now == root_capture->times[capture_idx]) {
       ++capture_idx;
-      capture_into->add(assemble_snapshot(now));
+      root_capture->snapshots.push_back(assemble_snapshot(now));
+      if (root_capture->stop_after_last && capture_idx == root_capture->times.size()) break;
     }
 
     // Tree capture, same top-of-iteration point. Stop once the recording
@@ -352,9 +397,15 @@ ExperimentResult SimulationHarness::p_run(const ExperimentSpec& spec,
       sample.armed = firmware.armed();
       result.trace.push_back(sample);
 
+      const bool workload_failed =
+          (monitor != nullptr || root_capture != nullptr) && workload_done_at >= 0 &&
+          workload.status() == workload::WorkloadStatus::kFailed;
+      if (root_capture != nullptr) {
+        root_capture->samples.push_back({simulator.state().crashed, simulator.last_crash(),
+                                         firmware_dead, workload_failed,
+                                         director.transitions().size()});
+      }
       if (monitor != nullptr) {
-        const bool workload_failed =
-            workload_done_at >= 0 && workload.status() == workload::WorkloadStatus::kFailed;
         const auto violation =
             monitor->on_sample(sample, simulator.state().crashed, simulator.last_crash(),
                                firmware_dead, workload_failed);
@@ -391,12 +442,13 @@ ExperimentResult SimulationHarness::p_run(const ExperimentSpec& spec,
 }
 
 ExperimentResult SimulationHarness::profile_run(const ExperimentSpec& prototype,
-                                               std::uint64_t seed,
-                                               ExperimentContext* context) const {
+                                               std::uint64_t seed, ExperimentContext* context,
+                                               RootCapture* capture) const {
   ExperimentSpec spec = prototype;
   spec.plan = FaultPlan{};
   spec.seed = seed;
-  ExperimentResult result = run(spec, nullptr, context);
+  ScheduledDirector director(spec.plan);
+  ExperimentResult result = p_run(spec, director, nullptr, context, {}, capture);
   util::expects(result.workload_passed, "profiling run did not complete its workload");
   return result;
 }

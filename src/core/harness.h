@@ -222,10 +222,10 @@ class SimulationHarness {
   // first violation. Profiling runs pass nullptr. `context`, when given, is
   // the worker's reusable arena; nullptr provisions (and discards) a fresh
   // one, which is bit-identical but pays the allocations. `checkpoints`,
-  // when given, must have been recorded from the same scenario (same spec
-  // minus the plan, same monitored-ness — record_prefix below): the run
-  // then restores the deepest usable snapshot — tree or root — and
-  // simulates only the suffix, bit-identical to a cold run
+  // when given, must have been built for the same scenario (same spec
+  // minus the plan, same monitored-ness — record_prefix or root_from_run
+  // below): the run then restores the deepest usable snapshot — tree or
+  // root — and simulates only the suffix, bit-identical to a cold run
   // (result.resumed_from_ms records the skip).
   //
   // Checkpoint-tree recording, for the checker: when `tree_captures` is
@@ -248,15 +248,30 @@ class SimulationHarness {
                                      const MonitorModel* monitor_model,
                                      ExperimentContext* context = nullptr) const;
 
-  // The checkpointing prefix run: simulates `spec` with its plan cleared,
-  // capturing a snapshot of complete world state every
-  // `config.interval_ms` of sim time, and returns the filled store. The
-  // prefix must run under the same monitor the accelerated experiments will
-  // use (the monitor session's history is part of world state).
+  // The fault-free root for `spec` (plan cleared) under `monitor_model`
+  // (the monitor session's history is part of world state, so the root
+  // must match the monitored-ness of the runs it accelerates): simulates
+  // the spec fault-free, unmonitored, capturing a snapshot every
+  // `config.interval_ms` of sim time, and builds the store from that run
+  // with root_from_run. The checker skips this simulation: its golden
+  // profiling run is the same run, captured while profiling.
   CheckpointStore record_prefix(const ExperimentSpec& spec,
                                 const MonitorModel* monitor_model,
                                 const CheckpointConfig& config,
                                 ExperimentContext* context = nullptr) const;
+
+  // Builds the root for `spec` from `run`, an unmonitored fault-free run of
+  // the same scenario whose `capture` (plan_root_capture's cadence grid for
+  // `config`) was filled while it ran. `run` may have had a different
+  // duration cap than `spec`, as long as it ended on its own within
+  // `spec.max_duration_ms`: it then steps exactly the iterations the
+  // prefix run would. Snapshots at `config.capture_at` times off the
+  // cadence grid are re-simulated from the preceding cadence snapshot (at
+  // most one interval each), and the store replays the monitor over the
+  // run (CheckpointStore::install_root).
+  CheckpointStore root_from_run(const ExperimentSpec& spec, const MonitorModel* monitor_model,
+                                const CheckpointConfig& config, const ExperimentResult& run,
+                                RootCapture capture, ExperimentContext* context = nullptr) const;
 
   // Checkpoint-tree building block: run one *directed* experiment, restoring
   // from the deepest usable snapshot in `store` (tree or root), while
@@ -282,9 +297,12 @@ class SimulationHarness {
   // One of profile()'s runs: the prototype fault-free at `seed`; throws if
   // the workload did not complete. Runs are independent, so a caller may
   // run them concurrently and calibrate the results in seed order
-  // (Checker::model() profiles on its experiment pool).
+  // (Checker::model() profiles on its experiment pool). `capture`, when
+  // given, is filled while the run simulates (plan_root_capture) — the
+  // checker captures the golden run's snapshots for root_from_run this way.
   ExperimentResult profile_run(const ExperimentSpec& prototype, std::uint64_t seed,
-                               ExperimentContext* context = nullptr) const;
+                               ExperimentContext* context = nullptr,
+                               RootCapture* capture = nullptr) const;
 
   // Per-run step hook for benches that need full-rate traces (Fig. 9/10).
   using StepHook = std::function<void(sim::SimTimeMs, const sim::VehicleState&,
@@ -292,18 +310,17 @@ class SimulationHarness {
   void set_step_hook(StepHook hook) { step_hook_ = std::move(hook); }
 
  private:
-  // The one experiment loop behind run/run_with_director/record_prefix:
-  // provision the world (cold, or restored from the best usable snapshot in
-  // `restore_from` via CheckpointStore::resolve; nullptr = cold), step it,
-  // and finalize the result. `capture_into` records cadenced snapshots while
-  // running (the prefix run); `tree_capture` records tree snapshots while
-  // running a *directed* experiment (planned by plan_tree_capture; the
-  // caller merges the captures into a store if the run stays safe).
-  // capture_into and tree_capture are mutually exclusive by construction.
+  // The one experiment loop behind every public entry point: provision the
+  // world (cold, or restored from `resume`; default = cold), step it, and
+  // finalize the result. `root_capture` records snapshots at fixed times
+  // and every sample's monitor flags (fault-free root runs and their
+  // re-simulations); `tree_capture` records tree snapshots while running a
+  // *directed* experiment (planned by plan_tree_capture; the caller merges
+  // the captures into a store if the run stays safe).
   ExperimentResult p_run(const ExperimentSpec& spec, hinj::FaultDirector& custom_director,
                          const MonitorModel* monitor_model, ExperimentContext* context,
-                         const CheckpointStore* restore_from,
-                         CheckpointStore* capture_into,
+                         const CheckpointResume& resume = {},
+                         RootCapture* root_capture = nullptr,
                          TreeCapture* tree_capture = nullptr) const;
 
   StepHook step_hook_;

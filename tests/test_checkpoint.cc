@@ -9,6 +9,11 @@
 // like tests/test_harness.cc does for arenas.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <string>
+
 #include "core/checkpoint.h"
 #include "core/checker.h"
 #include "core/harness.h"
@@ -78,13 +83,12 @@ TEST(Checkpoint, FirstInjectionPicksTheLatestUsableSnapshot) {
   CheckpointConfig config;
   config.interval_ms = 5000;
   CheckpointStore store(config);
-  store.begin(ExperimentSpec{}, false);
+  std::vector<ExperimentSnapshot> snapshots;
   for (sim::SimTimeMs t : {5000, 10000, 15000}) {
-    ExperimentSnapshot snap;
-    snap.time_ms = t;
-    store.add(std::move(snap));
+    snapshots.emplace_back();
+    snapshots.back().time_ms = t;
   }
-  store.finish(ExperimentResult{});
+  store.install_root(ExperimentSpec{}, nullptr, std::move(snapshots), ExperimentResult{}, {});
   EXPECT_EQ(store.best_for(0), nullptr);     // injects at t=0: nothing usable
   EXPECT_EQ(store.best_for(4999), nullptr);  // injects before the first snapshot
   EXPECT_EQ(store.best_for(5000)->time_ms, 5000);    // exact hit, first
@@ -98,11 +102,9 @@ TEST(Checkpoint, FirstInjectionPicksTheLatestUsableSnapshot) {
 
 TEST(Checkpoint, BestForHandlesASingleSnapshotStore) {
   CheckpointStore store{CheckpointConfig{}};
-  store.begin(ExperimentSpec{}, false);
-  ExperimentSnapshot snap;
-  snap.time_ms = 7000;
-  store.add(std::move(snap));
-  store.finish(ExperimentResult{});
+  std::vector<ExperimentSnapshot> snapshots(1);
+  snapshots[0].time_ms = 7000;
+  store.install_root(ExperimentSpec{}, nullptr, std::move(snapshots), ExperimentResult{}, {});
   EXPECT_EQ(store.best_for(6999), nullptr);
   EXPECT_EQ(store.best_for(7000)->time_ms, 7000);
   EXPECT_EQ(store.best_for(7001)->time_ms, 7000);
@@ -316,6 +318,218 @@ TEST(Checkpoint, CheckerCampaignIsReportIdenticalAcrossCheckpointModes) {
 
   avis::testing::expect_reports_equal(normalized(cold), normalized(root));
   avis::testing::expect_reports_equal(normalized(cold), normalized(warm));
+}
+
+// --- The root from the golden profiling run ---------------------------------
+// The checker builds its root from golden profiling run 0's captures instead
+// of simulating a monitored fault-free prefix run. The store must be exactly
+// what that monitored run would have recorded: checked below against cold
+// monitored runs of the same spec, which is what the old recorder was.
+
+void expect_capsules_equal(const MonitorSession::Snapshot& expected,
+                           const MonitorSession::Snapshot& actual) {
+  EXPECT_EQ(expected.history_len, actual.history_len);
+  EXPECT_EQ(expected.consecutive_eq1, actual.consecutive_eq1);
+  EXPECT_EQ(expected.eq1_started_ms, actual.eq1_started_ms);
+  EXPECT_EQ(expected.eq1_mode, actual.eq1_mode);
+  ASSERT_EQ(expected.violation.has_value(), actual.violation.has_value());
+  if (expected.violation) {
+    EXPECT_EQ(expected.violation->type, actual.violation->type);
+    EXPECT_EQ(expected.violation->time_ms, actual.violation->time_ms);
+  }
+}
+
+// Both personalities, a mission and a manual workload, calm and gusty air
+// (gusty puts the wind RNG stream into the simulator capsule). A coarse
+// cadence leaves most golden transitions off the grid, so the root's
+// re-simulated snapshots get real coverage.
+struct RootScenario {
+  const char* personality;
+  const char* workload;
+  const char* environment;
+};
+constexpr RootScenario kRootScenarios[] = {
+    {"ardupilot", "fence-mission", "calm"},
+    {"px4", "box-manual", "gusty"},
+    {"ardupilot", "box-manual", "gusty"},
+    {"px4", "fence-mission", "calm"},
+};
+constexpr sim::SimTimeMs kRootIntervalMs = 4000;
+
+std::string root_label(const RootScenario& scenario) {
+  return std::string(scenario.personality) + "/" + scenario.workload + "/" +
+         scenario.environment;
+}
+
+// One calibrated checker per scenario, cached across the tests below.
+Checker& root_checker(const RootScenario& root) {
+  static std::map<std::string, std::unique_ptr<Checker>> cache;
+  auto& checker = cache[root_label(root)];
+  if (!checker) {
+    ScenarioSpec scenario;
+    scenario.personality = root.personality;
+    scenario.workload = root.workload;
+    scenario.environment = root.environment;
+    CheckpointConfig config;
+    config.interval_ms = kRootIntervalMs;
+    checker = std::make_unique<Checker>(scenario_prototype(scenario), config);
+  }
+  return *checker;
+}
+
+// The spec every experiment of the checker runs (Checker::p_make_spec).
+ExperimentSpec experiment_spec(Checker& checker) {
+  ExperimentSpec spec = checker.prototype();
+  spec.max_duration_ms = checker.model().profiling_duration_ms() + Checker::kSettleMs;
+  return spec;
+}
+
+TEST(CheckpointRoot, GoldenRunRootMatchesTheMonitoredPrefixRun) {
+  SimulationHarness harness;
+  ExperimentContext context;
+  for (const RootScenario& root : kRootScenarios) {
+    SCOPED_TRACE(root_label(root));
+    Checker& checker = root_checker(root);
+    const MonitorModel& model = checker.model();
+    const CheckpointStore* store = checker.checkpoint_store();
+    ASSERT_NE(store, nullptr);
+    const ExperimentSpec spec = experiment_spec(checker);
+
+    // The shared prefix is the monitored fault-free run's trace and mode
+    // trace.
+    const ExperimentResult prefix = harness.run(spec, &model, &context);
+    ExperimentResult shared;
+    shared.trace = store->prefix_trace();
+    shared.transitions = store->prefix_transitions();
+    shared.workload_passed = prefix.workload_passed;
+    shared.duration_ms = prefix.duration_ms;
+    shared.fired_bugs = prefix.fired_bugs;
+    shared.crash_cause = prefix.crash_cause;
+    shared.violation = prefix.violation;
+    expect_results_identical(prefix, shared, "shared prefix");
+
+    // A snapshot at every cadence point and every golden transition the
+    // run reaches, nothing else.
+    std::vector<sim::SimTimeMs> expected_times;
+    for (sim::SimTimeMs t = kRootIntervalMs; t < prefix.duration_ms; t += kRootIntervalMs) {
+      expected_times.push_back(t);
+    }
+    int off_grid = 0;
+    for (const ModeTransition& t : model.golden_transitions()) {
+      if (t.time_ms <= 0 || t.time_ms >= prefix.duration_ms) continue;
+      expected_times.push_back(t.time_ms);
+      if (t.time_ms % kRootIntervalMs != 0) ++off_grid;
+    }
+    std::sort(expected_times.begin(), expected_times.end());
+    expected_times.erase(std::unique(expected_times.begin(), expected_times.end()),
+                         expected_times.end());
+    EXPECT_GT(off_grid, 0);
+    ASSERT_EQ(store->size(), expected_times.size());
+
+    // Each snapshot is the monitored run frozen at the top of its
+    // iteration: a cold monitored run cut at max_duration_ms = t ends there.
+    for (std::size_t i = 0; i < expected_times.size(); ++i) {
+      const sim::SimTimeMs t = expected_times[i];
+      const ExperimentSnapshot* snap = store->best_for(t);
+      ASSERT_NE(snap, nullptr);
+      ASSERT_EQ(snap->time_ms, t);
+      SCOPED_TRACE("t=" + std::to_string(t));
+      ExperimentSpec cut = spec;
+      cut.max_duration_ms = t;
+      const ExperimentResult cold = harness.run(cut, &model, &context);
+      expect_capsules_equal(context.monitor->save(), snap->monitor);
+      EXPECT_EQ(snap->trace_len, cold.trace.size());
+      EXPECT_EQ(snap->transitions_len, cold.transitions.size());
+      EXPECT_FALSE(snap->violation.has_value());
+    }
+  }
+}
+
+TEST(CheckpointRoot, InjectionsAtGoldenTransitionsResumeExactlyThere) {
+  SimulationHarness harness;
+  ExperimentContext context;
+  for (const RootScenario& root : kRootScenarios) {
+    SCOPED_TRACE(root_label(root));
+    Checker& checker = root_checker(root);
+    const MonitorModel& model = checker.model();
+    const CheckpointStore* store = checker.checkpoint_store();
+    ASSERT_NE(store, nullptr);
+    const ExperimentSpec base = experiment_spec(checker);
+    int checked = 0;
+    for (const ModeTransition& t : model.golden_transitions()) {
+      if (t.time_ms <= 0 || t.time_ms >= model.golden_run().duration_ms) continue;
+      SCOPED_TRACE(t.mode_name + "@" + std::to_string(t.time_ms));
+      ExperimentSpec spec = base;
+      spec.plan.add(t.time_ms, {SensorType::kCompass, 0});
+      const ExperimentResult restored = harness.run(spec, &model, &context, store);
+      EXPECT_EQ(restored.resumed_from_ms, t.time_ms);
+      const ExperimentResult cold = harness.run(spec, &model, &context);
+      expect_results_identical(cold, restored, "transition restore");
+      ++checked;
+    }
+    EXPECT_GE(checked, 3);
+  }
+}
+
+// A model calibrated on a different mission makes the replayed golden trace
+// violate Eq. 1 partway through. The root must then hold what the monitored
+// prefix run records before it stops: the trace through the violating
+// sample, the transitions recorded by then, and snapshots up to that
+// iteration only; with stop_on_violation off, the later snapshots carry the
+// latched violation instead.
+TEST(CheckpointRoot, ReplayViolationTruncatesTheRoot) {
+  SimulationHarness harness;
+  ExperimentContext context;
+  const MonitorModel& wrong_model = root_checker(kRootScenarios[2]).model();  // box-manual
+  ExperimentSpec spec = root_checker(kRootScenarios[0]).prototype();          // fence-mission
+  CheckpointConfig config;
+  config.interval_ms = kRootIntervalMs;
+
+  const ExperimentResult monitored = harness.run(spec, &wrong_model, &context);
+  ASSERT_TRUE(monitored.violation.has_value());
+  const ExperimentResult unmonitored = harness.run(spec, nullptr, &context);
+  ASSERT_LT(monitored.duration_ms, unmonitored.duration_ms);
+
+  const CheckpointStore store = harness.record_prefix(spec, &wrong_model, config, &context);
+  ExperimentResult shared = monitored;
+  shared.trace = store.prefix_trace();
+  shared.transitions = store.prefix_transitions();
+  expect_results_identical(monitored, shared, "truncated prefix");
+  const sim::SimTimeMs stop_ms = monitored.duration_ms - 1;  // the violating iteration
+  ASSERT_GT(store.size(), 0u);
+  EXPECT_EQ(store.best_for(FaultPlan::kNever)->time_ms,
+            stop_ms / kRootIntervalMs * kRootIntervalMs);
+  EXPECT_EQ(store.size(), static_cast<std::size_t>(stop_ms / kRootIntervalMs));
+
+  // A plan past the stop restores the last snapshot and still matches cold.
+  ExperimentSpec late = spec;
+  late.plan.add(stop_ms + 1, {SensorType::kGps, 0});
+  const ExperimentResult restored = harness.run(late, &wrong_model, &context, &store);
+  EXPECT_GT(restored.resumed_from_ms, 0);
+  expect_results_identical(harness.run(late, &wrong_model, &context), restored, "late plan");
+
+  // Without stop_on_violation the monitored run goes on, and so does the
+  // root; its snapshots past the violation carry it.
+  spec.stop_on_violation = false;
+  const CheckpointStore latched = harness.record_prefix(spec, &wrong_model, config, &context);
+  EXPECT_EQ(latched.prefix_trace().size(), unmonitored.trace.size());
+  int after_violation = 0;
+  for (sim::SimTimeMs t = kRootIntervalMs; t < unmonitored.duration_ms; t += kRootIntervalMs) {
+    SCOPED_TRACE("t=" + std::to_string(t));
+    const ExperimentSnapshot* snap = latched.best_for(t);
+    ASSERT_NE(snap, nullptr);
+    ASSERT_EQ(snap->time_ms, t);
+    ExperimentSpec cut = spec;
+    cut.max_duration_ms = t;
+    const ExperimentResult cold = harness.run(cut, &wrong_model, &context);
+    expect_capsules_equal(context.monitor->save(), snap->monitor);
+    ASSERT_EQ(cold.violation.has_value(), snap->violation.has_value());
+    if (cold.violation) {
+      EXPECT_EQ(cold.violation->time_ms, snap->violation->time_ms);
+      ++after_violation;
+    }
+  }
+  EXPECT_GT(after_violation, 0);
 }
 
 // The context pool's free list is capped at its high-water concurrent-

@@ -23,6 +23,9 @@
 // Unknown approach/personality/workload/environment/bug names (and unknown
 // flags) exit non-zero with a "did you mean ...? registered ... are: ..."
 // diagnostic sourced from the registries.
+#include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -96,13 +99,19 @@ std::vector<std::string> split_csv(const std::string& arg) {
 }
 
 // Whole-string numeric parse: trailing garbage ("60s") is an error, not a
-// silent zero that would make every cell's budget start exhausted.
+// silent zero that would make every cell's budget start exhausted, and so
+// is a value past the range of long long, which strtoll clamps.
 bool parse_number(const char* text, long long& out) {
   if (text == nullptr || *text == '\0') return false;
   char* end = nullptr;
+  errno = 0;
   out = std::strtoll(text, &end, 10);
-  return end != nullptr && *end == '\0';
+  return errno != ERANGE && end != nullptr && *end == '\0';
 }
+
+// Largest --checkpoint-budget-mb whose byte count fits in std::size_t.
+constexpr long long kMaxBudgetMb =
+    static_cast<long long>(std::min<std::size_t>(LLONG_MAX, SIZE_MAX >> 20));
 
 // Validate a CSV list against a registry up front so the diagnostic names
 // the flag that carried the typo.
@@ -147,8 +156,8 @@ int usage(const char* argv0) {
       << "  --environments LIST      csv of registered environment presets (default calm)\n"
       << "  --bugs NAME              bug population selector (default current)\n"
       << "  --workers N              total hardware budget for the worker split\n"
-      << "  --cell-workers N         override: cells run concurrently\n"
-      << "  --experiment-workers N   override: experiment pool size per cell\n"
+      << "  --cell-workers N         override: cells run concurrently (0 = derive)\n"
+      << "  --experiment-workers N   override: experiment pool size per cell (0 = derive)\n"
       << "  --no-checkpoints         disable checkpointed prefix forking (A/B timing;\n"
       << "                           reports are bit-identical either way)\n"
       << "  --no-checkpoint-trees    keep the fault-free root but disable faulty-prefix\n"
@@ -204,6 +213,16 @@ int main(int argc, char** argv) {
       }
       return true;
     };
+    // A numeric value that must lie in [lo, hi], so it also fits the type
+    // it is stored in.
+    auto bounded = [&](long long& out, long long lo, long long hi) {
+      if (!number(out)) return false;
+      if (out < lo || out > hi) {
+        std::cerr << arg << " must be in [" << lo << ", " << hi << "] (got " << out << ")\n";
+        return false;
+      }
+      return true;
+    };
     auto csv_list = [&](std::vector<std::string>& out) {
       const char* v = value();
       if (v == nullptr) return false;
@@ -225,13 +244,14 @@ int main(int argc, char** argv) {
       options.grid.seed = static_cast<std::uint64_t>(n);
       options.grid_flag_seen = true;
     } else if (arg == "--workers") {
-      if (!number(n)) return usage(argv[0]);
+      if (!bounded(n, 1, INT_MAX)) return usage(argv[0]);
       options.total_workers = static_cast<int>(n);
     } else if (arg == "--cell-workers") {
-      if (!number(n)) return usage(argv[0]);
+      // 0 keeps the derived split.
+      if (!bounded(n, 0, INT_MAX)) return usage(argv[0]);
       options.cell_workers = static_cast<int>(n);
     } else if (arg == "--experiment-workers") {
-      if (!number(n)) return usage(argv[0]);
+      if (!bounded(n, 0, INT_MAX)) return usage(argv[0]);
       options.experiment_workers = static_cast<int>(n);
     } else if (arg == "--approaches") {
       if (!csv_list(options.grid.approaches)) return usage(argv[0]);
@@ -280,11 +300,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-checkpoint-trees") {
       options.checkpoints.trees = false;
     } else if (arg == "--checkpoint-budget-mb") {
-      if (!number(n)) return usage(argv[0]);
-      if (n <= 0) {
-        std::cerr << "--checkpoint-budget-mb must be positive (got " << n << ")\n";
-        return usage(argv[0]);
-      }
+      if (!bounded(n, 1, kMaxBudgetMb)) return usage(argv[0]);
       options.checkpoints.byte_budget =
           static_cast<std::size_t>(n) * std::size_t{1024} * std::size_t{1024};
     } else if (arg == "--checkpoint-interval-ms") {
@@ -295,18 +311,10 @@ int main(int argc, char** argv) {
       }
       options.checkpoints.interval_ms = n;
     } else if (arg == "--fuzz") {
-      if (!number(n)) return usage(argv[0]);
-      if (n < 1) {
-        std::cerr << "--fuzz must run at least 1 generation (got " << n << ")\n";
-        return usage(argv[0]);
-      }
+      if (!bounded(n, 1, INT_MAX)) return usage(argv[0]);
       options.fuzz_generations = n;
     } else if (arg == "--fuzz-mutants") {
-      if (!number(n)) return usage(argv[0]);
-      if (n < 1) {
-        std::cerr << "--fuzz-mutants must be at least 1 (got " << n << ")\n";
-        return usage(argv[0]);
-      }
+      if (!bounded(n, 1, INT_MAX)) return usage(argv[0]);
       options.fuzz_mutants = n;
       options.fuzz_flag_seen = true;
     } else if (arg == "--fuzz-seed") {

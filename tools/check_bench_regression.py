@@ -23,9 +23,11 @@ import sys
 # Single-worker benches worth gating; names must match google-benchmark's
 # JSON "name" field exactly. BM_SingleExperiment is one scalar experiment,
 # the path every checker experiment takes; BM_CheckerCampaign2h is a SABRE
-# campaign at the paper's 2 h budget.
+# campaign at the paper's 2 h budget; BM_CheckerSetup is one scenario's
+# profiling plus checkpoint root, the fixed cost of every campaign cell.
 GATED = [
     "BM_SingleExperiment",
+    "BM_CheckerSetup",
     "BM_CheckerCampaign/1/process_time/real_time",
     "BM_CheckerCampaign2h/1/process_time/real_time",
 ]
