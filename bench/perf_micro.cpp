@@ -287,13 +287,13 @@ static void BM_SabrePendingFeedback(benchmark::State& state) {
 }
 BENCHMARK(BM_SabrePendingFeedback);
 
-// Checkpoint-tree store lookups: resolve() against a root (30 snapshots)
-// plus Arg(0) merged two-event chain recordings. Each iteration resolves a
-// depth-1 extension, a depth-2 extension and a tree miss (root fallback) —
-// the three shapes every provisioned experiment pays exactly once. The
-// prefix-signature buckets keep this flat in the number of recordings; a
-// per-experiment cost that scaled with tree size would eat the restore win
-// on long campaigns.
+// Snapshot store lookups: resolve() against a root (30 snapshots in the ""
+// bucket) plus Arg(0) merged two-event chain recordings. Each iteration
+// resolves a depth-1 extension, a depth-2 extension and a tree miss (the
+// level walk ends at the root's level 0) — the three shapes every
+// provisioned experiment pays exactly once. The prefix-signature buckets
+// keep this flat in the number of recordings; a per-experiment cost that
+// scaled with tree size would eat the restore win on long campaigns.
 static void BM_CheckpointTree(benchmark::State& state) {
   const int recordings = static_cast<int>(state.range(0));
   const sensors::SensorId compass{sensors::SensorType::kCompass, 0};

@@ -254,7 +254,6 @@ std::string campaign_report_json(const CampaignResult& result) {
   os << "    \"checkpoint_hits\": " << result.total_checkpoint_hits() << ",\n";
   os << "    \"checkpoint_misses\": " << result.total_checkpoint_misses() << ",\n";
   os << "    \"checkpoint_evicted\": " << result.total_checkpoint_evicted() << ",\n";
-  os << "    \"checkpoint_tree_evicted\": " << result.total_checkpoint_tree_evicted() << ",\n";
   os << "    \"checkpoint_skipped_ms\": " << result.total_checkpoint_skipped_ms() << "\n";
   os << "  },\n";
   os << "  \"cells\": [\n";
@@ -313,7 +312,6 @@ std::string campaign_report_json(const CampaignResult& result) {
     }
     os << "],\n";
     os << "      \"checkpoint_evicted\": " << report.checkpoint_evicted << ",\n";
-    os << "      \"checkpoint_tree_evicted\": " << report.checkpoint_tree_evicted << ",\n";
     os << "      \"checkpoint_skipped_ms\": " << report.checkpoint_skipped_ms << ",\n";
     os << "      \"stalled_runs\": " << report.stalled_runs << ",\n";
     os << "      \"wall_seconds\": " << cell.wall_seconds << ",\n";
@@ -383,7 +381,6 @@ std::string checker_report_json(const CheckerReport& report, int indent) {
   }
   os << "],\n";
   os << pad << "  \"checkpoint_evicted\": " << report.checkpoint_evicted << ",\n";
-  os << pad << "  \"checkpoint_tree_evicted\": " << report.checkpoint_tree_evicted << ",\n";
   os << pad << "  \"checkpoint_skipped_ms\": " << report.checkpoint_skipped_ms << ",\n";
   os << pad << "  \"stalled_runs\": " << report.stalled_runs << ",\n";
   os << pad << "  \"edge_coverage\": [";
@@ -456,8 +453,6 @@ CheckerReport checker_report_from_json(const util::Json& json) {
     report.checkpoint_hits_by_level.push_back(static_cast<int>(level.as_int64()));
   }
   report.checkpoint_evicted = static_cast<int>(json.at("checkpoint_evicted").as_int64());
-  report.checkpoint_tree_evicted =
-      static_cast<int>(json.at("checkpoint_tree_evicted").as_int64());
   report.checkpoint_skipped_ms = json.at("checkpoint_skipped_ms").as_int64();
   report.stalled_runs = static_cast<int>(json.at("stalled_runs").as_int64());
   for (const util::Json& entry : json.at("edge_coverage").as_array()) {

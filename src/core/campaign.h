@@ -141,11 +141,6 @@ struct CampaignResult {
     for (const auto& cell : cells) total += cell.report.checkpoint_skipped_ms;
     return total;
   }
-  int total_checkpoint_tree_evicted() const {
-    int total = 0;
-    for (const auto& cell : cells) total += cell.report.checkpoint_tree_evicted;
-    return total;
-  }
   int total_stalled_runs() const {
     int total = 0;
     for (const auto& cell : cells) total += cell.report.stalled_runs;

@@ -53,8 +53,9 @@ struct CheckerReport {
   // many experiments restored a recorded prefix snapshot (hit) vs simulated
   // from scratch despite an available store (miss — the plan injects before
   // the first snapshot; with checkpointing disabled both counters stay 0),
-  // how many snapshots the store evicted to fit its byte budget, and the
-  // total simulated milliseconds the restores skipped.
+  // how many snapshots — root and tree alike — the store evicted to fit
+  // its byte budget, and the total simulated milliseconds the restores
+  // skipped.
   // Wall-clock accounting only: the reported experiments, budget charges
   // and unsafe records are bit-identical with checkpointing on or off.
   int checkpoint_hits = 0;
@@ -69,9 +70,6 @@ struct CheckerReport {
   // hits differently (wave timing decides what is recorded when a plan
   // resolves), which is why report-identity checks mask checkpoint_*.
   std::vector<int> checkpoint_hits_by_level;
-  // Tree snapshots evicted under byte-budget pressure (root evictions stay
-  // in checkpoint_evicted).
-  int checkpoint_tree_evicted = 0;
   // Experiments that ran to max_duration without a violation (the
   // workload never finished and nothing tripped the monitor) — the
   // ROADMAP's stalled-run observability item. Deterministic across
@@ -136,13 +134,13 @@ class Checker {
   // cadence snapshots p_checkpoints builds the scenario's root from.
   const MonitorModel& model() {
     if (!model_) {
-      RootCapture golden_capture;
+      SnapshotCapture golden_capture;
       if (checkpoint_config_.enabled) {
         golden_capture = plan_root_capture(checkpoint_config_, prototype_.max_duration_ms);
       }
       std::vector<std::future<ExperimentResult>> runs;
       for (int i = 0; i < kProfilingRuns; ++i) {
-        RootCapture* capture =
+        SnapshotCapture* capture =
             i == 0 && checkpoint_config_.enabled ? &golden_capture : nullptr;
         auto task = [this, capture, seed = prototype_.seed + static_cast<std::uint64_t>(i)] {
           auto context = contexts_.acquire();
@@ -338,7 +336,6 @@ class Checker {
     report.labels = budget.labels();
     report.budget_used_ms = budget.used_ms();
     report.checkpoint_evicted = checkpoints != nullptr ? checkpoints->evicted() : 0;
-    report.checkpoint_tree_evicted = checkpoints != nullptr ? checkpoints->tree_evicted() : 0;
     return report;
   }
 
@@ -374,27 +371,21 @@ class Checker {
   // the same store. The golden profiling run is the prefix run's twin —
   // same seed, same spec, empty plan — so the root is built from its
   // captures (SimulationHarness::root_from_run): no extra fault-free
-  // simulation, only short re-simulations to the capture times off the
-  // cadence grid and a monitor replay. Those extra times are the golden
-  // mode-transition timestamps: the search strategies concentrate their
-  // injections exactly there (SABRE seeds its queue from the golden
-  // transitions), so those plans restore with zero re-simulated prefix. A
-  // golden run its own duration cap cut short is not the prefix run's twin
-  // (the prefix spec's cap is longer); the prefix is then simulated anew.
+  // simulation, only short re-simulations to the golden transition times
+  // off the cadence grid and a monitor replay. A golden run its own
+  // duration cap cut short is not the prefix run's twin (the prefix spec's
+  // cap is longer); the prefix is then simulated anew.
   const CheckpointStore* p_checkpoints(const MonitorModel& monitor) {
     if (!checkpoint_config_.enabled) return nullptr;
     if (!checkpoints_) {
-      CheckpointConfig config = checkpoint_config_;
-      for (const ModeTransition& t : monitor.golden_transitions()) {
-        config.capture_at.push_back(t.time_ms);
-      }
       const ExperimentSpec spec = p_make_spec(FaultPlan{}, monitor);
       const ExperimentResult& golden = monitor.golden_run();
       auto context = contexts_.acquire();
-      checkpoints_ = golden.duration_ms < prototype_.max_duration_ms
-                         ? harness_.root_from_run(spec, &monitor, config, golden,
-                                                  std::move(*golden_capture_), context.get())
-                         : harness_.record_prefix(spec, &monitor, config, context.get());
+      checkpoints_ =
+          golden.duration_ms < prototype_.max_duration_ms
+              ? harness_.root_from_run(spec, &monitor, checkpoint_config_, golden,
+                                       std::move(*golden_capture_), context.get())
+              : harness_.record_prefix(spec, &monitor, checkpoint_config_, context.get());
       contexts_.release(std::move(context));
       golden_capture_.reset();
     }
@@ -464,7 +455,7 @@ class Checker {
   std::optional<MonitorModel> model_;
   // The golden run's root captures, from model() until p_checkpoints
   // builds the root out of them.
-  std::optional<RootCapture> golden_capture_;
+  std::optional<SnapshotCapture> golden_capture_;
   std::optional<CheckpointStore> checkpoints_;
   // Last member: destroyed (joined) first, while everything its tasks
   // reference is still alive.

@@ -28,9 +28,8 @@ ExperimentResult SimulationHarness::run(const ExperimentSpec& spec,
       events == 0 || events > capture_limit) {
     return p_run(spec, director, monitor_model, context, resume);
   }
-  TreeCapture capture = plan_tree_capture(spec, checkpoints->config());
-  ExperimentResult result =
-      p_run(spec, director, monitor_model, context, resume, nullptr, &capture);
+  SnapshotCapture capture = plan_tree_capture(spec, *checkpoints);
+  ExperimentResult result = p_run(spec, director, monitor_model, context, resume, &capture);
   *tree_captures = std::move(capture.snapshots);
   return result;
 }
@@ -48,7 +47,7 @@ CheckpointStore SimulationHarness::record_prefix(const ExperimentSpec& spec,
                                                  ExperimentContext* context) const {
   ExperimentSpec prefix_spec = spec;
   prefix_spec.plan = FaultPlan{};
-  RootCapture capture = plan_root_capture(config, prefix_spec.max_duration_ms);
+  SnapshotCapture capture = plan_root_capture(config, prefix_spec.max_duration_ms);
   ScheduledDirector director(prefix_spec.plan);
   const ExperimentResult run = p_run(prefix_spec, director, nullptr, context, {}, &capture);
   return root_from_run(prefix_spec, monitor_model, config, run, std::move(capture), context);
@@ -57,7 +56,8 @@ CheckpointStore SimulationHarness::record_prefix(const ExperimentSpec& spec,
 CheckpointStore SimulationHarness::root_from_run(const ExperimentSpec& spec,
                                                  const MonitorModel* monitor_model,
                                                  const CheckpointConfig& config,
-                                                 const ExperimentResult& run, RootCapture capture,
+                                                 const ExperimentResult& run,
+                                                 SnapshotCapture capture,
                                                  ExperimentContext* context) const {
   util::expects(run.duration_ms <= spec.max_duration_ms,
                 "the fault-free run outlasts the prefix it stands in for");
@@ -65,11 +65,17 @@ CheckpointStore SimulationHarness::root_from_run(const ExperimentSpec& spec,
   prefix_spec.plan = FaultPlan{};
   std::vector<ExperimentSnapshot> snapshots = std::move(capture.snapshots);
 
-  // Extra capture times off the cadence grid that the run reaches (it takes
-  // a snapshot at the top of every iteration before duration_ms).
+  // Extra capture times: the golden mode transitions — the search
+  // strategies concentrate their injections exactly there (SABRE seeds its
+  // queue from them), so those plans restore with zero re-simulated prefix
+  // — off the cadence grid that the run reaches (it takes a snapshot at the
+  // top of every iteration before duration_ms).
   std::vector<sim::SimTimeMs> extra;
-  for (sim::SimTimeMs t : config.capture_at) {
-    if (t > 0 && t < run.duration_ms && t % config.interval_ms != 0) extra.push_back(t);
+  if (monitor_model != nullptr) {
+    for (const ModeTransition& transition : monitor_model->golden_transitions()) {
+      const sim::SimTimeMs t = transition.time_ms;
+      if (t > 0 && t < run.duration_ms && t % config.interval_ms != 0) extra.push_back(t);
+    }
   }
   std::sort(extra.begin(), extra.end());
   extra.erase(std::unique(extra.begin(), extra.end()), extra.end());
@@ -82,7 +88,7 @@ CheckpointStore SimulationHarness::root_from_run(const ExperimentSpec& spec,
   // install_root fills the monitor capsules of all snapshots alike.
   for (std::size_t i = 0; i < extra.size();) {
     const sim::SimTimeMs opening_ms = extra[i] / config.interval_ms * config.interval_ms;
-    RootCapture resim;
+    SnapshotCapture resim;
     resim.stop_after_last = true;
     while (i < extra.size() && extra[i] < opening_ms + config.interval_ms) {
       resim.times.push_back(extra[i++]);
@@ -118,10 +124,9 @@ ExperimentResult SimulationHarness::run_recording(const ExperimentSpec& spec,
                                                   ExperimentContext* context,
                                                   CheckpointStore& store) const {
   ScheduledDirector director(spec.plan);
-  TreeCapture capture = plan_tree_capture(spec, store.config());
-  ExperimentResult result =
-      p_run(spec, director, monitor_model, context,
-            resume_point(&store, spec, monitor_model != nullptr), nullptr, &capture);
+  SnapshotCapture capture = plan_tree_capture(spec, store);
+  ExperimentResult result = p_run(spec, director, monitor_model, context,
+                                  resume_point(&store, spec, monitor_model != nullptr), &capture);
   // An unsafe run's snapshots can never be restored (strategies only extend
   // bug-free chains), so merging them would only burn budget.
   if (!result.unsafe()) {
@@ -137,8 +142,7 @@ ExperimentResult SimulationHarness::p_run(const ExperimentSpec& spec,
                                           const MonitorModel* monitor_model,
                                           ExperimentContext* context,
                                           const CheckpointResume& resume,
-                                          RootCapture* root_capture,
-                                          TreeCapture* tree_capture) const {
+                                          SnapshotCapture* capture) const {
   // Without a caller-supplied arena, provision into a one-shot local one —
   // same code path, same construction order, the storage just dies with the
   // run. The reset protocol below must mirror from-scratch construction
@@ -149,10 +153,9 @@ ExperimentResult SimulationHarness::p_run(const ExperimentSpec& spec,
 
   // Checkpoint forking: a run whose plan matches a recorded (possibly
   // faulty) prefix up to time t is identical to that recording up to (the
-  // top of) iteration t, so restoring the deepest usable snapshot — tree
-  // first, fault-free root as fallback — skips the re-simulation of the
-  // shared prefix without changing a single observable bit
-  // (docs/PERFORMANCE.md).
+  // top of) iteration t, so restoring the deepest usable snapshot skips the
+  // re-simulation of the shared prefix without changing a single observable
+  // bit (docs/PERFORMANCE.md).
   const bool restoring = static_cast<bool>(resume);
   util::expects(!restoring || (resume.trace != nullptr && resume.transitions != nullptr),
                 "a resume snapshot must come with its recording");
@@ -285,75 +288,58 @@ ExperimentResult SimulationHarness::p_run(const ExperimentSpec& spec,
   sim::Simulator& simulator = *world.simulator;
   fw::Firmware& firmware = *world.firmware;
 
-  std::size_t capture_idx = 0;  // next root capture time
-
-  // Tree capture schedule (directed run, checkpoint trees on): planned by
-  // plan_tree_capture. A restored run starts past some of the planned
+  // Capture schedule: a restored run starts past some of the planned
   // times; those snapshots already exist (or were evicted) — skip them.
-  std::size_t tree_idx = 0;
-  if (tree_capture != nullptr) {
-    while (tree_idx < tree_capture->times.size() &&
-           tree_capture->times[tree_idx] < start_ms) {
-      ++tree_idx;
-    }
+  std::size_t capture_idx = 0;
+  while (capture != nullptr && capture_idx < capture->times.size() &&
+         capture->times[capture_idx] < start_ms) {
+    ++capture_idx;
   }
-
-  // One snapshot assembly for both capture paths: the state saved at the
-  // top of iteration `now` must be identical whether it lands in the root
-  // store or a tree recording.
-  const auto assemble_snapshot = [&](sim::SimTimeMs now) {
-    ExperimentSnapshot snap;
-    snap.time_ms = now;
-    snap.simulator = simulator.save();
-    snap.suite = world.suite->save();
-    snap.firmware = firmware.save();
-    snap.channel = world.channel.save();
-    snap.workload = workload.save();
-    snap.gcs = gcs.save();
-    if (monitor != nullptr) snap.monitor = monitor->save();
-    snap.transitions_len = director.transitions().size();
-    snap.current_mode = director.current_mode();
-    snap.last_heartbeat_ms = director.last_heartbeat_ms();
-    snap.next_workload_ms = next_workload_ms;
-    snap.next_sample_ms = next_sample_ms;
-    snap.workload_done_at = workload_done_at;
-    snap.workload_passed = result.workload_passed;
-    snap.firmware_dead = firmware_dead;
-    snap.trace_len = result.trace.size();
-    snap.violation = result.violation;
-    return snap;
-  };
+  std::vector<SampleFlags>* sample_flags =
+      capture != nullptr && capture->root() ? &capture->samples : nullptr;
 
   for (sim::SimTimeMs now = start_ms; now < spec.max_duration_ms; ++now) {
     // Checkpoint capture, at the top of the iteration so a restored run
-    // re-enters the loop at exactly this point.
-    if (root_capture != nullptr && capture_idx < root_capture->times.size() &&
-        now == root_capture->times[capture_idx]) {
+    // re-enters the loop at exactly this point. A tree capture stops once
+    // its recording horizon is reached: SABRE schedules children only at
+    // the first kTreeTransitionHorizon transitions after the first
+    // injection, so snapshots past that point can never be restored (a
+    // root capture's first injection is kNever: it never gets there). The
+    // horizon check runs before the capture — a transition at exactly `now`
+    // is not yet recorded at the top of the iteration, so the snapshot a
+    // child injecting at `now` needs is still captured.
+    if (capture != nullptr && !capture->done && capture_idx < capture->times.size() &&
+        now == capture->times[capture_idx]) {
       ++capture_idx;
-      root_capture->snapshots.push_back(assemble_snapshot(now));
-      if (root_capture->stop_after_last && capture_idx == root_capture->times.size()) break;
-    }
-
-    // Tree capture, same top-of-iteration point. Stop once the recording
-    // horizon is reached: SABRE schedules children only at the first
-    // `transition_horizon` transitions after the first injection, so
-    // snapshots past that point can never be restored. The horizon check
-    // runs before the capture — a transition at exactly `now` is not yet
-    // recorded at the top of the iteration, so the snapshot a child
-    // injecting at `now` needs is still captured.
-    if (tree_capture != nullptr && !tree_capture->done &&
-        tree_idx < tree_capture->times.size() && now == tree_capture->times[tree_idx]) {
-      ++tree_idx;
       int post_injection = 0;
       for (auto it = director.transitions().rbegin(); it != director.transitions().rend();
            ++it) {
-        if (it->time_ms <= tree_capture->first_injection) break;
+        if (it->time_ms <= capture->first_injection) break;
         ++post_injection;
       }
-      if (post_injection >= tree_capture->transition_horizon) {
-        tree_capture->done = true;
+      if (post_injection >= kTreeTransitionHorizon) {
+        capture->done = true;
       } else {
-        tree_capture->snapshots.push_back(assemble_snapshot(now));
+        ExperimentSnapshot& snap = capture->snapshots.emplace_back();
+        snap.time_ms = now;
+        snap.simulator = simulator.save();
+        snap.suite = world.suite->save();
+        snap.firmware = firmware.save();
+        snap.channel = world.channel.save();
+        snap.workload = workload.save();
+        snap.gcs = gcs.save();
+        if (monitor != nullptr) snap.monitor = monitor->save();
+        snap.transitions_len = director.transitions().size();
+        snap.current_mode = director.current_mode();
+        snap.last_heartbeat_ms = director.last_heartbeat_ms();
+        snap.next_workload_ms = next_workload_ms;
+        snap.next_sample_ms = next_sample_ms;
+        snap.workload_done_at = workload_done_at;
+        snap.workload_passed = result.workload_passed;
+        snap.firmware_dead = firmware_dead;
+        snap.trace_len = result.trace.size();
+        snap.violation = result.violation;
+        if (capture->stop_after_last && capture_idx == capture->times.size()) break;
       }
     }
 
@@ -398,12 +384,11 @@ ExperimentResult SimulationHarness::p_run(const ExperimentSpec& spec,
       result.trace.push_back(sample);
 
       const bool workload_failed =
-          (monitor != nullptr || root_capture != nullptr) && workload_done_at >= 0 &&
+          (monitor != nullptr || sample_flags != nullptr) && workload_done_at >= 0 &&
           workload.status() == workload::WorkloadStatus::kFailed;
-      if (root_capture != nullptr) {
-        root_capture->samples.push_back({simulator.state().crashed, simulator.last_crash(),
-                                         firmware_dead, workload_failed,
-                                         director.transitions().size()});
+      if (sample_flags != nullptr) {
+        sample_flags->push_back({simulator.state().crashed, simulator.last_crash(),
+                                 firmware_dead, workload_failed, director.transitions().size()});
       }
       if (monitor != nullptr) {
         const auto violation =
@@ -443,7 +428,7 @@ ExperimentResult SimulationHarness::p_run(const ExperimentSpec& spec,
 
 ExperimentResult SimulationHarness::profile_run(const ExperimentSpec& prototype,
                                                std::uint64_t seed, ExperimentContext* context,
-                                               RootCapture* capture) const {
+                                               SnapshotCapture* capture) const {
   ExperimentSpec spec = prototype;
   spec.plan = FaultPlan{};
   spec.seed = seed;

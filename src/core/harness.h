@@ -224,9 +224,9 @@ class SimulationHarness {
   // one, which is bit-identical but pays the allocations. `checkpoints`,
   // when given, must have been built for the same scenario (same spec
   // minus the plan, same monitored-ness — record_prefix or root_from_run
-  // below): the run then restores the deepest usable snapshot — tree or
-  // root — and simulates only the suffix, bit-identical to a cold run
-  // (result.resumed_from_ms records the skip).
+  // below): the run then restores the deepest usable snapshot
+  // (CheckpointStore::resolve) and simulates only the suffix, bit-identical
+  // to a cold run (result.resumed_from_ms records the skip).
   //
   // Checkpoint-tree recording, for the checker: when `tree_captures` is
   // non-null, the store grows trees and the plan has 1..`capture_limit`
@@ -265,19 +265,20 @@ class SimulationHarness {
   // `config`) was filled while it ran. `run` may have had a different
   // duration cap than `spec`, as long as it ended on its own within
   // `spec.max_duration_ms`: it then steps exactly the iterations the
-  // prefix run would. Snapshots at `config.capture_at` times off the
-  // cadence grid are re-simulated from the preceding cadence snapshot (at
-  // most one interval each), and the store replays the monitor over the
+  // prefix run would. Snapshots at the model's golden transition times off
+  // the cadence grid are re-simulated from the preceding cadence snapshot
+  // (at most one interval each), and the store replays the monitor over the
   // run (CheckpointStore::install_root).
   CheckpointStore root_from_run(const ExperimentSpec& spec, const MonitorModel* monitor_model,
                                 const CheckpointConfig& config, const ExperimentResult& run,
-                                RootCapture capture, ExperimentContext* context = nullptr) const;
+                                SnapshotCapture capture,
+                                ExperimentContext* context = nullptr) const;
 
   // Checkpoint-tree building block: run one *directed* experiment, restoring
-  // from the deepest usable snapshot in `store` (tree or root), while
-  // recording tree snapshots on the store's cadence + at the plan's later
-  // activations; if the run stays safe, merge the captures back into the
-  // store so deeper chains can fork from them. This is what the Checker
+  // from the deepest usable snapshot in `store`, while recording tree
+  // snapshots on the store's cadence + at the plan's later activations; if
+  // the run stays safe, merge the captures back into the store so deeper
+  // chains can fork from them. This is what the Checker
   // does across a campaign, in one call — tests use it to grow a tree
   // without standing up a checker.
   ExperimentResult run_recording(const ExperimentSpec& spec, const MonitorModel* monitor_model,
@@ -302,7 +303,7 @@ class SimulationHarness {
   // checker captures the golden run's snapshots for root_from_run this way.
   ExperimentResult profile_run(const ExperimentSpec& prototype, std::uint64_t seed,
                                ExperimentContext* context = nullptr,
-                               RootCapture* capture = nullptr) const;
+                               SnapshotCapture* capture = nullptr) const;
 
   // Per-run step hook for benches that need full-rate traces (Fig. 9/10).
   using StepHook = std::function<void(sim::SimTimeMs, const sim::VehicleState&,
@@ -312,16 +313,13 @@ class SimulationHarness {
  private:
   // The one experiment loop behind every public entry point: provision the
   // world (cold, or restored from `resume`; default = cold), step it, and
-  // finalize the result. `root_capture` records snapshots at fixed times
-  // and every sample's monitor flags (fault-free root runs and their
-  // re-simulations); `tree_capture` records tree snapshots while running a
-  // *directed* experiment (planned by plan_tree_capture; the caller merges
-  // the captures into a store if the run stays safe).
+  // finalize the result. `capture`, when given, records snapshots while the
+  // run steps (plan_root_capture / plan_tree_capture); the caller files
+  // them into a store afterwards.
   ExperimentResult p_run(const ExperimentSpec& spec, hinj::FaultDirector& custom_director,
                          const MonitorModel* monitor_model, ExperimentContext* context,
                          const CheckpointResume& resume = {},
-                         RootCapture* root_capture = nullptr,
-                         TreeCapture* tree_capture = nullptr) const;
+                         SnapshotCapture* capture = nullptr) const;
 
   StepHook step_hook_;
 };

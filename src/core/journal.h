@@ -57,8 +57,10 @@ struct JournalCellRecord {
 class CampaignJournal {
  public:
   // v2: the header no longer carries batch_width (the lockstep batch
-  // engine is gone). load() refuses any other version.
-  static constexpr int kVersion = 2;
+  // engine is gone). v3: cell reports no longer carry
+  // checkpoint_tree_evicted (checkpoint_evicted counts every evicted
+  // snapshot). load() refuses any other version.
+  static constexpr int kVersion = 3;
 
   struct Header {
     int version = kVersion;

@@ -68,13 +68,13 @@ std::vector<core::CampaignCellSpec> test_grid() {
 // The serial reference: the run_cell loop every table bench used before the
 // campaign runner — one fresh Checker, strategy, and budget per cell, run
 // through the serial checker path, in grid order.
-std::vector<core::CheckerReport> serial_reference(
-    const std::vector<core::CampaignCellSpec>& grid) {
+std::vector<core::CheckerReport> serial_reference(const std::vector<core::CampaignCellSpec>& grid,
+                                                  const core::CheckpointConfig& checkpoints = {}) {
   std::vector<core::CheckerReport> reports;
   for (const auto& spec : grid) {
     core::ExperimentSpec prototype = core::scenario_prototype(spec.scenario);
     if (spec.bugs_override) prototype.bugs = *spec.bugs_override;
-    core::Checker checker(std::move(prototype));
+    core::Checker checker(std::move(prototype), checkpoints);
     auto strategy = spec.make_strategy(checker.model(), spec.scenario.strategy_seed);
     core::BudgetClock budget(spec.scenario.budget_ms);
     reports.push_back(checker.run(*strategy, budget));
@@ -481,7 +481,32 @@ TEST(Campaign, GroupedCellsMatchFreshCheckerPerCell) {
       SCOPED_TRACE("cell " + std::to_string(i));
       EXPECT_EQ(result.cells[i].grid_index, static_cast<int>(i));
       avis::testing::expect_reports_equal(serial[i], result.cells[i].report);
+      // Every cell restores from the root, a group's later cells included.
+      const std::vector<int>& by_level = result.cells[i].report.checkpoint_hits_by_level;
+      EXPECT_GT(by_level.empty() ? 0 : by_level[0], 0);
     }
+  }
+}
+
+// A byte budget too small for the root: it is evicted when the group's
+// Checker builds it, and the Avis cell's tree recordings evict each other.
+// The Random cell after it must still report what a fresh Checker would —
+// the root's install-time evictions, none of the Avis cell's.
+TEST(Campaign, GroupedCellsUnderBudgetPressureMatchFreshCheckers) {
+  auto grid = test_grid();
+  grid.resize(2);  // avis + random on "auto": one calibration group
+  core::CampaignOptions options;
+  options.cell_workers = 1;
+  options.experiment_workers = 1;
+  options.checkpoints.byte_budget = 16 * 1024;
+  const std::vector<core::CheckerReport> fresh = serial_reference(grid, options.checkpoints);
+  EXPECT_GT(fresh[0].checkpoint_evicted, fresh[1].checkpoint_evicted);
+  EXPECT_GT(fresh[1].checkpoint_evicted, 0);
+  const core::CampaignResult result = core::CampaignRunner(options).run(grid);
+  ASSERT_EQ(result.cells.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
+    avis::testing::expect_reports_equal(fresh[i], result.cells[i].report);
   }
 }
 

@@ -75,39 +75,143 @@ TEST(RngSnapshot, MidStreamSaveLoadPreservesTheMarsagliaSpare) {
   }
 }
 
-// best_for is a binary search (std::upper_bound) over the time-sorted
-// snapshot list; the boundary cases pin the off-by-one surface: exact-time
-// hits on the first / a middle / the last snapshot, an injection strictly
-// before the first snapshot, and one after the last.
-TEST(Checkpoint, FirstInjectionPicksTheLatestUsableSnapshot) {
+FaultPlan plan_of(std::initializer_list<std::pair<sim::SimTimeMs, SensorId>> events) {
+  FaultPlan plan;
+  for (const auto& [t, id] : events) plan.add(t, id);
+  return plan;
+}
+
+// Where `store` resumes `plan`: the snapshot's time, -1 for a cold start.
+sim::SimTimeMs resumed_at(const CheckpointStore& store, const FaultPlan& plan) {
+  const CheckpointResume resume = store.resolve(plan);
+  return resume ? resume.snapshot->time_ms : -1;
+}
+
+// resolve walks a plan's levels deepest first down to the root's "" bucket,
+// each level a binary search (std::upper_bound) over a time-sorted bucket.
+// The table pins the off-by-one surface of level 0 — an empty plan, and an
+// injection before, exactly at, between and past the root snapshots — and
+// the tree levels above it: depth 1 and depth 2 hits, and chains whose
+// recorded ancestor is too late to use and fall back a level.
+TEST(Checkpoint, ResolvePicksTheDeepestLatestUsableSnapshot) {
   CheckpointConfig config;
   config.interval_ms = 5000;
   CheckpointStore store(config);
-  std::vector<ExperimentSnapshot> snapshots;
-  for (sim::SimTimeMs t : {5000, 10000, 15000}) {
-    snapshots.emplace_back();
-    snapshots.back().time_ms = t;
+  std::vector<ExperimentSnapshot> root(3);
+  root[0].time_ms = 5000;
+  root[1].time_ms = 10000;
+  root[2].time_ms = 15000;
+  store.install_root(ExperimentSpec{}, nullptr, std::move(root), ExperimentResult{}, {});
+
+  // A recorded chain {compass@6s, gps@12s}. Its snapshot at 5 s has nothing
+  // activated yet (root coverage, dropped); 8 s files at depth 1, 14 s at 2.
+  const SensorId compass{SensorType::kCompass, 0};
+  const SensorId gps{SensorType::kGps, 0};
+  const SensorId baro{SensorType::kBarometer, 0};
+  std::vector<ExperimentSnapshot> tree(3);
+  tree[0].time_ms = 5000;
+  tree[1].time_ms = 8000;
+  tree[2].time_ms = 14000;
+  store.merge_run(plan_of({{6000, compass}, {12000, gps}}), std::move(tree), {}, {});
+  EXPECT_EQ(store.root_size(), 3u);
+  EXPECT_EQ(store.size(), 5u);
+  EXPECT_EQ(store.recordings(), 2u);
+
+  struct Case {
+    const char* name;
+    FaultPlan plan;
+    sim::SimTimeMs resumed_at;  // -1 = cold start
+    int depth;
+  };
+  const std::vector<Case> cases = {
+      {"empty plan", FaultPlan{}, 15000, 0},
+      {"injects at t=0", plan_of({{0, baro}}), -1, 0},
+      {"before the first", plan_of({{4999, baro}}), -1, 0},
+      {"at the first", plan_of({{5000, baro}}), 5000, 0},
+      {"just past the first", plan_of({{5001, baro}}), 5000, 0},
+      {"at a middle one", plan_of({{10000, baro}}), 10000, 0},
+      {"between", plan_of({{12000, baro}}), 10000, 0},
+      {"at the last", plan_of({{15000, baro}}), 15000, 0},
+      {"past the last", plan_of({{99999, baro}}), 15000, 0},
+      {"depth 1", plan_of({{6000, compass}, {9000, baro}}), 8000, 1},
+      {"depth 1 too late", plan_of({{6000, compass}, {7000, baro}}), 5000, 0},
+      {"depth 2", plan_of({{6000, compass}, {12000, gps}, {20000, baro}}), 14000, 2},
+      {"depth 2 too late", plan_of({{6000, compass}, {12000, gps}, {13000, baro}}), 8000, 1},
+      {"no recorded ancestor", plan_of({{6000, gps}, {9000, baro}}), 5000, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const CheckpointResume resume = store.resolve(c.plan);
+    if (c.resumed_at < 0) {
+      EXPECT_FALSE(resume);
+      continue;
+    }
+    ASSERT_TRUE(resume);
+    EXPECT_EQ(resume.snapshot->time_ms, c.resumed_at);
+    EXPECT_EQ(resume.depth, c.depth);
+    EXPECT_EQ(resume.keepalive->depth, c.depth);
   }
-  store.install_root(ExperimentSpec{}, nullptr, std::move(snapshots), ExperimentResult{}, {});
-  EXPECT_EQ(store.best_for(0), nullptr);     // injects at t=0: nothing usable
-  EXPECT_EQ(store.best_for(4999), nullptr);  // injects before the first snapshot
-  EXPECT_EQ(store.best_for(5000)->time_ms, 5000);    // exact hit, first
-  EXPECT_EQ(store.best_for(5001)->time_ms, 5000);    // just past the first
-  EXPECT_EQ(store.best_for(10000)->time_ms, 10000);  // exact hit, middle
-  EXPECT_EQ(store.best_for(12000)->time_ms, 10000);
-  EXPECT_EQ(store.best_for(15000)->time_ms, 15000);  // exact hit, last
-  EXPECT_EQ(store.best_for(99999)->time_ms, 15000);  // after the last
-  EXPECT_EQ(store.best_for(FaultPlan::kNever)->time_ms, 15000);  // empty plan
 }
 
-TEST(Checkpoint, BestForHandlesASingleSnapshotStore) {
+TEST(Checkpoint, ResolveHandlesASingleSnapshotRoot) {
   CheckpointStore store{CheckpointConfig{}};
   std::vector<ExperimentSnapshot> snapshots(1);
   snapshots[0].time_ms = 7000;
   store.install_root(ExperimentSpec{}, nullptr, std::move(snapshots), ExperimentResult{}, {});
-  EXPECT_EQ(store.best_for(6999), nullptr);
-  EXPECT_EQ(store.best_for(7000)->time_ms, 7000);
-  EXPECT_EQ(store.best_for(7001)->time_ms, 7000);
+  const SensorId gps{SensorType::kGps, 0};
+  EXPECT_EQ(resumed_at(store, plan_of({{6999, gps}})), -1);
+  EXPECT_EQ(resumed_at(store, plan_of({{7000, gps}})), 7000);
+  EXPECT_EQ(resumed_at(store, plan_of({{7001, gps}})), 7000);
+}
+
+// One eviction rule over hand-built snapshots (each costs exactly
+// `unit` bytes): whole recordings oldest first, the root last. clear_tree
+// keeps the root and resets the counter to the root's own install-time
+// evictions — what a freshly built store would report.
+TEST(Checkpoint, EvictionTakesTheRootLastAndClearTreeKeepsIt) {
+  const std::size_t unit = ExperimentSnapshot{}.approx_bytes();
+  const auto snapshots = [](std::initializer_list<sim::SimTimeMs> times) {
+    std::vector<ExperimentSnapshot> out;
+    for (sim::SimTimeMs t : times) out.emplace_back().time_ms = t;
+    return out;
+  };
+  const SensorId gps{SensorType::kGps, 0};
+
+  // Room for the root and one more snapshot: a two-snapshot recording is
+  // evicted whole, the older root stays.
+  CheckpointConfig roomy;
+  roomy.byte_budget = 4 * unit;
+  CheckpointStore store(roomy);
+  store.install_root(ExperimentSpec{}, nullptr, snapshots({1000, 2000, 3000}),
+                     ExperimentResult{}, {});
+  EXPECT_EQ(store.evicted(), 0);
+  store.merge_run(plan_of({{1500, gps}}), snapshots({2000, 2500}), {}, {});
+  EXPECT_EQ(store.evicted(), 2);
+  EXPECT_EQ(store.recordings(), 1u);
+  EXPECT_EQ(store.root_size(), 3u);
+  EXPECT_EQ(store.bytes(), 3 * unit);
+  store.clear_tree();
+  EXPECT_EQ(store.evicted(), 0);
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_EQ(resumed_at(store, plan_of({{2500, gps}})), 2000);
+
+  // A root over the budget goes at install; tree recordings then evict
+  // each other, and clear_tree goes back to the root's three evictions.
+  CheckpointConfig tight;
+  tight.byte_budget = 2 * unit;
+  CheckpointStore rootless(tight);
+  rootless.install_root(ExperimentSpec{}, nullptr, snapshots({1000, 2000, 3000}),
+                        ExperimentResult{}, {});
+  EXPECT_EQ(rootless.evicted(), 3);
+  EXPECT_FALSE(rootless.has_restore_points());
+  rootless.merge_run(plan_of({{1500, gps}}), snapshots({2000}), {}, {});
+  rootless.merge_run(plan_of({{1600, gps}}), snapshots({2000, 3000}), {}, {});
+  EXPECT_EQ(rootless.evicted(), 4);
+  EXPECT_EQ(rootless.recordings(), 1u);
+  rootless.clear_tree();
+  EXPECT_EQ(rootless.evicted(), 3);
+  EXPECT_EQ(rootless.size(), 0u);
+  EXPECT_EQ(rootless.bytes(), 0u);
 }
 
 // The headline contract: restore-vs-fresh parity across the full registry
@@ -150,7 +254,7 @@ TEST(Checkpoint, RestoredRunsAreBitIdenticalAcrossTheRegistrySurface) {
       ExperimentSpec spec = prototype;
       if (monitor != nullptr) spec.max_duration_ms = model->profiling_duration_ms() + 45000;
       const CheckpointStore store = harness.record_prefix(spec, monitor, config, &context);
-      ASSERT_GT(store.size(), 0u);
+      ASSERT_GT(store.root_size(), 0u);
       EXPECT_EQ(store.evicted(), 0);
 
       struct PlanCase {
@@ -215,9 +319,10 @@ TEST(Checkpoint, RestoredViolationTimingMatchesFresh) {
   expect_results_identical(fresh, restored, "fence-mission violation");
 }
 
-// The byte budget degrades the store to a coarser cadence instead of
-// disappearing: eviction keeps restores exact, just from earlier snapshots.
-TEST(Checkpoint, ByteBudgetEvictsToCoarserCadenceWithoutBreakingParity) {
+// A root over the byte budget is evicted whole — there is no coarser
+// cadence to fall back to — so every run starts cold and stays
+// bit-identical to a cold run. A root that fits exactly stays.
+TEST(Checkpoint, RootOverBudgetIsEvictedWholeAndRunsGoCold) {
   auto& checker = avis::testing::cached_checker(fw::Personality::kArduPilotLike,
                                                 workload::WorkloadId::kAuto);
   const MonitorModel& model = checker.model();
@@ -230,22 +335,28 @@ TEST(Checkpoint, ByteBudgetEvictsToCoarserCadenceWithoutBreakingParity) {
   spec.seed = 100;
   spec.max_duration_ms = model.profiling_duration_ms() + 45000;
 
-  CheckpointConfig roomy;
-  const CheckpointStore full = harness.record_prefix(spec, &model, roomy, &context);
-  ASSERT_GT(full.size(), 2u);
+  const CheckpointStore full = harness.record_prefix(spec, &model, {}, &context);
+  ASSERT_GT(full.root_size(), 2u);
+
+  CheckpointConfig exact;
+  exact.byte_budget = full.bytes();
+  const CheckpointStore fits = harness.record_prefix(spec, &model, exact, &context);
+  EXPECT_EQ(fits.evicted(), 0);
+  EXPECT_EQ(fits.root_size(), full.root_size());
 
   CheckpointConfig tight;
-  tight.byte_budget = full.total_bytes() / 3;
-  const CheckpointStore thinned = harness.record_prefix(spec, &model, tight, &context);
-  EXPECT_GT(thinned.evicted(), 0);
-  EXPECT_LT(thinned.size(), full.size());
-  EXPECT_LE(thinned.total_bytes(), tight.byte_budget);
+  tight.byte_budget = full.bytes() - 1;
+  const CheckpointStore evicted = harness.record_prefix(spec, &model, tight, &context);
+  EXPECT_EQ(evicted.evicted(), static_cast<int>(full.root_size()));
+  EXPECT_FALSE(evicted.has_restore_points());
+  EXPECT_EQ(evicted.recordings(), 0u);
+  EXPECT_EQ(evicted.bytes(), 0u);
 
   spec.plan.add(12000, {SensorType::kCompass, 0});
   const ExperimentResult fresh = harness.run(spec, &model, &context);
-  const ExperimentResult restored = harness.run(spec, &model, &context, &thinned);
-  EXPECT_GT(restored.resumed_from_ms, 0);
-  expect_results_identical(fresh, restored, "thinned store");
+  const ExperimentResult restored = harness.run(spec, &model, &context, &evicted);
+  EXPECT_EQ(restored.resumed_from_ms, 0);
+  expect_results_identical(fresh, restored, "evicted root");
 }
 
 // Checker-level: a checkpointed campaign reports the same experiments,
@@ -269,7 +380,6 @@ TEST(Checkpoint, CheckerCampaignIsReportIdenticalAcrossCheckpointModes) {
     report.checkpoint_misses = 0;
     report.checkpoint_hits_by_level.clear();
     report.checkpoint_evicted = 0;
-    report.checkpoint_tree_evicted = 0;
     report.checkpoint_skipped_ms = 0;
     return report;
   };
@@ -294,7 +404,7 @@ TEST(Checkpoint, CheckerCampaignIsReportIdenticalAcrossCheckpointModes) {
   for (std::size_t level = 1; level < root.checkpoint_hits_by_level.size(); ++level) {
     EXPECT_EQ(root.checkpoint_hits_by_level[level], 0) << "level " << level;
   }
-  EXPECT_EQ(root.checkpoint_tree_evicted, 0);
+  EXPECT_EQ(root.checkpoint_evicted, 0);
 
   Checker warm_checker(prototype);  // checkpointing + trees on by default
   SabreScheduler warm_strategy(suite, warm_checker.model().golden_transitions());
@@ -361,6 +471,23 @@ std::string root_label(const RootScenario& scenario) {
          scenario.environment;
 }
 
+// The root snapshot a plan injecting only at `t` restores.
+const ExperimentSnapshot* root_snapshot_for(const CheckpointStore& store, sim::SimTimeMs t) {
+  return store.resolve(plan_of({{t, {SensorType::kGps, 0}}})).snapshot;
+}
+
+// The root's shared trace and transitions, as an empty plan splices them.
+ExperimentResult root_recording(const CheckpointStore& store, ExperimentResult shared) {
+  const CheckpointResume root = store.resolve(FaultPlan{});
+  EXPECT_TRUE(root);
+  EXPECT_EQ(root.depth, 0);
+  if (root) {
+    shared.trace = *root.trace;
+    shared.transitions = *root.transitions;
+  }
+  return shared;
+}
+
 // One calibrated checker per scenario, cached across the tests below.
 Checker& root_checker(const RootScenario& root) {
   static std::map<std::string, std::unique_ptr<Checker>> cache;
@@ -398,15 +525,7 @@ TEST(CheckpointRoot, GoldenRunRootMatchesTheMonitoredPrefixRun) {
     // The shared prefix is the monitored fault-free run's trace and mode
     // trace.
     const ExperimentResult prefix = harness.run(spec, &model, &context);
-    ExperimentResult shared;
-    shared.trace = store->prefix_trace();
-    shared.transitions = store->prefix_transitions();
-    shared.workload_passed = prefix.workload_passed;
-    shared.duration_ms = prefix.duration_ms;
-    shared.fired_bugs = prefix.fired_bugs;
-    shared.crash_cause = prefix.crash_cause;
-    shared.violation = prefix.violation;
-    expect_results_identical(prefix, shared, "shared prefix");
+    expect_results_identical(prefix, root_recording(*store, prefix), "shared prefix");
 
     // A snapshot at every cadence point and every golden transition the
     // run reaches, nothing else.
@@ -424,13 +543,14 @@ TEST(CheckpointRoot, GoldenRunRootMatchesTheMonitoredPrefixRun) {
     expected_times.erase(std::unique(expected_times.begin(), expected_times.end()),
                          expected_times.end());
     EXPECT_GT(off_grid, 0);
+    ASSERT_EQ(store->root_size(), expected_times.size());
     ASSERT_EQ(store->size(), expected_times.size());
 
     // Each snapshot is the monitored run frozen at the top of its
     // iteration: a cold monitored run cut at max_duration_ms = t ends there.
     for (std::size_t i = 0; i < expected_times.size(); ++i) {
       const sim::SimTimeMs t = expected_times[i];
-      const ExperimentSnapshot* snap = store->best_for(t);
+      const ExperimentSnapshot* snap = root_snapshot_for(*store, t);
       ASSERT_NE(snap, nullptr);
       ASSERT_EQ(snap->time_ms, t);
       SCOPED_TRACE("t=" + std::to_string(t));
@@ -491,15 +611,20 @@ TEST(CheckpointRoot, ReplayViolationTruncatesTheRoot) {
   ASSERT_LT(monitored.duration_ms, unmonitored.duration_ms);
 
   const CheckpointStore store = harness.record_prefix(spec, &wrong_model, config, &context);
-  ExperimentResult shared = monitored;
-  shared.trace = store.prefix_trace();
-  shared.transitions = store.prefix_transitions();
-  expect_results_identical(monitored, shared, "truncated prefix");
+  expect_results_identical(monitored, root_recording(store, monitored), "truncated prefix");
   const sim::SimTimeMs stop_ms = monitored.duration_ms - 1;  // the violating iteration
-  ASSERT_GT(store.size(), 0u);
-  EXPECT_EQ(store.best_for(FaultPlan::kNever)->time_ms,
-            stop_ms / kRootIntervalMs * kRootIntervalMs);
-  EXPECT_EQ(store.size(), static_cast<std::size_t>(stop_ms / kRootIntervalMs));
+  // The root's capture times (cadence grid plus the model's golden
+  // transitions) up to the violating iteration, and none past it.
+  std::vector<sim::SimTimeMs> kept;
+  for (sim::SimTimeMs t = kRootIntervalMs; t <= stop_ms; t += kRootIntervalMs) kept.push_back(t);
+  for (const ModeTransition& t : wrong_model.golden_transitions()) {
+    if (t.time_ms > 0 && t.time_ms <= stop_ms) kept.push_back(t.time_ms);
+  }
+  std::sort(kept.begin(), kept.end());
+  kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
+  ASSERT_FALSE(kept.empty());
+  EXPECT_EQ(resumed_at(store, FaultPlan{}), kept.back());
+  EXPECT_EQ(store.root_size(), kept.size());
 
   // A plan past the stop restores the last snapshot and still matches cold.
   ExperimentSpec late = spec;
@@ -512,11 +637,11 @@ TEST(CheckpointRoot, ReplayViolationTruncatesTheRoot) {
   // root; its snapshots past the violation carry it.
   spec.stop_on_violation = false;
   const CheckpointStore latched = harness.record_prefix(spec, &wrong_model, config, &context);
-  EXPECT_EQ(latched.prefix_trace().size(), unmonitored.trace.size());
+  EXPECT_EQ(root_recording(latched, {}).trace.size(), unmonitored.trace.size());
   int after_violation = 0;
   for (sim::SimTimeMs t = kRootIntervalMs; t < unmonitored.duration_ms; t += kRootIntervalMs) {
     SCOPED_TRACE("t=" + std::to_string(t));
-    const ExperimentSnapshot* snap = latched.best_for(t);
+    const ExperimentSnapshot* snap = root_snapshot_for(latched, t);
     ASSERT_NE(snap, nullptr);
     ASSERT_EQ(snap->time_ms, t);
     ExperimentSpec cut = spec;

@@ -5,9 +5,9 @@
 // run is bit-identical — every trace sample, transition, violation and
 // duration — to the same spec simulated cold, across personalities x
 // workloads and through the checker's capturing entry point with a mix of
-// cold, root-restored and tree-restored runs. Eviction ordering rides along: byte-budget pressure
-// evicts tree recordings whole (oldest first) and never touches the
-// fault-free root to make room for the tree.
+// cold, root-restored and tree-restored runs. Eviction ordering rides
+// along: byte-budget pressure evicts recordings whole, oldest first, and the
+// fault-free root only once no tree recording is left.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -90,13 +90,13 @@ TEST(CheckpointTree, TreeRestoredChainsAreBitIdenticalAcrossTheRegistrySurface) 
       ExperimentSpec spec = scenario_prototype(scenario);
 
       CheckpointStore store = harness.record_prefix(spec, nullptr, config, &context);
-      ASSERT_GT(store.size(), 0u);
+      ASSERT_GT(store.root_size(), 0u);
 
       // Grow the tree: parent {compass@12s}, then child {.., gps@18s} (the
       // child's own recording files depth-2 snapshots past 18 s).
       spec.plan = chain({{12000, compass}});
       harness.run_recording(spec, nullptr, &context, store);
-      ASSERT_GT(store.tree_size(), 0u) << "parent recording merged nothing";
+      ASSERT_GT(store.size(), store.root_size()) << "parent recording merged nothing";
       spec.plan = chain({{12000, compass}, {18000, gps}});
       harness.run_recording(spec, nullptr, &context, store);
 
@@ -164,8 +164,8 @@ TEST(CheckpointTree, CapturingRunsMatchColdRunsAndLeaveTheStoreUntouched) {
   ExperimentSpec parent = prototype;
   parent.plan = chain({{12000, compass}});
   harness.run_recording(parent, nullptr, &context, store);
-  ASSERT_GT(store.tree_size(), 0u);
-  const std::size_t tree_size = store.tree_size();
+  ASSERT_GT(store.size(), store.root_size());
+  const std::size_t size = store.size();
 
   constexpr int kCaptureLimit = 1;  // record single-event plans only
   struct Case {
@@ -190,15 +190,15 @@ TEST(CheckpointTree, CapturingRunsMatchColdRunsAndLeaveTheStoreUntouched) {
         harness.run(spec, nullptr, &context, &store, kCaptureLimit, &captures);
     expect_results_identical(cold, restored, c.name);
     EXPECT_EQ(!captures.empty(), c.captures) << c.name;
-    EXPECT_EQ(store.tree_size(), tree_size) << c.name;
+    EXPECT_EQ(store.size(), size) << c.name;
   }
 }
 
-// Eviction ordering: when root + tree exceed the byte budget, tree
-// recordings are evicted whole (oldest first) and the fault-free root is
-// never touched to make room — and an evicted-down store still restores
-// bit-identically, just shallower.
-TEST(CheckpointTree, BudgetPressureEvictsTreeRecordingsNeverTheRoot) {
+// Eviction ordering: when the store exceeds the byte budget, tree
+// recordings are evicted whole and the fault-free root outlives every one
+// of them — and an evicted-down store still restores bit-identically, just
+// shallower.
+TEST(CheckpointTree, BudgetPressureEvictsTreeRecordingsBeforeTheRoot) {
   SimulationHarness harness;
   ExperimentContext context;
 
@@ -213,25 +213,26 @@ TEST(CheckpointTree, BudgetPressureEvictsTreeRecordingsNeverTheRoot) {
   // Measure the root's footprint with a roomy budget first.
   CheckpointConfig roomy;
   const CheckpointStore full = harness.record_prefix(prototype, nullptr, roomy, &context);
-  ASSERT_GT(full.size(), 0u);
+  ASSERT_GT(full.root_size(), 0u);
 
-  // Room for the root plus a sliver: the first merged tree recording pushes
+  // Room for the root plus a sliver: every merged tree recording pushes
   // past the budget and must be evicted; the root must survive intact.
   CheckpointConfig tight;
-  tight.byte_budget = full.total_bytes() + 4096;
+  tight.byte_budget = full.bytes() + 4096;
   CheckpointStore store = harness.record_prefix(prototype, nullptr, tight, &context);
   ASSERT_EQ(store.evicted(), 0);
-  const std::size_t root_snapshots = store.size();
+  const std::size_t root_snapshots = store.root_size();
 
   ExperimentSpec parent = prototype;
-  parent.plan = chain({{12000, compass}});
-  harness.run_recording(parent, nullptr, &context, store);
-  EXPECT_GT(store.tree_evicted(), 0);
-  EXPECT_EQ(store.tree_recordings(), 0u);
-  EXPECT_EQ(store.tree_bytes(), 0u);
-  // The root is never evicted to make room for the tree.
-  EXPECT_EQ(store.evicted(), 0);
-  EXPECT_EQ(store.size(), root_snapshots);
+  for (const SensorId id : {compass, gps}) {
+    parent.plan = chain({{12000, id}});
+    harness.run_recording(parent, nullptr, &context, store);
+    EXPECT_EQ(store.recordings(), 1u);
+    EXPECT_EQ(store.bytes(), full.bytes());
+    EXPECT_EQ(store.root_size(), root_snapshots);
+    EXPECT_EQ(store.size(), root_snapshots);
+  }
+  EXPECT_GT(store.evicted(), 0);
 
   // Restores from the evicted-down store fall back to the root and stay
   // bit-identical.
@@ -266,22 +267,25 @@ TEST(CheckpointTree, EvictionIsOldestRecordingFirst) {
   parent.plan = chain({{12000, compass}});
 
   // Budget with room for the root and roughly one recording: merging a
-  // second recording evicts the first (FIFO), not the newcomer.
+  // second recording evicts the first (FIFO), not the newcomer or the root.
   CheckpointStore probe = harness.record_prefix(prototype, nullptr, roomy, &context);
   harness.run_recording(parent, nullptr, &context, probe);
-  ASSERT_GT(probe.tree_bytes(), 0u);
+  const std::size_t recording_bytes = probe.bytes() - sized.bytes();
+  ASSERT_GT(recording_bytes, 0u);
 
   CheckpointConfig capped;
-  capped.byte_budget = sized.total_bytes() + probe.tree_bytes() + probe.tree_bytes() / 2;
+  capped.byte_budget = sized.bytes() + recording_bytes + recording_bytes / 2;
   CheckpointStore store = harness.record_prefix(prototype, nullptr, capped, &context);
   harness.run_recording(parent, nullptr, &context, store);
-  ASSERT_EQ(store.tree_evicted(), 0);
-  ASSERT_GT(store.tree_size(), 0u);
+  ASSERT_EQ(store.evicted(), 0);
+  ASSERT_EQ(store.recordings(), 2u);
 
   ExperimentSpec second = prototype;
   second.plan = chain({{14000, gps}});
   harness.run_recording(second, nullptr, &context, store);
-  EXPECT_GT(store.tree_evicted(), 0);
+  EXPECT_GT(store.evicted(), 0);
+  EXPECT_EQ(store.recordings(), 2u);
+  EXPECT_EQ(store.root_size(), sized.root_size());
 
   // The survivor is the newest recording: its {gps@14s} snapshots resolve,
   // the evicted {compass@12s} parent's no longer do.
@@ -293,9 +297,10 @@ TEST(CheckpointTree, EvictionIsOldestRecordingFirst) {
   EXPECT_EQ(store.resolve(compass_child.plan).depth, 0);
 }
 
-// Checker-level eviction parity: a campaign squeezed into a tiny byte
-// budget (root thinned, tree recordings churning) reports identically to a
-// roomy one modulo the checkpoint counters themselves.
+// Checker-level eviction parity: campaigns squeezed into tight byte
+// budgets — tree recordings churning behind the root, or the root itself
+// evicted so every run starts cold — report identically to a roomy one
+// modulo the checkpoint counters themselves.
 TEST(CheckpointTree, CheckerReportSurvivesBudgetPressure) {
   constexpr sim::SimTimeMs kBudgetMs = 300 * 1000;
   const auto suite = SimulationHarness::iris_suite();
@@ -310,7 +315,6 @@ TEST(CheckpointTree, CheckerReportSurvivesBudgetPressure) {
     report.checkpoint_misses = 0;
     report.checkpoint_hits_by_level.clear();
     report.checkpoint_evicted = 0;
-    report.checkpoint_tree_evicted = 0;
     report.checkpoint_skipped_ms = 0;
     return report;
   };
@@ -320,15 +324,25 @@ TEST(CheckpointTree, CheckerReportSurvivesBudgetPressure) {
   BudgetClock roomy_budget(kBudgetMs);
   const CheckerReport roomy = roomy_checker.run(roomy_strategy, roomy_budget);
 
-  CheckpointConfig squeezed;
-  squeezed.byte_budget = 512 * 1024;
-  Checker tight_checker(prototype, squeezed);
-  SabreScheduler tight_strategy(suite, tight_checker.model().golden_transitions());
-  BudgetClock tight_budget(kBudgetMs);
-  const CheckerReport tight = tight_checker.run(tight_strategy, tight_budget);
-  EXPECT_GT(tight.checkpoint_evicted + tight.checkpoint_tree_evicted, 0);
-
-  avis::testing::expect_reports_equal(normalized(roomy), normalized(tight));
+  struct Squeeze {
+    std::size_t byte_budget;
+    bool root_survives;
+  };
+  for (const Squeeze squeeze : {Squeeze{512 * 1024, true}, Squeeze{16 * 1024, false}}) {
+    SCOPED_TRACE("byte budget " + std::to_string(squeeze.byte_budget));
+    CheckpointConfig squeezed;
+    squeezed.byte_budget = squeeze.byte_budget;
+    Checker tight_checker(prototype, squeezed);
+    SabreScheduler tight_strategy(suite, tight_checker.model().golden_transitions());
+    BudgetClock tight_budget(kBudgetMs);
+    const CheckerReport tight = tight_checker.run(tight_strategy, tight_budget);
+    EXPECT_GT(tight.checkpoint_evicted, 0);
+    EXPECT_EQ(tight_checker.checkpoint_store()->root_size() > 0, squeeze.root_survives);
+    if (!squeeze.root_survives) {
+      EXPECT_EQ(tight.checkpoint_hits, 0);
+    }
+    avis::testing::expect_reports_equal(normalized(roomy), normalized(tight));
+  }
 }
 
 }  // namespace

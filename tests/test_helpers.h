@@ -59,7 +59,6 @@ inline void expect_reports_equal(const core::CheckerReport& serial,
   EXPECT_EQ(serial.checkpoint_misses, parallel.checkpoint_misses);
   EXPECT_EQ(serial.checkpoint_hits_by_level, parallel.checkpoint_hits_by_level);
   EXPECT_EQ(serial.checkpoint_evicted, parallel.checkpoint_evicted);
-  EXPECT_EQ(serial.checkpoint_tree_evicted, parallel.checkpoint_tree_evicted);
   EXPECT_EQ(serial.checkpoint_skipped_ms, parallel.checkpoint_skipped_ms);
   EXPECT_EQ(serial.stalled_runs, parallel.stalled_runs);
   // Edge coverage is derived from transitions, which are bit-identical
@@ -115,7 +114,6 @@ inline void expect_campaign_results_equal(const core::CampaignResult& expected,
   EXPECT_EQ(expected.total_checkpoint_hits(), actual.total_checkpoint_hits());
   EXPECT_EQ(expected.total_checkpoint_misses(), actual.total_checkpoint_misses());
   EXPECT_EQ(expected.total_checkpoint_evicted(), actual.total_checkpoint_evicted());
-  EXPECT_EQ(expected.total_checkpoint_tree_evicted(), actual.total_checkpoint_tree_evicted());
   EXPECT_EQ(expected.total_checkpoint_skipped_ms(), actual.total_checkpoint_skipped_ms());
   EXPECT_EQ(expected.total_stalled_runs(), actual.total_stalled_runs());
   EXPECT_EQ(expected.coverage_union(), actual.coverage_union());

@@ -72,7 +72,7 @@ struct Options {
   // plain campaign.
   long long fuzz_generations = 0;  // 0 = fuzzing off
   long long fuzz_mutants = 8;
-  long long fuzz_seed = 1;
+  std::uint64_t fuzz_seed = 1;
   bool fuzz_flag_seen = false;  // any --fuzz-* satellite flag present
   std::string fuzz_corpus;      // corpus document path ('-' = stdout)
   std::string fuzz_report;      // fuzz report path ('-' = stdout)
@@ -223,6 +223,20 @@ int main(int argc, char** argv) {
       }
       return true;
     };
+    // A seed follows a scenario file's rule (util::Json::as_uint64): an
+    // unsigned 64-bit integer, with no sign to wrap a negative around.
+    auto seed = [&](std::uint64_t& out) {
+      const char* v = value();
+      char* end = nullptr;
+      errno = 0;
+      if (v != nullptr && *v >= '0' && *v <= '9') out = std::strtoull(v, &end, 10);
+      if (end == nullptr || *end != '\0' || errno == ERANGE) {
+        std::cerr << arg << " must be an unsigned 64-bit integer (got " << (v ? v : "(missing)")
+                  << ")\n";
+        return false;
+      }
+      return true;
+    };
     auto csv_list = [&](std::vector<std::string>& out) {
       const char* v = value();
       if (v == nullptr) return false;
@@ -240,8 +254,7 @@ int main(int argc, char** argv) {
       options.grid.budget_ms = n;
       options.grid_flag_seen = true;
     } else if (arg == "--seed") {
-      if (!number(n)) return usage(argv[0]);
-      options.grid.seed = static_cast<std::uint64_t>(n);
+      if (!seed(options.grid.seed)) return usage(argv[0]);
       options.grid_flag_seen = true;
     } else if (arg == "--workers") {
       if (!bounded(n, 1, INT_MAX)) return usage(argv[0]);
@@ -318,8 +331,7 @@ int main(int argc, char** argv) {
       options.fuzz_mutants = n;
       options.fuzz_flag_seen = true;
     } else if (arg == "--fuzz-seed") {
-      if (!number(n)) return usage(argv[0]);
-      options.fuzz_seed = n;
+      if (!seed(options.fuzz_seed)) return usage(argv[0]);
       options.fuzz_flag_seen = true;
     } else if (arg == "--fuzz-corpus") {
       const char* v = value();
@@ -442,7 +454,7 @@ int main(int argc, char** argv) {
     fuzz::FuzzOptions fuzz_options;
     fuzz_options.generations = static_cast<int>(options.fuzz_generations);
     fuzz_options.mutants_per_generation = static_cast<int>(options.fuzz_mutants);
-    fuzz_options.seed = static_cast<std::uint64_t>(options.fuzz_seed);
+    fuzz_options.seed = options.fuzz_seed;
     fuzz_options.campaign.total_workers = options.total_workers;
     fuzz_options.campaign.cell_workers = options.cell_workers;
     fuzz_options.campaign.experiment_workers = options.experiment_workers;
