@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
-#include <limits>
 #include <map>
 #include <sstream>
 
@@ -332,27 +331,15 @@ std::string campaign_report_json(const CampaignResult& result) {
 
 namespace {
 
-// Range-checked narrowing for serialized integers; JsonError (not
-// InvariantError) so the journal loader's torn/corrupt-record handling
-// catches it.
-std::int64_t p_wire_int(const util::Json& json, std::int64_t lo, std::int64_t hi,
-                        const char* what) {
-  const std::int64_t v = json.as_int64();
-  if (v < lo || v > hi) {
-    throw util::JsonError(std::string(what) + " out of range: " + std::to_string(v));
-  }
-  return v;
-}
-
 fw::BugId p_bug_from_wire(const util::Json& json) {
   return static_cast<fw::BugId>(
-      p_wire_int(json, 0, static_cast<std::int64_t>(fw::kAllBugs.size()) - 1, "bug id"));
+      json.as_int("bug id", 0, static_cast<int>(fw::kAllBugs.size()) - 1));
 }
 
 ModeTransition p_transition_from_wire(const util::Json& json) {
   ModeTransition t;
   t.time_ms = json.at("time_ms").as_int64();
-  t.mode_id = static_cast<std::uint16_t>(p_wire_int(json.at("mode_id"), 0, 0xffff, "mode id"));
+  t.mode_id = json.at("mode_id").as_int<std::uint16_t>("mode id");
   t.mode_name = json.at("name").as_string();
   return t;
 }
@@ -444,56 +431,47 @@ std::string checker_report_json(const CheckerReport& report, int indent) {
 CheckerReport checker_report_from_json(const util::Json& json) {
   CheckerReport report;
   report.strategy_name = json.at("strategy").as_string();
-  report.experiments = static_cast<int>(json.at("experiments").as_int64());
-  report.labels = static_cast<int>(json.at("labels").as_int64());
+  report.experiments = json.at("experiments").as_int("experiments");
+  report.labels = json.at("labels").as_int("labels");
   report.budget_used_ms = json.at("budget_used_ms").as_int64();
-  report.checkpoint_hits = static_cast<int>(json.at("checkpoint_hits").as_int64());
-  report.checkpoint_misses = static_cast<int>(json.at("checkpoint_misses").as_int64());
+  report.checkpoint_hits = json.at("checkpoint_hits").as_int("checkpoint_hits");
+  report.checkpoint_misses = json.at("checkpoint_misses").as_int("checkpoint_misses");
   for (const util::Json& level : json.at("checkpoint_hits_by_level").as_array()) {
-    report.checkpoint_hits_by_level.push_back(static_cast<int>(level.as_int64()));
+    report.checkpoint_hits_by_level.push_back(level.as_int("checkpoint_hits_by_level"));
   }
-  report.checkpoint_evicted = static_cast<int>(json.at("checkpoint_evicted").as_int64());
+  report.checkpoint_evicted = json.at("checkpoint_evicted").as_int("checkpoint_evicted");
   report.checkpoint_skipped_ms = json.at("checkpoint_skipped_ms").as_int64();
-  report.stalled_runs = static_cast<int>(json.at("stalled_runs").as_int64());
+  report.stalled_runs = json.at("stalled_runs").as_int("stalled_runs");
   for (const util::Json& entry : json.at("edge_coverage").as_array()) {
     CoverageKey key;
-    key.from_mode =
-        static_cast<std::uint16_t>(p_wire_int(entry.at("from"), 0, 0xffff, "mode id"));
-    key.to_mode = static_cast<std::uint16_t>(p_wire_int(entry.at("to"), 0, 0xffff, "mode id"));
-    key.window = static_cast<std::int32_t>(
-        p_wire_int(entry.at("window"), -1, std::numeric_limits<std::int32_t>::max(),
-                   "coverage window"));
-    report.edge_coverage[key] =
-        static_cast<int>(p_wire_int(entry.at("count"), 0, std::numeric_limits<int>::max(),
-                                    "coverage count"));
+    key.from_mode = entry.at("from").as_int<std::uint16_t>("mode id");
+    key.to_mode = entry.at("to").as_int<std::uint16_t>("mode id");
+    key.window = entry.at("window").as_int<std::int32_t>("coverage window", -1);
+    report.edge_coverage[key] = entry.at("count").as_int("coverage count", 0);
   }
   for (const util::Json& entry : json.at("bug_first_found").as_array()) {
     report.bug_first_found[p_bug_from_wire(entry.at("bug"))] =
-        static_cast<int>(entry.at("experiment").as_int64());
+        entry.at("experiment").as_int("experiment");
   }
   for (const util::Json& entry : json.at("unsafe").as_array()) {
     UnsafeRecord record;
     record.seed = entry.at("seed").as_uint64();
-    record.experiment_index = static_cast<int>(entry.at("experiment_index").as_int64());
+    record.experiment_index = entry.at("experiment_index").as_int("experiment_index");
     for (const util::Json& event : entry.at("plan").as_array()) {
       FaultEvent e;
       e.time_ms = event.at("time_ms").as_int64();
-      e.sensor.type = static_cast<sensors::SensorType>(
-          p_wire_int(event.at("type"), 0,
-                     static_cast<std::int64_t>(sensors::kAllSensorTypes.size()) - 1,
-                     "sensor type"));
-      e.sensor.instance =
-          static_cast<std::uint8_t>(p_wire_int(event.at("instance"), 0, 0xff, "instance"));
+      e.sensor.type = static_cast<sensors::SensorType>(event.at("type").as_int(
+          "sensor type", 0, static_cast<int>(sensors::kAllSensorTypes.size()) - 1));
+      e.sensor.instance = event.at("instance").as_int<std::uint8_t>("instance");
       // Events were emitted in normalized order; append verbatim to keep the
       // plan signature byte-identical.
       record.plan.events.push_back(e);
     }
     const util::Json& violation = entry.at("violation");
     record.violation.type =
-        static_cast<ViolationType>(p_wire_int(violation.at("type"), 0, 3, "violation type"));
+        static_cast<ViolationType>(violation.at("type").as_int("violation type", 0, 3));
     record.violation.time_ms = violation.at("time_ms").as_int64();
-    record.violation.mode_id =
-        static_cast<std::uint16_t>(p_wire_int(violation.at("mode_id"), 0, 0xffff, "mode id"));
+    record.violation.mode_id = violation.at("mode_id").as_int<std::uint16_t>("mode id");
     record.violation.details = violation.at("details").as_string();
     for (const util::Json& bug : entry.at("fired_bugs").as_array()) {
       record.fired_bugs.push_back(p_bug_from_wire(bug));

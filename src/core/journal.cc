@@ -166,22 +166,28 @@ CampaignJournal::Loaded CampaignJournal::load(const std::string& path) {
       throw util::JsonError("missing journal header tag");
     }
     Header& header = loaded.header;
-    header.version = static_cast<int>(json.at("version").as_int64());
-    if (header.version != kVersion) {
+    // Compared at full width, so a version past int is named as written.
+    const std::int64_t version = json.at("version").as_int64();
+    if (version != kVersion) {
       // Thrown past the JsonError handler below: the header parsed fine, it
       // just describes a format this build does not read.
-      throw JournalError(path + ": journal format version " + std::to_string(header.version) +
+      throw JournalError(path + ": journal format version " + std::to_string(version) +
                          ", but this build reads version " + std::to_string(kVersion) +
                          " — rerun the campaign with a fresh --journal");
     }
-    header.cells = static_cast<std::size_t>(json.at("cells").as_int64());
+    header.cells = json.at("cells").as_int<std::size_t>("cells");
     header.checkpoints_enabled = json.at("checkpoints_enabled").as_bool();
     header.checkpoint_trees = json.at("checkpoint_trees").as_bool();
     header.checkpoint_interval_ms = json.at("checkpoint_interval_ms").as_int64();
     header.checkpoint_budget_bytes =
-        static_cast<std::size_t>(json.at("checkpoint_budget_bytes").as_uint64());
+        json.at("checkpoint_budget_bytes").as_int<std::size_t>("checkpoint_budget_bytes");
     for (const util::Json& hash : json.at("cell_hashes").as_array()) {
       header.cell_hashes.push_back(hash.as_string());
+    }
+    // Records are checked against cell_hashes[index] for index < cells.
+    if (header.cell_hashes.size() != header.cells) {
+      throw util::JsonError("cells is " + std::to_string(header.cells) + " but cell_hashes has " +
+                            std::to_string(header.cell_hashes.size()) + " entries");
     }
   } catch (const util::JsonError& err) {
     // A header can only be torn if the campaign crashed before journaling a
@@ -197,7 +203,7 @@ CampaignJournal::Loaded CampaignJournal::load(const std::string& path) {
       const util::Json json = util::Json::parse(lines[i]);
       if (json.get_string("type", "") != "cell") throw util::JsonError("unexpected record type");
       JournalCellRecord record;
-      record.index = static_cast<int>(json.at("index").as_int64());
+      record.index = json.at("index").as_int("cell index");
       record.spec_hash = json.at("spec_hash").as_string();
       const util::Json* wall = json.find("wall_seconds");
       record.wall_seconds = wall != nullptr ? wall->as_double() : 0.0;

@@ -73,12 +73,10 @@ FaultPlanConstraints p_constraints_from_json(const util::Json* json) {
   FaultPlanConstraints constraints;
   if (json == nullptr) return constraints;
   p_reject_unknown_keys(*json, kConstraintKeys, "constraints");
-  constraints.max_set_size =
-      static_cast<int>(json->get_int64("max_set_size", constraints.max_set_size));
-  constraints.max_plan_events =
-      static_cast<int>(json->get_int64("max_plan_events", constraints.max_plan_events));
-  constraints.window_start_ms = json->get_int64("window_start_ms", constraints.window_start_ms);
-  constraints.window_end_ms = json->get_int64("window_end_ms", constraints.window_end_ms);
+  constraints.max_set_size = json->get_int("max_set_size", constraints.max_set_size);
+  constraints.max_plan_events = json->get_int("max_plan_events", constraints.max_plan_events);
+  constraints.window_start_ms = json->get_int("window_start_ms", constraints.window_start_ms);
+  constraints.window_end_ms = json->get_int("window_end_ms", constraints.window_end_ms);
   constraints.fault_types = json->get_string_array("fault_types", constraints.fault_types);
   p_validate_constraints(constraints);
   return constraints;
@@ -295,9 +293,9 @@ ScenarioSpec ScenarioSpec::from_json(const util::Json& json) {
   spec.workload = json.get_string("workload", spec.workload);
   spec.environment = json.get_string("environment", spec.environment);
   spec.bugs = json.get_string("bugs", spec.bugs);
-  spec.budget_ms = json.get_int64("budget_ms", spec.budget_ms);
-  spec.seed = json.get_uint64("seed", spec.seed);
-  spec.strategy_seed = json.get_uint64("strategy_seed", spec.seed + 7);
+  spec.budget_ms = json.get_int("budget_ms", spec.budget_ms);
+  spec.seed = json.get_int("seed", spec.seed);
+  spec.strategy_seed = json.get_int("strategy_seed", spec.seed + 7);
   spec.constraints = p_constraints_from_json(json.find("constraints"));
   return spec;
 }
@@ -379,9 +377,9 @@ ScenarioGrid ScenarioGrid::from_json(const util::Json& json) {
   grid.workloads = json.get_string_array("workloads", grid.workloads);
   grid.environments = json.get_string_array("environments", grid.environments);
   grid.bugs = json.get_string("bugs", grid.bugs);
-  grid.budget_ms = json.get_int64("budget_ms", grid.budget_ms);
-  grid.seed = json.get_uint64("seed", grid.seed);
-  grid.strategy_seed = json.get_uint64("strategy_seed", grid.strategy_seed);
+  grid.budget_ms = json.get_int("budget_ms", grid.budget_ms);
+  grid.seed = json.get_int("seed", grid.seed);
+  grid.strategy_seed = json.get_int("strategy_seed", grid.strategy_seed);
   grid.constraints = p_constraints_from_json(json.find("constraints"));
   if (const util::Json* scenarios = json.find("scenarios")) {
     for (const util::Json& element : scenarios->as_array()) {

@@ -11,17 +11,35 @@
 #pragma once
 
 #include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace avis::util {
+
+// The one integer rule for every input: JSON number tokens and the
+// campaign CLI's numeric flags. The whole string must be an integer — an
+// optional '-' then digits for a signed type, digits only for an unsigned
+// one — that fits Int. No whitespace, no '+', no trailing text, no
+// wrap-around.
+template <typename Int>
+std::optional<Int> parse_integer(std::string_view text) {
+  Int value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) return std::nullopt;
+  return value;
+}
 
 class JsonError : public std::runtime_error {
  public:
@@ -71,30 +89,24 @@ class Json {
     return std::strtod(scalar_.c_str(), nullptr);
   }
 
-  std::int64_t as_int64() const {
+  // The integer in [lo, hi], by parse_integer's rule. Every narrowing of
+  // an input integer goes through here, so a value past its field's type
+  // (a 4294967297 bound for an int) is refused instead of wrapping.
+  template <typename Int = int>
+  Int as_int(std::string_view what = "number", Int lo = std::numeric_limits<Int>::min(),
+             Int hi = std::numeric_limits<Int>::max()) const {
     p_require(Kind::kNumber, "number");
-    errno = 0;
-    char* end = nullptr;
-    const long long v = std::strtoll(scalar_.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '\0') {
-      throw JsonError("number is not a 64-bit integer: " + scalar_);
+    using Wide = std::conditional_t<std::is_signed_v<Int>, std::int64_t, std::uint64_t>;
+    const std::optional<Wide> v = parse_integer<Wide>(scalar_);
+    if (!v || std::cmp_less(*v, lo) || std::cmp_greater(*v, hi)) {
+      throw JsonError(std::string(what) + " must be an integer in [" + std::to_string(lo) + ", " +
+                      std::to_string(hi) + "] (got " + scalar_ + ")");
     }
-    return v;
+    return static_cast<Int>(*v);
   }
 
-  std::uint64_t as_uint64() const {
-    p_require(Kind::kNumber, "number");
-    if (!scalar_.empty() && scalar_[0] == '-') {
-      throw JsonError("number is negative where an unsigned value is required: " + scalar_);
-    }
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(scalar_.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '\0') {
-      throw JsonError("number is not an unsigned 64-bit integer: " + scalar_);
-    }
-    return v;
-  }
+  std::int64_t as_int64() const { return as_int<std::int64_t>(); }
+  std::uint64_t as_uint64() const { return as_int<std::uint64_t>(); }
 
   const std::string& as_string() const {
     p_require(Kind::kString, "string");
@@ -132,14 +144,10 @@ class Json {
     return v != nullptr ? v->as_string() : std::move(fallback);
   }
 
-  std::int64_t get_int64(std::string_view key, std::int64_t fallback) const {
+  template <typename Int>
+  Int get_int(std::string_view key, Int fallback) const {
     const Json* v = find(key);
-    return v != nullptr ? v->as_int64() : fallback;
-  }
-
-  std::uint64_t get_uint64(std::string_view key, std::uint64_t fallback) const {
-    const Json* v = find(key);
-    return v != nullptr ? v->as_uint64() : fallback;
+    return v != nullptr ? v->as_int<Int>(key) : fallback;
   }
 
   bool get_bool(std::string_view key, bool fallback) const {

@@ -344,4 +344,45 @@ TEST(Journal, OldVersionJournalIsRefusedNamingBothVersions) {
   std::filesystem::remove(path);
 }
 
+// A header whose fields pass through narrowing casts must be range-checked
+// first: 4294967299 is 3 modulo 2^32, so a cast to int would resume it as
+// this build's version.
+TEST(Journal, VersionPastIntIsRefusedWithTheVersionMessage) {
+  const auto grid = small_grid();
+  const std::string path = temp_path("wrapped_version");
+  std::ostringstream header;
+  header << "{\"type\": \"avis_campaign_journal\", \"version\": 4294967299, \"cells\": 2, "
+            "\"checkpoints_enabled\": true, \"checkpoint_trees\": true, "
+            "\"checkpoint_interval_ms\": 1000, \"checkpoint_budget_bytes\": 0, "
+            "\"cell_hashes\": [\""
+         << core::cell_identity_hash(grid[0]) << "\", \"" << core::cell_identity_hash(grid[1])
+         << "\"]}\n";
+  write_file(path, header.str());
+  try {
+    core::CampaignJournal::load(path);
+    ADD_FAILURE() << "a journal claiming version 4294967299 loaded";
+  } catch (const core::JournalError& err) {
+    EXPECT_NE(std::string(err.what()).find("journal format version 4294967299"),
+              std::string::npos)
+        << err.what();
+  }
+  std::filesystem::remove(path);
+}
+
+// Records are checked against cell_hashes[index] for every index below
+// `cells`, so a header whose two disagree is unreadable.
+TEST(Journal, CellCountDisagreeingWithHashesIsRefused) {
+  const auto grid = small_grid();
+  const std::string path = temp_path("short_hashes");
+  write_file(path,
+             "{\"type\": \"avis_campaign_journal\", \"version\": " +
+                 std::to_string(core::CampaignJournal::kVersion) +
+                 ", \"cells\": 3, \"checkpoints_enabled\": true, \"checkpoint_trees\": true, "
+                 "\"checkpoint_interval_ms\": 1000, \"checkpoint_budget_bytes\": 0, "
+                 "\"cell_hashes\": [\"" +
+                 core::cell_identity_hash(grid[0]) + "\"]}\n");
+  EXPECT_THROW(core::CampaignJournal::load(path), core::JournalError);
+  std::filesystem::remove(path);
+}
+
 }  // namespace

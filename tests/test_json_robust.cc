@@ -5,6 +5,7 @@
 // journal's torn-record handling does not expect.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "util/json.h"
@@ -157,6 +158,44 @@ TEST(JsonRobust, AccessorErrorsAreJsonErrors) {
   EXPECT_THROW(doc.at("s").as_int64(), JsonError);
   EXPECT_THROW(doc.at("missing"), JsonError);
   EXPECT_THROW(doc.as_array(), JsonError);
+}
+
+// util::parse_integer is the one integer rule for JSON number tokens and
+// the campaign CLI's numeric flags: the whole string, an optional '-' then
+// digits for a signed type, digits only for an unsigned one, no overflow.
+TEST(JsonRobust, IntegerRuleIsWholeStringAndOverflowChecked) {
+  using avis::util::parse_integer;
+  EXPECT_EQ(parse_integer<std::int64_t>("-42"), -42);
+  EXPECT_EQ(parse_integer<std::int64_t>("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(parse_integer<std::uint64_t>("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "-", " 5", "5 ", "+5", "0x10", "1.0", "1e3", "60s",
+                          "9223372036854775808"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(parse_integer<std::int64_t>(bad).has_value());
+  }
+  for (const char* bad : {"-1", "-0", "+1", "18446744073709551616"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(parse_integer<std::uint64_t>(bad).has_value());
+  }
+}
+
+// as_int narrows to its field's type and range and names the field and the
+// value when it refuses, instead of wrapping through a cast.
+TEST(JsonRobust, BoundedIntegerAccessorRefusesOutOfRange) {
+  const Json doc = Json::parse(R"({"big": 4294967297, "mode": 65536, "neg": -1})");
+  try {
+    doc.at("big").as_int("max_set_size");
+    ADD_FAILURE() << "4294967297 narrowed to int";
+  } catch (const JsonError& err) {
+    EXPECT_STREQ(err.what(),
+                 "max_set_size must be an integer in [-2147483648, 2147483647] (got 4294967297)");
+  }
+  EXPECT_THROW(doc.at("mode").as_int<std::uint16_t>("mode id"), JsonError);
+  EXPECT_THROW(doc.at("neg").as_int<std::size_t>("cells"), JsonError);
+  EXPECT_THROW(doc.at("big").as_int("window", -1, 100), JsonError);
+  EXPECT_EQ(doc.at("neg").as_int("window", -1, 100), -1);
+  EXPECT_EQ(doc.at("mode").as_int<std::int64_t>(), 65536);
+  EXPECT_EQ(doc.get_int("absent", std::uint64_t{7}), 7u);
 }
 
 }  // namespace

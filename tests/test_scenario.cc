@@ -70,6 +70,23 @@ TEST(ScenarioSpec, UnknownKeysAreRejected) {
                util::JsonError);
 }
 
+// The constraint fields are ints: a value past int's range is refused by
+// name, not wrapped (4294967297 would read as 1, 4294967299 as 3).
+TEST(ScenarioSpec, ConstraintPastIntIsRefused) {
+  for (const char* doc : {R"({"constraints": {"max_set_size": 4294967297}})",
+                          R"({"constraints": {"max_plan_events": 4294967299}})"}) {
+    SCOPED_TRACE(doc);
+    try {
+      core::ScenarioGrid::from_json(std::string_view(doc));
+      ADD_FAILURE() << "accepted";
+    } catch (const util::JsonError& err) {
+      EXPECT_NE(std::string(err.what()).find("must be an integer in [-2147483648, 2147483647]"),
+                std::string::npos)
+          << err.what();
+    }
+  }
+}
+
 TEST(ScenarioSpec, ValidateCatchesTyposWithSuggestion) {
   core::ScenarioSpec spec;
   spec.workload = "surveey";

@@ -1,41 +1,37 @@
 // Campaign CLI: run an (approach x personality x workload x environment)
 // scenario grid through core::CampaignRunner and emit the machine-readable
 // JSON report the bench trajectory tracks (per-cell experiments/sec, unsafe
-// counts, bug-first-found simulation indices).
+// counts, bug-first-found simulation indices). `avis_campaign --help` lists
+// every flag; docs/SCENARIOS.md, docs/FUZZING.md and docs/CRASH_SAFETY.md
+// describe grids, fuzz mode and --journal/--resume.
 //
-// Grids are declarative core::ScenarioGrid documents (docs/SCENARIOS.md).
-// The CSV flags are sugar that builds a grid through the registries; the
-// same grid can be written out with --dump-scenario and run later (or on
-// another host) with --scenario-file, producing a report identical to the
-// flag-built run modulo wall-clock timing fields. --journal/--resume make a
-// long run crash-safe (docs/CRASH_SAFETY.md).
+// Each flag is one row of p_flags(), which drives parsing, validation,
+// --help and the cross-flag rules; numbers follow util::parse_integer, as
+// in scenario files and journals. Nothing runs until the whole command
+// line parses. Output paths are checked before any simulation, and a file
+// is replaced only by a finished document. A document sent to stdout ('-')
+// moves the text table and notes to stderr. Bad flags, unknown registry
+// names ("did you mean ...?") and conflicting flags exit 2.
 //
-// Examples (one command each; continuation lines are indented):
-//   avis_campaign                                   # full 4x2x2 grid, 2 h budget
-//   avis_campaign --approaches avis,random --personalities ardupilot
-//                 --workloads box-manual,fence-mission
-//                 --budget-ms 60000 --out report.json   # CI smoke grid
+// Examples:
+//   avis_campaign                                # full 4x2x2 grid, 2 h budget
 //   avis_campaign --workloads wind-gust-box --environments gusty
-//                 --dump-scenario grid.json             # write, don't run
+//                 --dump-scenario grid.json          # write the grid, don't run
 //   avis_campaign --scenario-file grid.json --out report.json
-//   avis_campaign --list                                # registry listing
-//
-// Unknown approach/personality/workload/environment/bug names (and unknown
-// flags) exit non-zero with a "did you mean ...? registered ... are: ..."
-// diagnostic sourced from the registries.
 #include <algorithm>
-#include <cerrno>
 #include <climits>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "../bench/common.h"
@@ -44,6 +40,7 @@
 #include "core/scenario.h"
 #include "fuzz/fuzzer.h"
 #include "sim/environment_presets.h"
+#include "util/json.h"
 #include "util/table.h"
 #include "workload/registry.h"
 
@@ -54,79 +51,238 @@ namespace {
 // Human-readable build identity, printed by --version.
 constexpr const char* kBuildVersion = "avis-campaign 0.6";
 
-struct Options {
+// Everything the command line sets, parsed straight into the structs the
+// run consumes. The grid defaults are the paper evaluation grid.
+struct Cli {
+  Cli() { fuzz.generations = 0; }  // 0 = a plain campaign, not fuzz mode
   core::ScenarioGrid grid;
-  bool grid_flag_seen = false;  // any CSV/grid-shaping flag present
-  int total_workers = util::default_worker_count();
-  int cell_workers = 0;        // 0 = derive from total via split_worker_budget
-  int experiment_workers = 0;  // 0 = derive
-  std::string scenario_file;   // load the grid from this JSON document
-  std::string dump_scenario;   // write the grid JSON here and exit ('-' = stdout)
-  std::string out;             // JSON report path; "-" = stdout; empty = no JSON
-  core::CheckpointConfig checkpoints;
-  bool quiet = false;
-  bool list = false;
-
-  // Coverage-guided scenario fuzzing (docs/FUZZING.md). --fuzz N treats the
-  // grid as the seed corpus and runs N mutation generations instead of a
-  // plain campaign.
-  long long fuzz_generations = 0;  // 0 = fuzzing off
-  long long fuzz_mutants = 8;
-  std::uint64_t fuzz_seed = 1;
-  bool fuzz_flag_seen = false;  // any --fuzz-* satellite flag present
-  std::string fuzz_corpus;      // corpus document path ('-' = stdout)
-  std::string fuzz_report;      // fuzz report path ('-' = stdout)
-
-  // Crash-safe campaigns (docs/CRASH_SAFETY.md).
-  std::string journal_path;  // write-ahead cell journal for a fresh run
-  std::string resume_path;   // continue a journaled run, skipping done cells
+  core::CampaignOptions campaign;
+  fuzz::FuzzOptions fuzz;
+  std::string scenario_file, out, dump_scenario, fuzz_corpus, fuzz_report, journal, resume;
+  bool quiet = false, list = false, version = false, help = false;
 };
 
-// SIGINT/SIGTERM request a graceful stop: finish in-flight cells, flush the
-// journal, write a partial report, exit 3. Only a flag is set here — all the
-// work happens on the normal paths via the should_stop callback.
-volatile std::sig_atomic_t g_stop_signal = 0;
-void handle_stop_signal(int sig) { g_stop_signal = sig; }
+// A row's group places it in --help and in the cross-flag rules: grid rows
+// conflict with --scenario-file, fuzz rows need --fuzz.
+enum Group { kGrid, kRun, kOutput, kAction, kFuzz, kCrashSafety };
+constexpr const char* kHeadings[] = {"", "", "", "", "fuzz mode (docs/FUZZING.md):",
+                                     "crash safety (docs/CRASH_SAFETY.md):"};
 
-std::vector<std::string> split_csv(const std::string& arg) {
-  std::vector<std::string> parts;
-  std::istringstream is(arg);
-  std::string part;
-  while (std::getline(is, part, ',')) {
-    if (!part.empty()) parts.push_back(part);
-  }
-  return parts;
+// Parses a flag's value (nullptr for a switch) into its target; prints the
+// diagnostic and returns false when the value is refused.
+using Apply = std::function<bool(const char* flag, const char* value)>;
+
+struct Flag {
+  const char* name;
+  const char* metavar;  // nullptr: a switch, which takes no value
+  Group group;
+  const char* help;  // nullptr: an alias, documented on its long form
+  Apply apply;
+  const std::string* document = nullptr;  // a JSON output path ('-' = stdout)
+};
+
+// --- Value kinds ------------------------------------------------------------
+
+Apply set(bool& target, bool value = true) {
+  return [&target, value](const char*, const char*) {
+    target = value;
+    return true;
+  };
 }
 
-// Whole-string numeric parse: trailing garbage ("60s") is an error, not a
-// silent zero that would make every cell's budget start exhausted, and so
-// is a value past the range of long long, which strtoll clamps.
-bool parse_number(const char* text, long long& out) {
-  if (text == nullptr || *text == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtoll(text, &end, 10);
-  return errno != ERANGE && end != nullptr && *end == '\0';
+Apply path(std::string& target) {
+  return [&target](const char*, const char* value) {
+    target = value;
+    return true;
+  };
+}
+
+// A CSV list of registered names, or for a string target one name taken
+// whole. The diagnostic names the flag that carried the typo.
+template <typename Target, typename Factory>
+Apply names(Target& target, const util::Registry<Factory>& registry) {
+  return [&target, &registry](const char* flag, const char* value) {
+    constexpr bool kList = std::is_same_v<Target, std::vector<std::string>>;
+    std::vector<std::string> names;
+    std::istringstream csv(value);
+    for (std::string name; std::getline(csv, name, ',');) {
+      if (!name.empty()) names.push_back(name);
+    }
+    if constexpr (!kList) names = {value};
+    try {
+      for (const std::string& name : names) registry.at(name);
+    } catch (const util::UnknownNameError& err) {
+      std::cerr << flag << ": " << err.what() << "\n";
+      return false;
+    }
+    if constexpr (kList) {
+      target = std::move(names);
+    } else {
+      target = value;
+    }
+    return !target.empty();
+  };
+}
+
+// A signed integer in [lo, hi], stored shifted left by `shift` bits (20
+// turns MB into bytes); hi = kPositive reads as "must be positive".
+constexpr std::int64_t kPositive = INT64_MAX;
+template <typename T>
+Apply integer(T& target, std::int64_t lo, std::int64_t hi, int shift = 0) {
+  return [&target, lo, hi, shift](const char* flag, const char* value) {
+    const std::optional<std::int64_t> n = util::parse_integer<std::int64_t>(value);
+    if (!n) {
+      std::cerr << "bad numeric value for " << flag << ": " << value << "\n";
+      return false;
+    }
+    if (*n < lo || *n > hi) {
+      if (hi == kPositive) {
+        std::cerr << flag << " must be positive (got " << *n << ")\n";
+      } else {
+        std::cerr << flag << " must be in [" << lo << ", " << hi << "] (got " << *n << ")\n";
+      }
+      return false;
+    }
+    target = static_cast<T>(*n) << shift;
+    return true;
+  };
+}
+
+// A seed follows a scenario file's rule: an unsigned 64-bit integer, with
+// no sign to wrap a negative around.
+Apply seed(std::uint64_t& target) {
+  return [&target](const char* flag, const char* value) {
+    const std::optional<std::uint64_t> n = util::parse_integer<std::uint64_t>(value);
+    if (!n) std::cerr << flag << " must be an unsigned 64-bit integer (got " << value << ")\n";
+    target = n.value_or(target);
+    return n.has_value();
+  };
 }
 
 // Largest --checkpoint-budget-mb whose byte count fits in std::size_t.
-constexpr long long kMaxBudgetMb =
-    static_cast<long long>(std::min<std::size_t>(LLONG_MAX, SIZE_MAX >> 20));
+constexpr std::int64_t kMaxBudgetMb = SIZE_MAX >> 20;
 
-// Validate a CSV list against a registry up front so the diagnostic names
-// the flag that carried the typo.
-template <typename Factory>
-bool check_names(const std::vector<std::string>& names,
-                 const util::Registry<Factory>& registry, const char* flag) {
-  for (const std::string& name : names) {
-    if (!registry.contains(name)) {
-      std::cerr << flag << ": "
-                << util::unknown_name_message(registry.what(), registry.plural(), name,
-                                              registry.names())
-                << "\n";
-      return false;
+std::vector<Flag> p_flags(Cli& cli) {
+  core::ScenarioGrid& grid = cli.grid;
+  core::CampaignOptions& run = cli.campaign;
+  core::CheckpointConfig& checkpoints = cli.campaign.checkpoints;
+  return {
+      {"--approaches", "LIST", kGrid, "csv of registered approaches (default all four)",
+       names(grid.approaches, core::approach_registry())},
+      {"--personalities", "LIST", kGrid, "csv of registered personalities (default both)",
+       names(grid.personalities, core::personality_registry())},
+      {"--workloads", "LIST", kGrid, "csv of workloads (default box-manual,fence-mission)",
+       names(grid.workloads, workload::workload_registry())},
+      {"--environments", "LIST", kGrid, "csv of registered environment presets (default calm)",
+       names(grid.environments, sim::environment_registry())},
+      {"--bugs", "NAME", kGrid, "bug population selector (default current)",
+       names(grid.bugs, core::bug_selector_registry())},
+      {"--budget-ms", "N", kGrid, "per-cell simulated budget (default 7200000 = 2 h)",
+       integer(grid.budget_ms, 1, kPositive)},
+      {"--seed", "N", kGrid, "checker seed per cell (default 100)", seed(grid.seed)},
+      {"--scenario-file", "FILE", kRun, "run a ScenarioGrid JSON file, not the grid flags",
+       path(cli.scenario_file)},
+      {"--workers", "N", kRun, "total hardware budget for the worker split",
+       integer(run.total_workers, 1, INT_MAX)},
+      {"--cell-workers", "N", kRun, "override: cells run concurrently (0 = derive)",
+       integer(run.cell_workers, 0, INT_MAX)},
+      {"--experiment-workers", "N", kRun, "override: experiment pool size per cell (0 = derive)",
+       integer(run.experiment_workers, 0, INT_MAX)},
+      {"--no-checkpoints", nullptr, kRun, "disable prefix forking (A/B timing; same report)",
+       set(checkpoints.enabled, false)},
+      {"--no-checkpoint-trees", nullptr, kRun, "keep only the fault-free root (A/B timing)",
+       set(checkpoints.trees, false)},
+      {"--checkpoint-interval-ms", "N", kRun, "snapshot cadence for the prefix run (default 1000)",
+       integer(checkpoints.interval_ms, 1, kPositive)},
+      {"--checkpoint-budget-mb", "N", kRun, "retained snapshot budget (default 64)",
+       integer(checkpoints.byte_budget, 1, kMaxBudgetMb, 20)},
+      {"--out", "FILE", kOutput, "write the JSON report to FILE ('-' = stdout)", path(cli.out),
+       &cli.out},
+      {"--dump-scenario", "FILE", kOutput, "write the grid as JSON and exit ('-' = stdout)",
+       path(cli.dump_scenario), &cli.dump_scenario},
+      {"--quiet", nullptr, kOutput, "suppress the text table and status notes", set(cli.quiet)},
+      {"--list", nullptr, kAction, "print every registry and exit", set(cli.list)},
+      {"--version", nullptr, kAction, "print the build version and exit", set(cli.version)},
+      {"--help", nullptr, kAction, "print this help to stdout and exit (also -h)", set(cli.help)},
+      {"-h", nullptr, kAction, nullptr, set(cli.help)},
+      {"--fuzz", "N", kAction, "run N coverage-guided mutation generations",
+       integer(cli.fuzz.generations, 1, INT_MAX)},
+      {"--fuzz-mutants", "N", kFuzz, "mutants evaluated per generation (default 8)",
+       integer(cli.fuzz.mutants_per_generation, 1, INT_MAX)},
+      {"--fuzz-seed", "N", kFuzz, "mutation rng seed (default 1; fixes the corpus)",
+       seed(cli.fuzz.seed)},
+      {"--fuzz-corpus", "FILE", kFuzz, "write the corpus as a ScenarioGrid ('-' = stdout)",
+       path(cli.fuzz_corpus), &cli.fuzz_corpus},
+      {"--fuzz-report", "FILE", kFuzz, "write the fuzz report as JSON ('-' = stdout)",
+       path(cli.fuzz_report), &cli.fuzz_report},
+      {"--journal", "FILE", kCrashSafety, "write-ahead journal: one fsync'd record per cell",
+       path(cli.journal)},
+      {"--resume", "FILE", kCrashSafety, "finish the campaign journaled in FILE",
+       path(cli.resume)},
+  };
+}
+
+int usage(std::ostream& os, const std::vector<Flag>& flags, const char* argv0) {
+  os << "usage: " << argv0 << " [options]\n";
+  std::string_view heading;
+  for (const Flag& flag : flags) {
+    if (flag.help == nullptr) continue;
+    if (heading != kHeadings[flag.group]) {
+      heading = kHeadings[flag.group];
+      os << heading << "\n";
     }
+    std::string lead = std::string("  ") + flag.name;
+    if (flag.metavar != nullptr) lead += std::string(" ") + flag.metavar;
+    lead.resize(std::max<std::size_t>(lead.size() + 1, 27), ' ');
+    os << lead << flag.help << "\n";
   }
+  os << "exit codes: 0 complete, 1 runtime failure, 2 bad flags or --resume grid\n"
+        "mismatch, 3 interrupted by SIGINT/SIGTERM (partial report written)\n";
+  return 2;
+}
+
+// "--a/--b/..." over a group's rows, for the conflict messages.
+std::string p_group_names(const std::vector<Flag>& flags, Group group) {
+  std::string names;
+  for (const Flag& flag : flags) {
+    if (flag.group != group) continue;
+    if (!names.empty()) names += "/";
+    names += flag.name;
+  }
+  return names;
+}
+
+// Checks a document path before any simulation starts, without truncating
+// a file already there: a run that fails must leave it as it was. A file
+// the check creates is removed again.
+bool p_writable(const std::string& path) {
+  if (path.empty() || path == "-") return true;
+  std::error_code ignored;
+  const bool existed = std::filesystem::exists(path, ignored);
+  if (!std::ofstream(path, std::ios::app)) {
+    std::cerr << "cannot open " << path << " for writing\n";
+    return false;
+  }
+  if (!existed) std::filesystem::remove(path, ignored);
+  return true;
+}
+
+// The one writer for every JSON document, after p_writable passed. A file
+// is truncated only here, once its document is complete; a stream that
+// fails during the open, the write or the close is a runtime failure.
+bool p_write_document(const std::string& path, const std::string& json, const std::string& what,
+                      std::ostream& notes, bool quiet) {
+  if (path.empty()) return true;
+  std::ofstream file;
+  if (path != "-") file.open(path);
+  std::ostream& os = path == "-" ? std::cout : file;
+  os << json << std::flush;
+  if (path != "-") file.close();
+  if (!os) {
+    std::cerr << "cannot write the " << what << " to " << (path == "-" ? "stdout" : path) << "\n";
+    return false;
+  }
+  if (!quiet && path != "-") notes << what << " written to " << path << "\n";
   return true;
 }
 
@@ -140,231 +296,79 @@ void print_registry(std::ostream& os, const util::Registry<Factory>& registry) {
   }
 }
 
-int usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " [options]\n"
-      << "  --scenario-file FILE     run the ScenarioGrid JSON document (docs/SCENARIOS.md);\n"
-      << "                           exclusive with the grid-shaping flags below\n"
-      << "  --dump-scenario FILE     write the grid the flags describe as JSON and exit\n"
-      << "                           ('-' = stdout)\n"
-      << "  --budget-ms N            per-cell simulated budget (default 7200000 = 2 h)\n"
-      << "  --seed N                 checker seed per cell (default 100)\n"
-      << "  --approaches LIST        csv of registered approaches (default all four)\n"
-      << "  --personalities LIST     csv of registered personalities (default both)\n"
-      << "  --workloads LIST         csv of registered workloads\n"
-      << "                           (default box-manual,fence-mission)\n"
-      << "  --environments LIST      csv of registered environment presets (default calm)\n"
-      << "  --bugs NAME              bug population selector (default current)\n"
-      << "  --workers N              total hardware budget for the worker split\n"
-      << "  --cell-workers N         override: cells run concurrently (0 = derive)\n"
-      << "  --experiment-workers N   override: experiment pool size per cell (0 = derive)\n"
-      << "  --no-checkpoints         disable checkpointed prefix forking (A/B timing;\n"
-      << "                           reports are bit-identical either way)\n"
-      << "  --no-checkpoint-trees    keep the fault-free root but disable faulty-prefix\n"
-      << "                           snapshots (A/B timing; reports identical modulo\n"
-      << "                           checkpoint counters)\n"
-      << "  --checkpoint-interval-ms N  snapshot cadence for the prefix run (default 1000)\n"
-      << "  --checkpoint-budget-mb N retained snapshot budget, root + tree combined\n"
-      << "                           (default 64)\n"
-      << "  --out FILE               write the JSON report to FILE ('-' = stdout)\n"
-      << "fuzz mode (docs/FUZZING.md):\n"
-      << "  --fuzz N                 run N coverage-guided mutation generations seeded\n"
-      << "                           from the grid instead of a plain campaign\n"
-      << "  --fuzz-mutants N         mutants evaluated per generation (default 8)\n"
-      << "  --fuzz-seed N            mutation rng seed (default 1; same seed =>\n"
-      << "                           byte-identical corpus)\n"
-      << "  --fuzz-corpus FILE       write the corpus as a replayable ScenarioGrid\n"
-      << "                           document ('-' = stdout; rerun via --scenario-file)\n"
-      << "  --fuzz-report FILE       write the fuzz report (coverage growth curve,\n"
-      << "                           corpus, discoveries) as JSON ('-' = stdout)\n"
-      << "  --list                   print every registry (names + descriptions) and exit\n"
-      << "  --quiet                  suppress the text table and status notes\n"
-      << "  --version                print the build version and exit\n"
-      << "crash safety (docs/CRASH_SAFETY.md):\n"
-      << "  --journal FILE           write-ahead cell journal: one fsync'd record per\n"
-      << "                           completed cell, so a crash loses at most the\n"
-      << "                           in-flight cells\n"
-      << "  --resume FILE            continue the campaign journaled in FILE: verify the\n"
-      << "                           grid matches, skip journaled cells, run the rest,\n"
-      << "                           and emit the same merged report an uninterrupted\n"
-      << "                           run would have (modulo wall-clock fields)\n"
-      << "exit codes: 0 complete, 1 runtime failure, 2 bad flags or --resume grid\n"
-      << "mismatch, 3 interrupted by SIGINT/SIGTERM (partial report written)\n";
-  return 2;
+// SIGINT/SIGTERM request a graceful stop: finish in-flight cells, flush the
+// journal, write a partial report, exit 3. Only a flag is set here — all the
+// work happens on the normal paths via the should_stop callback.
+volatile std::sig_atomic_t g_stop_signal = 0;
+void handle_stop_signal(int sig) { g_stop_signal = sig; }
+
+int p_run_fuzz(const Cli& cli, std::ostream& text) {
+  fuzz::FuzzOptions options = cli.fuzz;
+  options.campaign = cli.campaign;
+  fuzz::FuzzResult result;
+  try {
+    result = fuzz::run_fuzz(cli.grid, options);
+  } catch (const std::exception& err) {
+    std::cerr << "fuzz failed: " << err.what() << "\n";
+    return 1;
+  }
+  if (!cli.quiet) {
+    util::TextTable t({"gen", "evaluated", "admitted", "corpus", "cov keys", "new bugs"});
+    for (const auto& row : result.curve) {
+      t.add(row.generation, row.evaluated, row.admitted, row.corpus_size, row.coverage_keys,
+            row.new_bugs);
+    }
+    t.render(text);
+    text << "coverage keys: " << result.baseline_coverage.size() << " (seed grid) -> "
+         << result.corpus.coverage_union().size() << " (corpus), " << result.evaluations
+         << " evaluations\n";
+    for (const auto& discovery : result.discoveries) {
+      text << "new bug (gen " << discovery.generation << "):";
+      for (fw::BugId bug : discovery.new_bugs) text << " " << fw::bug_info(bug).report_name;
+      text << " via " << discovery.minimized.personality << "/" << discovery.minimized.workload
+           << "/" << discovery.minimized.environment << "\n";
+    }
+  }
+  const bool written = p_write_document(cli.fuzz_corpus, result.corpus.to_scenario_grid_json(),
+                                        "fuzz corpus", text, cli.quiet) &&
+                       p_write_document(cli.fuzz_report, fuzz::fuzz_report_json(result, options),
+                                        "fuzz report", text, cli.quiet);
+  return written ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options options;
-  // The CLI default grid is the paper evaluation grid: ScenarioGrid's
-  // defaults already carry it (all four approaches, both personalities,
-  // both default workloads, calm environment).
+  Cli cli;
+  const std::vector<Flag> flags = p_flags(cli);
+  bool seen[std::size(kHeadings)] = {};  // per group: was one of its flags given
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    auto number = [&](long long& out) {
-      const char* v = value();
-      if (!parse_number(v, out)) {
-        std::cerr << "bad numeric value for " << arg << ": " << (v ? v : "(missing)") << "\n";
-        return false;
-      }
-      return true;
-    };
-    // A numeric value that must lie in [lo, hi], so it also fits the type
-    // it is stored in.
-    auto bounded = [&](long long& out, long long lo, long long hi) {
-      if (!number(out)) return false;
-      if (out < lo || out > hi) {
-        std::cerr << arg << " must be in [" << lo << ", " << hi << "] (got " << out << ")\n";
-        return false;
-      }
-      return true;
-    };
-    // A seed follows a scenario file's rule (util::Json::as_uint64): an
-    // unsigned 64-bit integer, with no sign to wrap a negative around.
-    auto seed = [&](std::uint64_t& out) {
-      const char* v = value();
-      char* end = nullptr;
-      errno = 0;
-      if (v != nullptr && *v >= '0' && *v <= '9') out = std::strtoull(v, &end, 10);
-      if (end == nullptr || *end != '\0' || errno == ERANGE) {
-        std::cerr << arg << " must be an unsigned 64-bit integer (got " << (v ? v : "(missing)")
-                  << ")\n";
-        return false;
-      }
-      return true;
-    };
-    auto csv_list = [&](std::vector<std::string>& out) {
-      const char* v = value();
-      if (v == nullptr) return false;
-      out = split_csv(v);
-      options.grid_flag_seen = true;
-      return !out.empty();
-    };
-    long long n = 0;
-    if (arg == "--budget-ms") {
-      if (!number(n)) return usage(argv[0]);
-      if (n <= 0) {
-        std::cerr << "--budget-ms must be positive (got " << n << ")\n";
-        return usage(argv[0]);
-      }
-      options.grid.budget_ms = n;
-      options.grid_flag_seen = true;
-    } else if (arg == "--seed") {
-      if (!seed(options.grid.seed)) return usage(argv[0]);
-      options.grid_flag_seen = true;
-    } else if (arg == "--workers") {
-      if (!bounded(n, 1, INT_MAX)) return usage(argv[0]);
-      options.total_workers = static_cast<int>(n);
-    } else if (arg == "--cell-workers") {
-      // 0 keeps the derived split.
-      if (!bounded(n, 0, INT_MAX)) return usage(argv[0]);
-      options.cell_workers = static_cast<int>(n);
-    } else if (arg == "--experiment-workers") {
-      if (!bounded(n, 0, INT_MAX)) return usage(argv[0]);
-      options.experiment_workers = static_cast<int>(n);
-    } else if (arg == "--approaches") {
-      if (!csv_list(options.grid.approaches)) return usage(argv[0]);
-      if (!check_names(options.grid.approaches, core::approach_registry(), "--approaches")) {
-        return 2;
-      }
-    } else if (arg == "--personalities") {
-      if (!csv_list(options.grid.personalities)) return usage(argv[0]);
-      if (!check_names(options.grid.personalities, core::personality_registry(),
-                       "--personalities")) {
-        return 2;
-      }
-    } else if (arg == "--workloads") {
-      if (!csv_list(options.grid.workloads)) return usage(argv[0]);
-      if (!check_names(options.grid.workloads, workload::workload_registry(), "--workloads")) {
-        return 2;
-      }
-    } else if (arg == "--environments") {
-      if (!csv_list(options.grid.environments)) return usage(argv[0]);
-      if (!check_names(options.grid.environments, sim::environment_registry(),
-                       "--environments")) {
-        return 2;
-      }
-    } else if (arg == "--bugs") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      options.grid.bugs = v;
-      options.grid_flag_seen = true;
-      if (!check_names({options.grid.bugs}, core::bug_selector_registry(), "--bugs")) {
-        return 2;
-      }
-    } else if (arg == "--scenario-file") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      options.scenario_file = v;
-    } else if (arg == "--dump-scenario") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      options.dump_scenario = v;
-    } else if (arg == "--out") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      options.out = v;
-    } else if (arg == "--no-checkpoints") {
-      options.checkpoints.enabled = false;
-    } else if (arg == "--no-checkpoint-trees") {
-      options.checkpoints.trees = false;
-    } else if (arg == "--checkpoint-budget-mb") {
-      if (!bounded(n, 1, kMaxBudgetMb)) return usage(argv[0]);
-      options.checkpoints.byte_budget =
-          static_cast<std::size_t>(n) * std::size_t{1024} * std::size_t{1024};
-    } else if (arg == "--checkpoint-interval-ms") {
-      if (!number(n)) return usage(argv[0]);
-      if (n <= 0) {
-        std::cerr << "--checkpoint-interval-ms must be positive (got " << n << ")\n";
-        return usage(argv[0]);
-      }
-      options.checkpoints.interval_ms = n;
-    } else if (arg == "--fuzz") {
-      if (!bounded(n, 1, INT_MAX)) return usage(argv[0]);
-      options.fuzz_generations = n;
-    } else if (arg == "--fuzz-mutants") {
-      if (!bounded(n, 1, INT_MAX)) return usage(argv[0]);
-      options.fuzz_mutants = n;
-      options.fuzz_flag_seen = true;
-    } else if (arg == "--fuzz-seed") {
-      if (!seed(options.fuzz_seed)) return usage(argv[0]);
-      options.fuzz_flag_seen = true;
-    } else if (arg == "--fuzz-corpus") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      options.fuzz_corpus = v;
-      options.fuzz_flag_seen = true;
-    } else if (arg == "--fuzz-report") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      options.fuzz_report = v;
-      options.fuzz_flag_seen = true;
-    } else if (arg == "--list") {
-      options.list = true;
-    } else if (arg == "--quiet") {
-      options.quiet = true;
-    } else if (arg == "--version") {
-      std::cout << kBuildVersion << "\n";
-      return 0;
-    } else if (arg == "--journal") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      options.journal_path = v;
-    } else if (arg == "--resume") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      options.resume_path = v;
-    } else {
+    const std::string_view arg = argv[i];
+    const auto flag = std::find_if(flags.begin(), flags.end(),
+                                   [&](const Flag& row) { return arg == row.name; });
+    if (flag == flags.end()) {
       std::cerr << "unknown option: " << arg << "\n";
-      return usage(argv[0]);
+      return usage(std::cerr, flags, argv[0]);
     }
+    if (flag->metavar != nullptr && i + 1 == argc) {
+      std::cerr << arg << " needs a value: " << arg << " " << flag->metavar << "\n";
+      return usage(std::cerr, flags, argv[0]);
+    }
+    if (!flag->apply(flag->name, flag->metavar != nullptr ? argv[++i] : nullptr)) {
+      return usage(std::cerr, flags, argv[0]);
+    }
+    seen[flag->group] = true;
   }
 
-  if (options.list) {
+  if (cli.help) {
+    usage(std::cout, flags, argv[0]);
+    return 0;
+  }
+  if (cli.version) {
+    std::cout << kBuildVersion << "\n";
+    return 0;
+  }
+  if (cli.list) {
     print_registry(std::cout, core::approach_registry());
     print_registry(std::cout, core::personality_registry());
     print_registry(std::cout, workload::workload_registry());
@@ -373,50 +377,51 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Fuzz flag combinations are rejected here, before any simulation budget
-  // burns: the check needs nothing but the parsed flags.
-  if (options.fuzz_generations == 0 && options.fuzz_flag_seen) {
-    std::cerr << "--fuzz-mutants/--fuzz-seed/--fuzz-corpus/--fuzz-report only apply in "
-                 "fuzz mode; add --fuzz N (docs/FUZZING.md)\n";
+  // Cross-flag rules, checked before any simulation budget burns.
+  std::string to_stdout;  // the flags that send a document to '-', " and "-joined
+  for (const Flag& flag : flags) {
+    if (flag.document == nullptr || *flag.document != "-") continue;
+    to_stdout += (to_stdout.empty() ? "" : " and ") + std::string(flag.name);
+  }
+  const bool fuzzing = cli.fuzz.generations > 0;
+  const std::pair<bool, std::string> rules[] = {
+      {!fuzzing && seen[kFuzz],
+       p_group_names(flags, kFuzz) +
+           " only apply in fuzz mode; add --fuzz N (docs/FUZZING.md)"},
+      {fuzzing && (!cli.out.empty() || !cli.dump_scenario.empty()),
+       "--fuzz writes --fuzz-corpus/--fuzz-report documents; --out and --dump-scenario do "
+       "not apply"},
+      {!cli.journal.empty() && !cli.resume.empty(),
+       "--journal starts a fresh journal and --resume continues one; pass exactly one"},
+      {(!cli.journal.empty() || !cli.resume.empty()) && (fuzzing || !cli.dump_scenario.empty()),
+       "--journal/--resume apply to campaign runs; they do not combine with --fuzz or "
+       "--dump-scenario"},
+      {!cli.scenario_file.empty() && seen[kGrid],
+       "--scenario-file carries the whole grid; combining it with grid-shaping flags (" +
+           p_group_names(flags, kGrid) + ") is ambiguous"},
+      {to_stdout.find(" and ") != std::string::npos,
+       to_stdout + " both write to stdout ('-'); send at most one document there"},
+  };
+  for (const auto& [broken, message] : rules) {
+    if (!broken) continue;
+    std::cerr << message << "\n";
     return 2;
   }
-  if (options.fuzz_generations > 0 && (!options.out.empty() || !options.dump_scenario.empty())) {
-    std::cerr << "--fuzz writes --fuzz-corpus/--fuzz-report documents; --out and "
-                 "--dump-scenario do not apply\n";
-    return 2;
-  }
+  // A document on stdout keeps it machine-readable: text goes to stderr.
+  std::ostream& text = to_stdout.empty() ? std::cout : std::cerr;
 
-  if (!options.journal_path.empty() && !options.resume_path.empty()) {
-    std::cerr << "--journal starts a fresh journal and --resume continues one; pass "
-                 "exactly one\n";
-    return 2;
-  }
-  if ((!options.journal_path.empty() || !options.resume_path.empty()) &&
-      (options.fuzz_generations > 0 || !options.dump_scenario.empty())) {
-    std::cerr << "--journal/--resume apply to campaign runs; they do not combine with "
-                 "--fuzz or --dump-scenario\n";
-    return 2;
-  }
-
-  if (!options.scenario_file.empty() && options.grid_flag_seen) {
-    std::cerr << "--scenario-file carries the whole grid; combining it with grid-shaping "
-                 "flags (--approaches/--personalities/--workloads/--environments/--bugs/"
-                 "--budget-ms/--seed) is ambiguous\n";
-    return 2;
-  }
-
-  if (!options.scenario_file.empty()) {
-    std::ifstream file(options.scenario_file);
+  if (!cli.scenario_file.empty()) {
+    std::ifstream file(cli.scenario_file);
     if (!file) {
-      std::cerr << "cannot open scenario file " << options.scenario_file << "\n";
+      std::cerr << "cannot open scenario file " << cli.scenario_file << "\n";
       return 2;
     }
-    std::ostringstream text;
-    text << file.rdbuf();
+    std::ostringstream contents;
+    contents << file.rdbuf();
     try {
-      options.grid = core::ScenarioGrid::from_json(text.str());
+      cli.grid = core::ScenarioGrid::from_json(contents.str());
     } catch (const std::exception& err) {
-      std::cerr << options.scenario_file << ": " << err.what() << "\n";
+      std::cerr << cli.scenario_file << ": " << err.what() << "\n";
       return 2;
     }
   }
@@ -425,143 +430,63 @@ int main(int argc, char** argv) {
   // file with a typo fails here with the registered-name listing.
   std::vector<core::CampaignCellSpec> grid;
   try {
-    grid = core::expand_to_cells(options.grid);
+    grid = core::expand_to_cells(cli.grid);
   } catch (const std::exception& err) {
     std::cerr << err.what() << "\n";
     return 2;
   }
 
-  if (!options.dump_scenario.empty()) {
-    const std::string json = options.grid.to_json();
-    if (options.dump_scenario == "-") {
-      std::cout << json;
-    } else {
-      std::ofstream file(options.dump_scenario);
-      if (!file) {
-        std::cerr << "cannot open " << options.dump_scenario << " for writing\n";
-        return 1;
-      }
-      file << json;
-      if (!options.quiet) {
-        std::cout << "scenario grid (" << grid.size() << " cells) written to "
-                  << options.dump_scenario << "\n";
-      }
-    }
-    return 0;
-  }
-
-  if (options.fuzz_generations > 0) {
-    fuzz::FuzzOptions fuzz_options;
-    fuzz_options.generations = static_cast<int>(options.fuzz_generations);
-    fuzz_options.mutants_per_generation = static_cast<int>(options.fuzz_mutants);
-    fuzz_options.seed = options.fuzz_seed;
-    fuzz_options.campaign.total_workers = options.total_workers;
-    fuzz_options.campaign.cell_workers = options.cell_workers;
-    fuzz_options.campaign.experiment_workers = options.experiment_workers;
-    fuzz_options.campaign.checkpoints = options.checkpoints;
-    fuzz::FuzzResult fuzz_result;
-    try {
-      fuzz_result = fuzz::run_fuzz(options.grid, fuzz_options);
-    } catch (const std::exception& err) {
-      std::cerr << "fuzz failed: " << err.what() << "\n";
-      return 1;
-    }
-    if (!options.quiet) {
-      util::TextTable t({"gen", "evaluated", "admitted", "corpus", "cov keys", "new bugs"});
-      for (const auto& row : fuzz_result.curve) {
-        t.add(row.generation, row.evaluated, row.admitted, row.corpus_size,
-              row.coverage_keys, row.new_bugs);
-      }
-      t.render(std::cout);
-      std::cout << "coverage keys: " << fuzz_result.baseline_coverage.size()
-                << " (seed grid) -> " << fuzz_result.corpus.coverage_union().size()
-                << " (corpus), " << fuzz_result.evaluations << " evaluations\n";
-      for (const auto& discovery : fuzz_result.discoveries) {
-        std::cout << "new bug (gen " << discovery.generation << "):";
-        for (fw::BugId bug : discovery.new_bugs) {
-          std::cout << " " << fw::bug_info(bug).report_name;
-        }
-        std::cout << " via " << discovery.minimized.personality << "/"
-                  << discovery.minimized.workload << "/" << discovery.minimized.environment
-                  << "\n";
-      }
-    }
-    const auto write_document = [&](const std::string& path, const std::string& json,
-                                    const char* what) {
-      if (path.empty()) return true;
-      if (path == "-") {
-        std::cout << json;
-        return true;
-      }
-      std::ofstream file(path);
-      if (!file) {
-        std::cerr << "cannot open " << path << " for writing\n";
-        return false;
-      }
-      file << json;
-      if (!options.quiet) std::cout << what << " written to " << path << "\n";
-      return true;
-    };
-    if (!write_document(options.fuzz_corpus, fuzz_result.corpus.to_scenario_grid_json(),
-                        "fuzz corpus")) {
-      return 1;
-    }
-    if (!write_document(options.fuzz_report, fuzz::fuzz_report_json(fuzz_result, fuzz_options),
-                        "fuzz report")) {
-      return 1;
-    }
-    return 0;
-  }
-
-  const std::size_t grid_cells = grid.size();
-
-  // Journal / resume setup. On --resume the loaded header must bind the
-  // exact campaign the flags describe — any drift (different grid, different
-  // checkpoint knobs) would merge reports from two different campaigns, so
-  // a mismatch is a usage error (exit 2) with a field-by-field diff.
-  std::optional<core::CampaignJournal> journal;
+  // On --resume the loaded header must bind the exact campaign the flags
+  // describe — any drift (different grid, different checkpoint knobs) would
+  // merge reports from two different campaigns, so a mismatch is a usage
+  // error (exit 2) with a field-by-field diff.
   core::CampaignJournal::Loaded loaded;
-  const bool resuming = !options.resume_path.empty();
+  const bool resuming = !cli.resume.empty();
   if (resuming) {
     try {
-      loaded = core::CampaignJournal::load(options.resume_path);
+      loaded = core::CampaignJournal::load(cli.resume);
     } catch (const core::JournalError& err) {
       std::cerr << "--resume: " << err.what() << "\n";
       return 2;
     }
-    const core::CampaignJournal::Header requested =
-        core::CampaignJournal::bind(grid, options.checkpoints);
-    const std::string diff =
-        core::CampaignJournal::header_diff(loaded.header, requested, grid);
+    const std::string diff = core::CampaignJournal::header_diff(
+        loaded.header, core::CampaignJournal::bind(grid, cli.campaign.checkpoints), grid);
     if (!diff.empty()) {
-      std::cerr << "--resume: journal " << options.resume_path
-                << " was written by a different campaign:\n"
+      std::cerr << "--resume: journal " << cli.resume << " was written by a different campaign:\n"
                 << diff;
       return 2;
     }
-    if (!options.quiet) {
+    if (!cli.quiet) {
       if (loaded.dropped_torn_record) {
         std::cerr << "[journal] dropped a torn final record (crash mid-append); "
                      "that cell re-runs\n";
       }
-      std::cerr << "[journal] " << loaded.cells.size() << "/" << grid_cells
-                << " cells already journaled in " << options.resume_path << "\n";
+      std::cerr << "[journal] " << loaded.cells.size() << "/" << grid.size()
+                << " cells already journaled in " << cli.resume << "\n";
     }
-    try {
-      journal.emplace(core::CampaignJournal::append_to(options.resume_path));
-    } catch (const core::JournalError& err) {
-      std::cerr << "--resume: " << err.what() << "\n";
-      return 2;
-    }
-  } else if (!options.journal_path.empty()) {
-    try {
+  }
+
+  for (const Flag& flag : flags) {
+    if (flag.document != nullptr && !p_writable(*flag.document)) return 1;
+  }
+
+  if (!cli.dump_scenario.empty()) {
+    const std::string what = "scenario grid (" + std::to_string(grid.size()) + " cells)";
+    return p_write_document(cli.dump_scenario, cli.grid.to_json(), what, text, cli.quiet) ? 0 : 1;
+  }
+
+  if (fuzzing) return p_run_fuzz(cli, text);
+
+  std::optional<core::CampaignJournal> journal;
+  try {
+    if (resuming) journal.emplace(core::CampaignJournal::append_to(cli.resume));
+    if (!cli.journal.empty()) {
       journal.emplace(core::CampaignJournal::start(
-          options.journal_path,
-          core::CampaignJournal::bind(grid, options.checkpoints)));
-    } catch (const core::JournalError& err) {
-      std::cerr << "--journal: " << err.what() << "\n";
-      return 1;
+          cli.journal, core::CampaignJournal::bind(grid, cli.campaign.checkpoints)));
     }
+  } catch (const core::JournalError& err) {
+    std::cerr << (resuming ? "--resume: " : "--journal: ") << err.what() << "\n";
+    return resuming ? 2 : 1;
   }
 
   // Graceful interruption: the handlers only raise a flag, which the
@@ -569,63 +494,46 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
 
-  core::CampaignOptions campaign_options;
-  campaign_options.total_workers = options.total_workers;
-  campaign_options.cell_workers = options.cell_workers;
-  campaign_options.experiment_workers = options.experiment_workers;
-  campaign_options.checkpoints = options.checkpoints;
-  campaign_options.journal = journal ? &*journal : nullptr;
-  campaign_options.resume = resuming ? &loaded.cells : nullptr;
-  campaign_options.should_stop = [] { return g_stop_signal != 0; };
+  cli.campaign.journal = journal ? &*journal : nullptr;
+  cli.campaign.resume = resuming ? &loaded.cells : nullptr;
+  cli.campaign.should_stop = [] { return g_stop_signal != 0; };
   core::CampaignResult result;
   try {
-    result = core::CampaignRunner(campaign_options).run(grid);
+    result = core::CampaignRunner(cli.campaign).run(grid);
   } catch (const core::JournalError& err) {
     std::cerr << "journal write failed: " << err.what() << "\n";
     return 1;
   }
 
-  if (result.interrupted && !options.quiet) {
+  if (result.interrupted && !cli.quiet) {
     std::cerr << "campaign interrupted (signal " << static_cast<int>(g_stop_signal)
-              << "): " << result.cells.size() << "/" << grid_cells
+              << "): " << result.cells.size() << "/" << grid.size()
               << " cells completed; partial report written"
-              << (journal ? " and journaled — finish with --resume " + journal->path()
-                          : "")
+              << (journal ? " and journaled — finish with --resume " + journal->path() : "")
               << "\n";
   }
 
-  if (!options.quiet) {
+  if (!cli.quiet) {
     util::TextTable t({"#", "approach", "firmware", "workload", "environment", "sims",
                        "labels", "unsafe #", "bugs", "ckpt hit", "exp/s"});
     for (std::size_t i = 0; i < result.cells.size(); ++i) {
       const auto& cell = result.cells[i];
-      char rate[32];
-      std::snprintf(rate, sizeof(rate), "%.2f", cell.experiments_per_sec());
       char hit_rate[32];
       std::snprintf(hit_rate, sizeof(hit_rate), "%.0f%%",
                     100.0 * cell.report.checkpoint_hit_rate());
       t.add(static_cast<int>(i), cell.spec.display_label(), cell.spec.scenario.personality,
             cell.spec.scenario.workload, cell.spec.scenario.environment,
             cell.report.experiments, cell.report.labels, cell.report.unsafe_count(),
-            static_cast<int>(cell.report.bug_first_found.size()), hit_rate, rate);
+            static_cast<int>(cell.report.bug_first_found.size()), hit_rate,
+            cell.experiments_per_sec());
     }
-    t.render(std::cout);
-    bench::print_campaign_footer(std::cout, result);
+    t.render(text);
+    bench::print_campaign_footer(text, result);
   }
 
-  if (!options.out.empty()) {
-    const std::string json = core::campaign_report_json(result);
-    if (options.out == "-") {
-      std::cout << json;
-    } else {
-      std::ofstream file(options.out);
-      if (!file) {
-        std::cerr << "cannot open " << options.out << " for writing\n";
-        return 1;
-      }
-      file << json;
-      if (!options.quiet) std::cout << "JSON report written to " << options.out << "\n";
-    }
+  if (!p_write_document(cli.out, core::campaign_report_json(result), "JSON report", text,
+                        cli.quiet)) {
+    return 1;
   }
   return result.interrupted ? 3 : 0;
 }
