@@ -8,21 +8,17 @@
 // cells and runs it through core::CampaignRunner, which calibrates each
 // scenario once (cells with the same prototype share one Checker) and
 // shards those groups across the machine on top of the per-cell experiment
-// pool; cell reports are bit-identical to the serial run_cell loop
-// (tests/test_campaign.cc).
+// pool; every cell report is bit-identical to a serial run of the cell on a
+// fresh Checker (tests/test_oracle.cc).
 #pragma once
 
-#include <map>
-#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "core/campaign.h"
-#include "core/checker.h"
 #include "core/scenario.h"
-#include "util/concurrency.h"
 #include "util/table.h"
 
 namespace avis::bench {
@@ -43,27 +39,6 @@ inline std::vector<std::string> evaluation_workloads() {
 }
 
 inline std::vector<std::string> evaluation_personalities() { return {"ardupilot", "px4"}; }
-
-struct CellResult {
-  core::CheckerReport report;
-  core::ScenarioSpec scenario;
-};
-
-// Run one approach for one scenario cell under the paper's per-workload
-// budget, serially constructed exactly as a campaign cell would be.
-// `workers` > 1 dispatches experiment batches across a thread pool; the
-// report is identical to the serial run (the parallel checker applies
-// results in submission order — docs/PERFORMANCE.md), so table benches can
-// use every core without perturbing their numbers. This is the serial
-// reference the campaign parity test compares against.
-inline CellResult run_cell(const core::ScenarioSpec& scenario,
-                           int workers = util::default_worker_count()) {
-  core::Checker checker(core::scenario_prototype(scenario));
-  const core::MonitorModel& model = checker.model();
-  auto strategy = core::make_scenario_strategy(scenario, model);
-  core::BudgetClock budget(scenario.budget_ms);
-  return CellResult{checker.run_parallel(*strategy, budget, workers), scenario};
-}
 
 // Campaign cell for a bench approach. `bugs` overrides the scenario's bug
 // selector with an explicit population (table 5 re-inserts one known bug

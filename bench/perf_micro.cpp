@@ -256,7 +256,7 @@ BENCHMARK(BM_SabreNext);
 
 // The in-flight plan table: feedback() and proposal-time pruning look
 // pending plans up by signature. Proposing a long run of waves without
-// feedback (the worst case run_parallel creates: a wide batch in flight)
+// feedback (the worst case a pooled Checker::run creates: a wide batch in flight)
 // grows the table; the feedbacks then measure lookup + erase cost. With the
 // signature-keyed map this is O(1) per feedback instead of a linear scan
 // that recomputed every pending plan's signature string.

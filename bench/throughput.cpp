@@ -76,24 +76,23 @@ static void BM_CheckerSetup(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckerSetup)->Unit(benchmark::kMillisecond);
 
-// Full SABRE campaign at N workers. Arg(1) runs the serial Checker::run
-// path; higher counts dispatch batches across the worker pool. The reports
-// are identical by construction (see tests/test_checker_parallel.cc), so
-// the runs are directly comparable: items/s is experiments per wall second
-// and real_time per iteration is the campaign wall time.
+// Full SABRE campaign at N workers. Arg(1) runs Checker::run without a
+// pool; higher counts dispatch batches across the worker pool. The reports
+// are identical by construction (see tests/test_oracle.cc), so the runs are
+// directly comparable: items/s is experiments per wall second and real_time
+// per iteration is the campaign wall time.
 static void BM_CheckerCampaign(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
   core::Checker& checker = shared_checker();
   const core::MonitorModel& model = checker.model();
   const auto suite = core::SimulationHarness::iris_suite();
 
+  checker.set_workers(workers);
   std::int64_t experiments = 0;
   for (auto _ : state) {
     core::SabreScheduler sabre(suite, model.golden_transitions());
     core::BudgetClock budget(kCampaignBudgetMs);
-    const core::CheckerReport report = workers <= 1
-                                           ? checker.run(sabre, budget)
-                                           : checker.run_parallel(sabre, budget, workers);
+    const core::CheckerReport report = checker.run(sabre, budget);
     experiments += report.experiments;
     benchmark::DoNotOptimize(report);
   }
@@ -147,12 +146,13 @@ static void BM_CheckerCampaign2h(benchmark::State& state) {
   core::Checker& checker = shared_checker();
   const core::MonitorModel& model = checker.model();
 
+  checker.set_workers(workers);
   std::int64_t experiments = 0;
   std::int64_t requests = 0;
   for (auto _ : state) {
     RequestCountingSabre sabre(model);
     core::BudgetClock budget(7200 * 1000);
-    const core::CheckerReport report = checker.run_parallel(sabre, budget, workers);
+    const core::CheckerReport report = checker.run(sabre, budget);
     experiments += report.experiments;
     requests += sabre.requests();
     benchmark::DoNotOptimize(report);
@@ -175,7 +175,7 @@ BENCHMARK(BM_CheckerCampaign2h)
 // default workloads) run at N concurrent cells with a single experiment
 // worker per cell, so the reported wall time isolates cell-level
 // parallelism. experiments/campaign must not vary with N — each cell's
-// report is bit-identical to its serial run (tests/test_campaign.cc).
+// report is bit-identical to its serial run (tests/test_oracle.cc).
 static void BM_CampaignGrid(benchmark::State& state) {
   const int cell_workers = static_cast<int>(state.range(0));
   const auto grid = bench::evaluation_grid({"avis"}, /*budget_ms=*/kCampaignBudgetMs);

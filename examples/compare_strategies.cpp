@@ -5,9 +5,10 @@
 // Everything is registry-named (core/scenario.h): the scenario below is the
 // same declarative spec `avis_campaign --scenario-file` runs, and swapping
 // the workload, environment preset, or bug population is a one-string edit.
-// Campaigns run through Checker::run_parallel, which spreads each batch of
-// experiments across the machine's cores; the reports are identical to the
-// serial path (docs/PERFORMANCE.md), so the comparison itself is unchanged.
+// Campaigns run through Checker::run on a pool of the machine's cores,
+// which spreads each batch of experiments across them; the reports are
+// identical at any worker count (docs/PERFORMANCE.md), so the comparison
+// itself is unchanged.
 #include <iostream>
 
 #include "core/checker.h"
@@ -32,6 +33,7 @@ int main() {
   // One calibrated checker shared by every approach, exactly as the paper
   // compares strategies against the same profiled model.
   core::Checker checker(core::scenario_prototype(scenario));
+  checker.set_workers(workers);  // before model(): profiling fans out too
   const core::MonitorModel& model = checker.model();
 
   util::TextTable table({"strategy", "sims", "labels", "unsafe #", "distinct bugs"});
@@ -39,7 +41,7 @@ int main() {
     scenario.approach = approach;
     auto strategy = core::make_scenario_strategy(scenario, model);
     core::BudgetClock budget(scenario.budget_ms);
-    const auto report = checker.run_parallel(*strategy, budget, workers);
+    const auto report = checker.run(*strategy, budget);
     table.add(strategy->name(), report.experiments, report.labels, report.unsafe_count(),
               static_cast<int>(report.bug_first_found.size()));
   }

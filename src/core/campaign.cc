@@ -45,7 +45,7 @@ GroupResult p_run_group(const std::vector<const CampaignCellSpec*>& cells,
                           : make_scenario_strategy(spec.scenario, model);
     util::expects(result.strategy != nullptr, "campaign cell produced no strategy");
     BudgetClock budget(spec.scenario.budget_ms);
-    result.report = checker.run_parallel(*result.strategy, budget, experiment_workers);
+    result.report = checker.run(*result.strategy, budget);
     const auto end = std::chrono::steady_clock::now();
     result.wall_seconds = std::chrono::duration<double>(end - start).count();
     start = end;
@@ -54,11 +54,6 @@ GroupResult p_run_group(const std::vector<const CampaignCellSpec*>& cells,
 }
 
 }  // namespace
-
-CampaignCellResult run_cell(const CampaignCellSpec& spec, int experiment_workers,
-                            const CheckpointConfig& checkpoints) {
-  return std::move(*p_run_group({&spec}, experiment_workers, checkpoints, {}).front());
-}
 
 PrototypeKey prototype_key(const CampaignCellSpec& cell) {
   const ScenarioSpec& s = cell.scenario;
@@ -159,7 +154,7 @@ CampaignResult CampaignRunner::run(const std::vector<CampaignCellSpec>& grid) co
   // groups: the workers a group's cells cannot use go to its Checker.
   result.split = worker_split(groups.size());
   // One task per group, on the cell pool or deferred to its collection on
-  // this thread (as Checker::run reuses p_campaign). A task polls the stop
+  // this thread (as Checker::run does without a pool). A task polls the stop
   // flag before each cell: running cells finish, no new one starts.
   std::optional<util::ThreadPool> pool;
   if (result.split.campaign_workers > 1 && groups.size() > 1) {

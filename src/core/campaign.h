@@ -9,7 +9,7 @@
 // ThreadPool layered on top of each cell's in-process experiment pool, and
 // collects results in deterministic grid order. Every cell report is
 // bit-identical to a run of the same cell on a fresh Checker regardless of
-// either worker count (tests/test_campaign.cc; docs/PERFORMANCE.md has the
+// either worker count (tests/test_oracle.cc; docs/PERFORMANCE.md has the
 // full contract).
 #pragma once
 
@@ -120,7 +120,7 @@ struct CampaignResult {
 
   // Campaign-wide checkpoint accounting, summed over cells in grid order.
   // Part of the deterministic report contract: a resumed campaign must
-  // reproduce the uninterrupted totals exactly (tests/test_campaign.cc).
+  // reproduce the uninterrupted totals exactly (tests/test_oracle.cc).
   int total_checkpoint_hits() const {
     int total = 0;
     for (const auto& cell : cells) total += cell.report.checkpoint_hits;
@@ -157,13 +157,6 @@ struct CampaignResult {
     return unioned;
   }
 };
-
-// One cell, end to end, on the calling thread (plus the cell's experiment
-// pool): resolve the scenario through the registries, calibrate, build the
-// strategy, run the checker loop. A one-cell calibration group; it touches
-// nothing shared, so it is safe to call concurrently.
-CampaignCellResult run_cell(const CampaignCellSpec& spec, int experiment_workers,
-                            const CheckpointConfig& checkpoints);
 
 struct CampaignOptions {
   // Hardware budget divided between the two pool levels via

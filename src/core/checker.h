@@ -44,9 +44,10 @@ struct CheckerReport {
   // Mode-graph edge coverage over every applied experiment, keyed by
   // (edge, injection-window bucket) — see core/coverage.h. Derived from the
   // applied-result sequence like bug_first_found, and from transitions that
-  // are bit-identical across worker counts and checkpoint modes, so it is
-  // part of report identity (NOT masked the way the checkpoint_* counters
-  // are).
+  // are bit-identical across worker counts, calibration grouping and
+  // checkpoint configs, so it is part of report identity in every
+  // comparison — unlike the checkpoint_* counters below, which are masked
+  // when two checkpoint configs are compared.
   CoverageMap edge_coverage;
 
   // Checkpointed prefix forking observability (docs/PERFORMANCE.md): how
@@ -65,10 +66,11 @@ struct CheckerReport {
   // Per-level restore counters (checkpoint trees): index 0 counts restores
   // from the fault-free root, index d >= 1 restores from a tree snapshot
   // with d injections already activated. Sums to checkpoint_hits. Sized to
-  // the deepest level hit. Like every checkpoint counter this is wall-clock
-  // observability; serial and parallel runs may count coincidental prefix
-  // hits differently (wave timing decides what is recorded when a plan
-  // resolves), which is why report-identity checks mask checkpoint_*.
+  // the deepest level hit. Every checkpoint counter is derived from the
+  // applied-result sequence under one checkpoint config, so it is equal at
+  // every worker count and with or without calibration grouping
+  // (tests/test_oracle.cc compares it unmasked); report identity masks
+  // checkpoint_* only when two checkpoint configs are compared.
   std::vector<int> checkpoint_hits_by_level;
   // Experiments that ran to max_duration without a violation (the
   // workload never finished and nothing tripped the monitor) — the
@@ -162,10 +164,10 @@ class Checker {
   }
 
   // Sizes the experiment pool this Checker owns for its whole life: model()
-  // profiles on it and run_parallel() farms experiments out to it. 1 (the
-  // default) means no pool, everything runs on the calling thread. Call it
-  // before model() for the profiling runs to fan out; run_parallel()
-  // rebuilds the pool only when asked for a different worker count.
+  // profiles on it and run() farms experiments out to it. 1 (the default)
+  // means no pool, everything runs on the calling thread. Call it before
+  // model() for the profiling runs to fan out; the pool is rebuilt only for
+  // a different worker count.
   void set_workers(int workers) {
     if (workers <= 1) {
       pool_.reset();
@@ -176,7 +178,7 @@ class Checker {
 
   static constexpr int kProfilingRuns = 3;
   // Strategy request size: run() asks for up to kRequestChunk plans at a
-  // time and run_parallel() for 2 x workers x kRequestChunk, either capped
+  // time without a pool and for 2 x workers x kRequestChunk with one, capped
   // at p_adaptive_width's estimate of how many experiments still fit the
   // budget. SABRE fills a request across expansion waves as long as
   // in-flight feedback cannot change them, so the cap is what keeps a
@@ -189,35 +191,33 @@ class Checker {
   // stalled (CheckerReport::stalled_runs).
   static constexpr sim::SimTimeMs kSettleMs = 45000;
 
-  // Serial checker loop: plans are simulated one at a time in proposal
-  // order and applied as they finish. Once the budget exhausts, the rest of
-  // the request is discarded unsimulated. Discarded plans were already
-  // consumed from the strategy, so a strategy that went through a run
-  // should not be resumed with a fresh budget (no current caller does).
+  // The checker loop, on the pool set_workers() sized (none: every plan
+  // runs on this thread when its result is due). Every plan of a request is
+  // its own task, and results are applied on this thread in proposal order.
+  // Budget charging, feedback() and UnsafeRecord collection are therefore
+  // single-threaded, so BudgetClock needs no locking and the report is
+  // bit-identical at every worker count to one-plan-at-a-time execution
+  // (strategies never hand out a plan that an earlier plan's feedback could
+  // have changed — SABRE crosses an expansion wave only when the next one
+  // is settled). If the budget exhausts mid-request, the remainder is
+  // discarded — exactly the experiments a serial run would never have
+  // started — and tasks that have not started yet skip their simulation.
+  // Discarded plans were already consumed from the strategy, so a strategy
+  // that went through a run should not be resumed with a fresh budget (no
+  // current caller does). See docs/PERFORMANCE.md.
   CheckerReport run(InjectionStrategy& strategy, BudgetClock& budget) {
-    return p_campaign(strategy, budget, nullptr);
-  }
-
-  // Parallel variant, on the Checker's pool sized to `workers` (1 = run()):
-  // every plan of a request is its own pool task, and results are applied
-  // on this thread in proposal order. Budget charging, feedback() and
-  // UnsafeRecord collection are therefore single-threaded, so BudgetClock
-  // needs no locking and the report is bit-identical to run() for the same
-  // plan sequence (strategies never hand out a plan that a serial run's
-  // feedback could have changed — SABRE crosses an expansion wave only
-  // when the next one is settled). If the budget exhausts mid-request, the
-  // remainder is discarded — exactly the experiments a serial run would
-  // never have started — and tasks that have not started yet skip their
-  // simulation. See docs/PERFORMANCE.md.
-  CheckerReport run_parallel(InjectionStrategy& strategy, BudgetClock& budget, int workers) {
-    set_workers(workers);
     try {
-      return p_campaign(strategy, budget, pool_ ? &*pool_ : nullptr);
+      return p_campaign(strategy, budget);
     } catch (...) {
       // Tasks of the failed request may still be queued or running against
       // the checkpoint store; joining the pool (it drops unstarted tasks)
-      // keeps them away from the next campaign's clear_tree().
-      pool_.reset();
+      // keeps them away from the next campaign's clear_tree(). The pool is
+      // rebuilt at its size, so the next run keeps its workers.
+      if (pool_) {
+        const int workers = pool_->worker_count();
+        pool_.reset();
+        pool_.emplace(workers);
+      }
       throw;
     }
   }
@@ -257,14 +257,13 @@ class Checker {
     std::vector<ExperimentSnapshot> captures;
   };
 
-  // The checker loop behind run() (pool == nullptr: each plan runs on this
-  // thread when its result is due) and run_parallel(). The checkpoint store
-  // is built on this thread before any plan runs; while a request is in
-  // flight the store is strictly read-only, and tree merges wait for the
-  // request's boundary, which is what lets the next wave's children resolve
-  // their parents' recordings without a worker ever observing a mutation.
-  CheckerReport p_campaign(InjectionStrategy& strategy, BudgetClock& budget,
-                           util::ThreadPool* pool) {
+  // The checker loop behind run() (no pool: each plan runs on this thread
+  // when its result is due). The checkpoint store is built on this thread
+  // before any plan runs; while a request is in flight the store is strictly
+  // read-only, and tree merges wait for the request's boundary, which is
+  // what lets the next wave's children resolve their parents' recordings
+  // without a worker ever observing a mutation.
+  CheckerReport p_campaign(InjectionStrategy& strategy, BudgetClock& budget) {
     const MonitorModel& monitor = model();
     const CheckpointStore* checkpoints = p_checkpoints(monitor);
     // Per-campaign tree: every campaign over this checker starts from an
@@ -274,8 +273,7 @@ class Checker {
     const int capture_limit =
         checkpoints != nullptr && checkpoints->trees_enabled() ? strategy.chain_extension_limit()
                                                                : 0;
-    const int request_width =
-        pool != nullptr ? 2 * pool->worker_count() * kRequestChunk : kRequestChunk;
+    const int request_width = pool_ ? 2 * pool_->worker_count() * kRequestChunk : kRequestChunk;
     CheckerReport report;
     report.strategy_name = strategy.name();
     bool out_of_budget = false;
@@ -305,8 +303,8 @@ class Checker {
           contexts_.release(std::move(context));
           return out;
         };
-        outcomes.push_back(pool != nullptr ? pool->submit(std::move(task))
-                                           : std::async(std::launch::deferred, std::move(task)));
+        outcomes.push_back(pool_ ? pool_->submit(std::move(task))
+                                 : std::async(std::launch::deferred, std::move(task)));
       }
       for (std::size_t i = 0; i < plans.size(); ++i) {
         // Plan 0 is always applied: the serial loop runs and applies any

@@ -15,7 +15,7 @@
 // in docs/PERFORMANCE.md), which is what makes resume sound: a journaled
 // report is bit-identical to what re-running the cell would produce, so a
 // resumed campaign's merged report matches an uninterrupted run modulo
-// wall-clock fields (tests/test_campaign.cc, the CI crash-and-resume smoke).
+// wall-clock fields (tests/test_oracle.cc, the CI crash-and-resume smoke).
 //
 // Version 2 records written by older builds also carry per-cell execution
 // provenance keys from the retired distributed service; load() reads only

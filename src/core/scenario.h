@@ -7,9 +7,9 @@
 // experiment construction: `avis_campaign --scenario-file grid.json` runs a
 // grid of them, `--dump-scenario` writes one out, and the campaign journal
 // binds each cell by a hash of its JSON (docs/CRASH_SAFETY.md).
-// from_json(to_json(spec)) == spec, and a campaign built from a dumped file
-// is report-identical to the same grid built via CSV flags
-// (tests/test_scenario.cc).
+// from_json(to_json(spec)) == spec (tests/test_scenario.cc), and a campaign
+// built from a dumped file is report-identical to the same grid built via
+// CSV flags (tests/test_oracle.cc).
 #pragma once
 
 #include <cstdint>

@@ -13,22 +13,17 @@
 namespace avis::fuzz {
 namespace {
 
-// One scenario, end to end, with the campaign options' per-cell knobs. Cell
-// reports are bit-identical at any worker count, so evaluating a mutant here
-// or inside a whole-generation CampaignRunner::run yields the same report.
-core::CheckerReport p_evaluate_one(const core::ScenarioSpec& spec,
-                                   const core::CampaignOptions& options) {
+// Whether `spec` still manifests every bug in `bugs`, evaluated as a
+// one-cell campaign on the fuzz loop's own runner. An interrupted campaign
+// (a stop request kept the cell from starting) does not reproduce.
+bool p_reproduces(const core::CampaignRunner& runner, const core::ScenarioSpec& spec,
+                  const std::vector<fw::BugId>& bugs) {
   core::CampaignCellSpec cell;
   cell.scenario = spec;
-  const util::WorkerBudget split = util::split_worker_budget(options.total_workers, 1);
-  const int experiment_workers =
-      options.experiment_workers > 0 ? options.experiment_workers : split.experiment_workers;
-  return core::run_cell(cell, experiment_workers, options.checkpoints).report;
-}
-
-bool p_finds_all(const core::CheckerReport& report, const std::vector<fw::BugId>& bugs) {
+  const core::CampaignResult result = runner.run({cell});
+  if (result.interrupted) return false;
   for (fw::BugId bug : bugs) {
-    if (!report.bug_first_found.contains(bug)) return false;
+    if (!result.cells.front().report.bug_first_found.contains(bug)) return false;
   }
   return true;
 }
@@ -37,7 +32,8 @@ bool p_finds_all(const core::CheckerReport& report, const std::vector<fw::BugId>
 // toward the generation-0 ancestor and keep the reversion when every
 // discovered bug still reproduces. Bounded by options.minimize_budget
 // evaluations; `evaluations` counts what was spent.
-core::ScenarioSpec p_minimize(const core::ScenarioSpec& spec, const core::ScenarioSpec& root,
+core::ScenarioSpec p_minimize(const core::CampaignRunner& runner,
+                              const core::ScenarioSpec& spec, const core::ScenarioSpec& root,
                               const std::vector<fw::BugId>& bugs, const FuzzOptions& options,
                               int& evaluations) {
   core::ScenarioSpec minimized = spec;
@@ -49,9 +45,7 @@ core::ScenarioSpec p_minimize(const core::ScenarioSpec& spec, const core::Scenar
     if (candidate == minimized) return;
     --budget;
     ++evaluations;
-    if (p_finds_all(p_evaluate_one(candidate, options.campaign), bugs)) {
-      minimized = std::move(candidate);
-    }
+    if (p_reproduces(runner, candidate, bugs)) minimized = std::move(candidate);
   };
   try_revert([&](core::ScenarioSpec& s) { s.workload = root.workload; });
   try_revert([&](core::ScenarioSpec& s) { s.environment = root.environment; });
@@ -181,8 +175,8 @@ FuzzResult run_fuzz(const core::ScenarioGrid& seed_grid, const FuzzOptions& opti
           discovery.generation = generation;
           discovery.new_bugs = fresh;
           discovery.spec = cell.spec.scenario;
-          discovery.minimized = p_minimize(cell.spec.scenario, roots[i], fresh, options,
-                                           result.evaluations);
+          discovery.minimized = p_minimize(runner, cell.spec.scenario, roots[i], fresh,
+                                           options, result.evaluations);
           stats.new_bugs += static_cast<int>(fresh.size());
           result.discoveries.push_back(std::move(discovery));
         }

@@ -17,7 +17,6 @@
 #include "core/checkpoint.h"
 #include "core/checker.h"
 #include "core/harness.h"
-#include "core/sabre.h"
 #include "core/scenario.h"
 #include "test_helpers.h"
 #include "util/rng.h"
@@ -27,40 +26,7 @@ namespace {
 
 using sensors::SensorId;
 using sensors::SensorType;
-
-// Full-field equality of two experiment results. Unlike the spot checks in
-// test_harness.cc this compares every sample of the trace and every
-// transition — "bit-identical" is the contract.
-void expect_results_identical(const ExperimentResult& fresh, const ExperimentResult& restored,
-                              const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(fresh.workload_passed, restored.workload_passed);
-  EXPECT_EQ(fresh.duration_ms, restored.duration_ms);
-  EXPECT_EQ(fresh.fired_bugs, restored.fired_bugs);
-  EXPECT_EQ(fresh.crash_cause, restored.crash_cause);
-  ASSERT_EQ(fresh.violation.has_value(), restored.violation.has_value());
-  if (fresh.violation) {
-    EXPECT_EQ(fresh.violation->type, restored.violation->type);
-    EXPECT_EQ(fresh.violation->time_ms, restored.violation->time_ms);
-    EXPECT_EQ(fresh.violation->mode_id, restored.violation->mode_id);
-    EXPECT_EQ(fresh.violation->details, restored.violation->details);
-  }
-  ASSERT_EQ(fresh.transitions.size(), restored.transitions.size());
-  for (std::size_t i = 0; i < fresh.transitions.size(); ++i) {
-    EXPECT_EQ(fresh.transitions[i].time_ms, restored.transitions[i].time_ms) << "t " << i;
-    EXPECT_EQ(fresh.transitions[i].mode_id, restored.transitions[i].mode_id) << "t " << i;
-    EXPECT_EQ(fresh.transitions[i].mode_name, restored.transitions[i].mode_name) << "t " << i;
-  }
-  ASSERT_EQ(fresh.trace.size(), restored.trace.size());
-  for (std::size_t i = 0; i < fresh.trace.size(); ++i) {
-    EXPECT_EQ(fresh.trace[i].time_ms, restored.trace[i].time_ms) << "i=" << i;
-    EXPECT_EQ(fresh.trace[i].position, restored.trace[i].position) << "i=" << i;
-    EXPECT_EQ(fresh.trace[i].acceleration, restored.trace[i].acceleration) << "i=" << i;
-    EXPECT_EQ(fresh.trace[i].mode_id, restored.trace[i].mode_id) << "i=" << i;
-    EXPECT_EQ(fresh.trace[i].on_ground, restored.trace[i].on_ground) << "i=" << i;
-    EXPECT_EQ(fresh.trace[i].armed, restored.trace[i].armed) << "i=" << i;
-  }
-}
+using avis::testing::expect_results_identical;
 
 TEST(RngSnapshot, MidStreamSaveLoadPreservesTheMarsagliaSpare) {
   util::Rng original(12345);
@@ -357,77 +323,6 @@ TEST(Checkpoint, RootOverBudgetIsEvictedWholeAndRunsGoCold) {
   const ExperimentResult restored = harness.run(spec, &model, &context, &evicted);
   EXPECT_EQ(restored.resumed_from_ms, 0);
   expect_results_identical(fresh, restored, "evicted root");
-}
-
-// Checker-level: a checkpointed campaign reports the same experiments,
-// budget charges, unsafe records and stalled-run count as one with trees
-// disabled or checkpointing off entirely — the checkpoint counters are the
-// only fields allowed to differ across the three modes.
-TEST(Checkpoint, CheckerCampaignIsReportIdenticalAcrossCheckpointModes) {
-  constexpr sim::SimTimeMs kBudgetMs = 600 * 1000;
-  const auto suite = SimulationHarness::iris_suite();
-
-  ExperimentSpec prototype;
-  prototype.personality = fw::Personality::kArduPilotLike;
-  prototype.workload = workload::WorkloadId::kAuto;
-  prototype.seed = 100;
-
-  // Blanks a report's checkpoint accounting; everything else must then
-  // match the cold run bit for bit. stalled_runs is deliberately NOT
-  // blanked — it is derived from results, not from checkpoint state.
-  const auto normalized = [](CheckerReport report) {
-    report.checkpoint_hits = 0;
-    report.checkpoint_misses = 0;
-    report.checkpoint_hits_by_level.clear();
-    report.checkpoint_evicted = 0;
-    report.checkpoint_skipped_ms = 0;
-    return report;
-  };
-
-  CheckpointConfig off;
-  off.enabled = false;
-  Checker cold_checker(prototype, off);
-  SabreScheduler cold_strategy(suite, cold_checker.model().golden_transitions());
-  BudgetClock cold_budget(kBudgetMs);
-  const CheckerReport cold = cold_checker.run(cold_strategy, cold_budget);
-  EXPECT_EQ(cold.checkpoint_hits + cold.checkpoint_misses, 0);
-  EXPECT_TRUE(cold.checkpoint_hits_by_level.empty());
-
-  CheckpointConfig root_only;
-  root_only.trees = false;
-  Checker root_checker(prototype, root_only);
-  SabreScheduler root_strategy(suite, root_checker.model().golden_transitions());
-  BudgetClock root_budget(kBudgetMs);
-  const CheckerReport root = root_checker.run(root_strategy, root_budget);
-  EXPECT_GT(root.checkpoint_hits, 0);
-  // Trees off: every hit restores the fault-free root (level 0).
-  for (std::size_t level = 1; level < root.checkpoint_hits_by_level.size(); ++level) {
-    EXPECT_EQ(root.checkpoint_hits_by_level[level], 0) << "level " << level;
-  }
-  EXPECT_EQ(root.checkpoint_evicted, 0);
-
-  Checker warm_checker(prototype);  // checkpointing + trees on by default
-  SabreScheduler warm_strategy(suite, warm_checker.model().golden_transitions());
-  BudgetClock warm_budget(kBudgetMs);
-  const CheckerReport warm = warm_checker.run(warm_strategy, warm_budget);
-  EXPECT_GT(warm.checkpoint_hits, 0);
-  EXPECT_GT(warm.checkpoint_skipped_ms, 0);
-  EXPECT_EQ(warm.checkpoint_hits + warm.checkpoint_misses, warm.experiments);
-  // The per-level split sums to the headline hit counter.
-  int by_level_total = 0;
-  for (int hits : warm.checkpoint_hits_by_level) by_level_total += hits;
-  EXPECT_EQ(by_level_total, warm.checkpoint_hits);
-  // The chain-heavy SABRE grid must actually exercise the tree: at least
-  // one hit restored a faulty-prefix snapshot (level >= 1).
-  ASSERT_GE(warm.checkpoint_hits_by_level.size(), 2u);
-  int tree_hits = 0;
-  for (std::size_t level = 1; level < warm.checkpoint_hits_by_level.size(); ++level) {
-    tree_hits += warm.checkpoint_hits_by_level[level];
-  }
-  EXPECT_GT(tree_hits, 0);
-
-  avis::testing::expect_reports_equal(normalized(cold), normalized(root));
-  avis::testing::expect_reports_equal(normalized(cold), normalized(warm));
 }
 
 // --- The root from the golden profiling run ---------------------------------

@@ -16,7 +16,6 @@
 #include "core/checker.h"
 #include "core/checkpoint.h"
 #include "core/harness.h"
-#include "core/sabre.h"
 #include "core/scenario.h"
 #include "test_helpers.h"
 
@@ -25,39 +24,7 @@ namespace {
 
 using sensors::SensorId;
 using sensors::SensorType;
-
-// Full-field equality, same discipline as tests/test_checkpoint.cc:
-// "bit-identical" means every sample, not spot checks.
-void expect_results_identical(const ExperimentResult& fresh, const ExperimentResult& restored,
-                              const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(fresh.workload_passed, restored.workload_passed);
-  EXPECT_EQ(fresh.duration_ms, restored.duration_ms);
-  EXPECT_EQ(fresh.fired_bugs, restored.fired_bugs);
-  EXPECT_EQ(fresh.crash_cause, restored.crash_cause);
-  ASSERT_EQ(fresh.violation.has_value(), restored.violation.has_value());
-  if (fresh.violation) {
-    EXPECT_EQ(fresh.violation->type, restored.violation->type);
-    EXPECT_EQ(fresh.violation->time_ms, restored.violation->time_ms);
-    EXPECT_EQ(fresh.violation->mode_id, restored.violation->mode_id);
-    EXPECT_EQ(fresh.violation->details, restored.violation->details);
-  }
-  ASSERT_EQ(fresh.transitions.size(), restored.transitions.size());
-  for (std::size_t i = 0; i < fresh.transitions.size(); ++i) {
-    EXPECT_EQ(fresh.transitions[i].time_ms, restored.transitions[i].time_ms) << "t " << i;
-    EXPECT_EQ(fresh.transitions[i].mode_id, restored.transitions[i].mode_id) << "t " << i;
-    EXPECT_EQ(fresh.transitions[i].mode_name, restored.transitions[i].mode_name) << "t " << i;
-  }
-  ASSERT_EQ(fresh.trace.size(), restored.trace.size());
-  for (std::size_t i = 0; i < fresh.trace.size(); ++i) {
-    EXPECT_EQ(fresh.trace[i].time_ms, restored.trace[i].time_ms) << "i=" << i;
-    EXPECT_EQ(fresh.trace[i].position, restored.trace[i].position) << "i=" << i;
-    EXPECT_EQ(fresh.trace[i].acceleration, restored.trace[i].acceleration) << "i=" << i;
-    EXPECT_EQ(fresh.trace[i].mode_id, restored.trace[i].mode_id) << "i=" << i;
-    EXPECT_EQ(fresh.trace[i].on_ground, restored.trace[i].on_ground) << "i=" << i;
-    EXPECT_EQ(fresh.trace[i].armed, restored.trace[i].armed) << "i=" << i;
-  }
-}
+using avis::testing::expect_results_identical;
 
 FaultPlan chain(std::initializer_list<std::pair<sim::SimTimeMs, SensorId>> events) {
   FaultPlan plan;
@@ -295,54 +262,6 @@ TEST(CheckpointTree, EvictionIsOldestRecordingFirst) {
   ExperimentSpec compass_child = prototype;
   compass_child.plan = chain({{12000, compass}, {19000, baro}});
   EXPECT_EQ(store.resolve(compass_child.plan).depth, 0);
-}
-
-// Checker-level eviction parity: campaigns squeezed into tight byte
-// budgets — tree recordings churning behind the root, or the root itself
-// evicted so every run starts cold — report identically to a roomy one
-// modulo the checkpoint counters themselves.
-TEST(CheckpointTree, CheckerReportSurvivesBudgetPressure) {
-  constexpr sim::SimTimeMs kBudgetMs = 300 * 1000;
-  const auto suite = SimulationHarness::iris_suite();
-
-  ExperimentSpec prototype;
-  prototype.personality = fw::Personality::kArduPilotLike;
-  prototype.workload = workload::WorkloadId::kAuto;
-  prototype.seed = 100;
-
-  const auto normalized = [](CheckerReport report) {
-    report.checkpoint_hits = 0;
-    report.checkpoint_misses = 0;
-    report.checkpoint_hits_by_level.clear();
-    report.checkpoint_evicted = 0;
-    report.checkpoint_skipped_ms = 0;
-    return report;
-  };
-
-  Checker roomy_checker(prototype);
-  SabreScheduler roomy_strategy(suite, roomy_checker.model().golden_transitions());
-  BudgetClock roomy_budget(kBudgetMs);
-  const CheckerReport roomy = roomy_checker.run(roomy_strategy, roomy_budget);
-
-  struct Squeeze {
-    std::size_t byte_budget;
-    bool root_survives;
-  };
-  for (const Squeeze squeeze : {Squeeze{512 * 1024, true}, Squeeze{16 * 1024, false}}) {
-    SCOPED_TRACE("byte budget " + std::to_string(squeeze.byte_budget));
-    CheckpointConfig squeezed;
-    squeezed.byte_budget = squeeze.byte_budget;
-    Checker tight_checker(prototype, squeezed);
-    SabreScheduler tight_strategy(suite, tight_checker.model().golden_transitions());
-    BudgetClock tight_budget(kBudgetMs);
-    const CheckerReport tight = tight_checker.run(tight_strategy, tight_budget);
-    EXPECT_GT(tight.checkpoint_evicted, 0);
-    EXPECT_EQ(tight_checker.checkpoint_store()->root_size() > 0, squeeze.root_survives);
-    if (!squeeze.root_survives) {
-      EXPECT_EQ(tight.checkpoint_hits, 0);
-    }
-    avis::testing::expect_reports_equal(normalized(roomy), normalized(tight));
-  }
 }
 
 }  // namespace

@@ -372,8 +372,11 @@ TEST(Fuzz, DeterministicCorpusDiscoversNovelCoverageAndReplays) {
   ASSERT_NE(dumped, nullptr) << "novel spec missing from the dumped corpus";
   core::CampaignCellSpec cell;
   cell.scenario = *dumped;
-  const core::CampaignCellResult replay = core::run_cell(cell, 2, {});
-  avis::testing::expect_reports_equal(novel->report, replay.report);
+  core::CampaignOptions replay_options;
+  replay_options.experiment_workers = 2;
+  const core::CampaignResult replay = core::CampaignRunner(replay_options).run({cell});
+  ASSERT_EQ(replay.cells.size(), 1u);
+  avis::testing::expect_reports_equal(novel->report, replay.cells[0].report);
 }
 
 TEST(Fuzz, ReportJsonCarriesCurveCorpusAndOptions) {

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
+#include "baselines/random_injection.h"
 #include "core/campaign.h"
 #include "core/checker.h"
 #include "core/harness.h"
+#include "core/sabre.h"
 #include "fw/firmware.h"
 
 namespace avis::testing {
@@ -43,9 +48,62 @@ inline core::Checker& cached_checker(fw::Personality personality,
   return *it->second;
 }
 
-// Field-by-field equality of two checker reports; used by the parallel-
-// checker and campaign parity tests, whose contract is that reports are
-// bit-identical regardless of worker count.
+// The fields of a trace sample that identity checks compare.
+inline auto sample_fields(const core::StateSample& s) {
+  return std::tuple(s.time_ms, s.position, s.acceleration, s.mode_id, s.on_ground, s.armed);
+}
+
+// Full-field equality of two experiment results: every trace sample and
+// every transition, not spot checks — "bit-identical" is the contract of a
+// restored or captured run against the same spec simulated cold.
+inline void expect_results_identical(const core::ExperimentResult& fresh,
+                                     const core::ExperimentResult& restored,
+                                     const std::string& label) {
+  SCOPED_TRACE(label);
+  EXPECT_EQ(fresh.workload_passed, restored.workload_passed);
+  EXPECT_EQ(fresh.duration_ms, restored.duration_ms);
+  EXPECT_EQ(fresh.fired_bugs, restored.fired_bugs);
+  EXPECT_EQ(fresh.crash_cause, restored.crash_cause);
+  ASSERT_EQ(fresh.violation.has_value(), restored.violation.has_value());
+  if (fresh.violation) {
+    EXPECT_EQ(fresh.violation->type, restored.violation->type);
+    EXPECT_EQ(fresh.violation->time_ms, restored.violation->time_ms);
+    EXPECT_EQ(fresh.violation->mode_id, restored.violation->mode_id);
+    EXPECT_EQ(fresh.violation->details, restored.violation->details);
+  }
+  ASSERT_EQ(fresh.transitions.size(), restored.transitions.size());
+  for (std::size_t i = 0; i < fresh.transitions.size(); ++i) {
+    EXPECT_EQ(fresh.transitions[i].time_ms, restored.transitions[i].time_ms) << "t " << i;
+    EXPECT_EQ(fresh.transitions[i].mode_id, restored.transitions[i].mode_id) << "t " << i;
+    EXPECT_EQ(fresh.transitions[i].mode_name, restored.transitions[i].mode_name) << "t " << i;
+  }
+  ASSERT_EQ(fresh.trace.size(), restored.trace.size());
+  for (std::size_t i = 0; i < fresh.trace.size(); ++i) {
+    EXPECT_EQ(sample_fields(fresh.trace[i]), sample_fields(restored.trace[i])) << "i=" << i;
+  }
+}
+
+// Strategy factories for cells that bypass the approach registry
+// (CampaignCellSpec::make_strategy): SABRE with its default config, and
+// Random, which — unlike the registry's "random" — ignores the scenario's
+// constraints.
+inline core::StrategyFactory sabre_factory() {
+  return [](const core::MonitorModel& model, std::uint64_t) {
+    return std::make_unique<core::SabreScheduler>(core::SimulationHarness::iris_suite(),
+                                                  model.golden_transitions());
+  };
+}
+
+inline core::StrategyFactory random_factory() {
+  return [](const core::MonitorModel& model, std::uint64_t seed) {
+    return std::make_unique<baselines::RandomInjection>(
+        core::SimulationHarness::iris_suite(), model.profiling_duration_ms(), seed);
+  };
+}
+
+// Field-by-field equality of two checker reports: the differential
+// oracle's contract (tests/test_oracle.cc) is that every execution mode
+// reports bit-identically to the serial one-plan-at-a-time loop.
 inline void expect_reports_equal(const core::CheckerReport& serial,
                                  const core::CheckerReport& parallel) {
   EXPECT_EQ(serial.strategy_name, parallel.strategy_name);
@@ -54,7 +112,8 @@ inline void expect_reports_equal(const core::CheckerReport& serial,
   EXPECT_EQ(serial.budget_used_ms, parallel.budget_used_ms);
   EXPECT_EQ(serial.bug_first_found, parallel.bug_first_found);
   // Checkpoint accounting is derived from the applied-result sequence, so
-  // it is part of the determinism contract too.
+  // it is part of the determinism contract too (mask_checkpoint_counters
+  // below blanks it when two checkpoint configs are compared).
   EXPECT_EQ(serial.checkpoint_hits, parallel.checkpoint_hits);
   EXPECT_EQ(serial.checkpoint_misses, parallel.checkpoint_misses);
   EXPECT_EQ(serial.checkpoint_hits_by_level, parallel.checkpoint_hits_by_level);
@@ -62,8 +121,8 @@ inline void expect_reports_equal(const core::CheckerReport& serial,
   EXPECT_EQ(serial.checkpoint_skipped_ms, parallel.checkpoint_skipped_ms);
   EXPECT_EQ(serial.stalled_runs, parallel.stalled_runs);
   // Edge coverage is derived from transitions, which are bit-identical
-  // across worker counts and checkpoint modes — so unlike the checkpoint
-  // counters above it has no masking escape hatch.
+  // across worker counts and checkpoint configs — so unlike the checkpoint
+  // counters above it is never masked.
   ASSERT_EQ(serial.edge_coverage.size(), parallel.edge_coverage.size());
   for (auto a = serial.edge_coverage.begin(), b = parallel.edge_coverage.begin();
        a != serial.edge_coverage.end(); ++a, ++b) {
@@ -92,6 +151,19 @@ inline void expect_reports_equal(const core::CheckerReport& serial,
     }
   }
   EXPECT_EQ(serial.unsafe_by_bucket(), parallel.unsafe_by_bucket());
+}
+
+// The report with its checkpoint accounting blanked: a checkpoint config
+// changes which prefixes are restored, never what is found, so two configs'
+// reports are compared through this. stalled_runs is deliberately kept — it
+// is derived from results, not from checkpoint state.
+inline core::CheckerReport mask_checkpoint_counters(core::CheckerReport report) {
+  report.checkpoint_hits = 0;
+  report.checkpoint_misses = 0;
+  report.checkpoint_hits_by_level.clear();
+  report.checkpoint_evicted = 0;
+  report.checkpoint_skipped_ms = 0;
+  return report;
 }
 
 // Campaign-level report identity: cell-by-cell report equality in grid

@@ -40,8 +40,8 @@ std::vector<core::CampaignCellSpec> small_grid(std::uint64_t seed = 100) {
 }
 
 // A report with enough non-default structure to catch lossy encoding; the
-// full CheckerReport round trip (unsafe records, coverage, transitions) is
-// pinned by RealCellReportRoundTripsLosslessly below.
+// full CheckerReport round trip of a real cell (unsafe records, coverage,
+// transitions) is the journal_round_trip row of tests/test_oracle.cc.
 core::CheckerReport synthetic_report(int salt) {
   core::CheckerReport report;
   report.strategy_name = "Avis";
@@ -175,24 +175,6 @@ TEST(Journal, RoundTripsHeaderAndRecords) {
     avis::testing::expect_reports_equal(synthetic_report(1), second.report);
     std::filesystem::remove(path);
   }
-}
-
-// The journal's report payload must survive everything a real cell
-// produces: unsafe records with plans, violations, fired bugs and
-// transitions, plus coverage and checkpoint counters. Avis on the fence
-// mission finds an unsafe run within 15 simulated minutes.
-TEST(Journal, RealCellReportRoundTripsLosslessly) {
-  core::ScenarioGrid grid;
-  grid.approaches = {"avis"};
-  grid.personalities = {"ardupilot"};
-  grid.workloads = {"fence-mission"};
-  grid.environments = {"calm"};
-  grid.budget_ms = 15 * 60 * 1000;
-  const core::CampaignCellResult cell = core::run_cell(core::expand_to_cells(grid)[0], 2, {});
-  ASSERT_GT(cell.report.unsafe_count(), 0) << "precondition: the cell must find unsafe runs";
-  const core::CheckerReport reparsed =
-      core::checker_report_from_json(util::Json::parse(core::checker_report_json(cell.report)));
-  avis::testing::expect_reports_equal(cell.report, reparsed);
 }
 
 TEST(Journal, HeaderDiffIsEmptyForTheSameCampaign) {

@@ -2,14 +2,14 @@
 //
 // Contracts under test:
 //  * from_json(to_json(spec)) reproduces an identical spec (and likewise
-//    for a whole ScenarioGrid, the --scenario-file document);
+//    for a whole ScenarioGrid, the --scenario-file document; that a
+//    campaign run from a dumped document reports what the grid built
+//    directly reports is the document row of tests/test_oracle.cc);
 //  * grid expansion is the deterministic (approach, personality, workload,
 //    environment) product the table benches rely on;
 //  * every registry name resolves through scenario_prototype /
 //    make_scenario_strategy, and typos die loudly with the registered-name
 //    listing;
-//  * a campaign run from a dumped scenario document is report-identical to
-//    the same grid built directly (the CSV-flag path of avis_campaign);
 //  * a grid containing a new workload x new environment preset runs end to
 //    end — the diversity claim the registries exist for.
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "core/campaign.h"
 #include "core/scenario.h"
 #include "sim/environment_presets.h"
-#include "test_helpers.h"
 #include "workload/registry.h"
 
 namespace {
@@ -226,57 +225,6 @@ TEST(ScenarioStrategy, ConstraintsParameterizeTheSearch) {
     ++plans;
   }
   EXPECT_GT(plans, 0);
-}
-
-// A dumped scenario document, parsed back and run, must be report-identical
-// to the same grid built directly — the --scenario-file vs CSV-flag
-// contract of tools/avis_campaign (timing fields excluded; they are wall
-// clock).
-TEST(ScenarioCampaign, DumpedDocumentIsReportIdenticalToDirectGrid) {
-  core::ScenarioGrid grid;
-  grid.approaches = {"avis", "random"};
-  grid.personalities = {"ardupilot"};
-  grid.workloads = {"auto"};
-  grid.budget_ms = 300 * 1000;
-
-  const core::ScenarioGrid reparsed = core::ScenarioGrid::from_json(grid.to_json());
-  EXPECT_EQ(reparsed, grid);
-
-  core::CampaignOptions options;
-  options.cell_workers = 1;
-  options.experiment_workers = 1;
-  const core::CampaignRunner runner(options);
-  const core::CampaignResult direct = runner.run(core::expand_to_cells(grid));
-  const core::CampaignResult from_file = runner.run(core::expand_to_cells(reparsed));
-
-  ASSERT_EQ(direct.cells.size(), 2u);
-  ASSERT_EQ(from_file.cells.size(), direct.cells.size());
-  ASSERT_GE(direct.cells[0].report.experiments, 2);
-  for (std::size_t i = 0; i < direct.cells.size(); ++i) {
-    SCOPED_TRACE("cell " + std::to_string(i));
-    avis::testing::expect_reports_equal(direct.cells[i].report, from_file.cells[i].report);
-  }
-
-  // The JSON reports agree line for line once wall-clock timing lines are
-  // dropped.
-  auto strip_timing = [](const std::string& json) {
-    std::string out;
-    std::size_t start = 0;
-    while (start < json.size()) {
-      std::size_t end = json.find('\n', start);
-      if (end == std::string::npos) end = json.size();
-      const std::string_view line(json.data() + start, end - start);
-      if (line.find("wall_seconds") == std::string_view::npos &&
-          line.find("experiments_per_sec") == std::string_view::npos) {
-        out.append(line);
-        out.push_back('\n');
-      }
-      start = end + 1;
-    }
-    return out;
-  };
-  EXPECT_EQ(strip_timing(core::campaign_report_json(direct)),
-            strip_timing(core::campaign_report_json(from_file)));
 }
 
 // The diversity claim: a scenario file whose grid names a post-paper
