@@ -62,6 +62,30 @@ static void BM_SimulatorStepAirborne(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorStepAirborne);
 
+// Physics of a vehicle parked on the ground with its motors cut, as an Avis
+// experiment sits after a failsafe landing until its settle slack ends: spin
+// up below hover, cut the motors, settle for 20 s (long enough for the motor
+// lag to decay through the subnormal range), then time the step. Without
+// the motor lag's snap to target this step runs on subnormal motor values,
+// ~8x slower (docs/PERFORMANCE.md, "Subnormals").
+static void BM_SimulatorStepLandedIdle(benchmark::State& state) {
+  sim::Simulator simulator(sim::Environment{}, sim::QuadcopterParams{}, 1);
+  sim::MotorCommands spin;
+  for (double& v : spin.value) v = 0.3;
+  for (int i = 0; i < 1000; ++i) simulator.step(spin);
+  const sim::MotorCommands cut;
+  for (int i = 0; i < 20000; ++i) simulator.step(cut);
+  if (!simulator.state().on_ground) {
+    state.SkipWithError("the vehicle left the ground");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(simulator.step(cut));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimulatorStepLandedIdle);
+
 static void BM_FullFirmwareStep(benchmark::State& state) {
   util::Rng seeds(7);
   sensors::SensorSuite suite(core::SimulationHarness::iris_suite(), seeds);

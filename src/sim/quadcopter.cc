@@ -20,11 +20,22 @@ CrashCause QuadcopterDynamics::step(VehicleState& state, const MotorCommands& co
     return CrashCause::kNone;
   }
 
-  // First-order motor lag toward the commanded values.
+  // First-order motor lag toward the commanded values. A cut motor decays
+  // toward 0 by (1 - alpha) per step; left alone it would pass through and
+  // then park in the subnormal range (alpha * v rounds to zero there), and
+  // every step on a subnormal operand pays an x86 microcode assist. So the
+  // motor snaps to its target once the gap is below sqrt(DBL_MIN): every
+  // product the step then forms from a motor value, up to thrust^1.5 in the
+  // battery drain, stays normal, and the gap is far below the forces and
+  // rates it is added to, so no trajectory moves (docs/PERFORMANCE.md,
+  // "Subnormals").
+  constexpr double kSnapGap = 0x1p-511;  // sqrt(DBL_MIN) = sqrt(2^-1022)
   const double alpha = dt / (params_.motor_time_constant_s + dt);
   for (int i = 0; i < 4; ++i) {
     const double target = clamp01(commanded.value[i]);
-    state.motors.value[i] += alpha * (target - state.motors.value[i]);
+    double& v = state.motors.value[i];
+    v += alpha * (target - v);
+    if (std::abs(target - v) < kSnapGap) v = target;
   }
 
   // Thrust and torques from the quad-X mixer geometry.

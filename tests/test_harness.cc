@@ -143,6 +143,37 @@ TEST(Harness, StepHookObservesEveryStep) {
   EXPECT_EQ(steps, 2000);
 }
 
+TEST(Harness, ParkedVehicleEndsWithoutSubnormalState) {
+  // An experiment as an Avis cell runs it, whose barometer fails during
+  // takeoff: the failsafe lands and disarms, and the vehicle sits on the
+  // ground for about 50 s until the checker's settle slack runs out. An
+  // Avis cell spends 24-38% of its steps parked like this more than 15 s
+  // after the motors were cut. The final physics state must hold no
+  // subnormal value (docs/PERFORMANCE.md, "Subnormals").
+  auto& checker =
+      cached_checker(fw::Personality::kArduPilotLike, workload::WorkloadId::kFenceMission);
+  const MonitorModel& model = checker.model();
+  ExperimentSpec spec;
+  spec.personality = fw::Personality::kArduPilotLike;
+  spec.workload = workload::WorkloadId::kFenceMission;
+  spec.seed = 100;
+  spec.plan.add(5000, {sensors::SensorType::kBarometer, 0});
+  spec.max_duration_ms = model.profiling_duration_ms() + Checker::kSettleMs;
+  SimulationHarness harness;
+  sim::SimTimeMs last_armed_ms = 0;
+  harness.set_step_hook(
+      [&](sim::SimTimeMs now, const sim::VehicleState&, const fw::Firmware& firmware) {
+        if (firmware.armed()) last_armed_ms = now;
+      });
+  ExperimentContext context;
+  harness.run(spec, &model, &context);
+  const sim::VehicleState& parked = context.simulator->state();
+  ASSERT_TRUE(parked.on_ground);
+  ASSERT_FALSE(parked.crashed);
+  ASSERT_GE(context.simulator->now_ms() - last_armed_ms, 15000);
+  EXPECT_EQ(avis::testing::subnormal_fields(parked), std::vector<std::string>{});
+}
+
 TEST(Harness, ProfileRejectsFailingWorkload) {
   SimulationHarness harness;
   // An absurdly short max duration cannot complete the workload -> the

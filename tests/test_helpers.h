@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "baselines/random_injection.h"
 #include "core/campaign.h"
@@ -46,6 +48,32 @@ inline core::Checker& cached_checker(fw::Personality personality,
              .first;
   }
   return *it->second;
+}
+
+// Names of the VehicleState doubles that are subnormal; empty when none is.
+// A subnormal operand costs x86 a microcode assist on every step it sits in
+// (docs/PERFORMANCE.md, "Subnormals").
+inline std::vector<std::string> subnormal_fields(const sim::VehicleState& s) {
+  std::vector<std::string> out;
+  const auto check = [&](const std::string& name, double v) {
+    if (std::fpclassify(v) == FP_SUBNORMAL) out.push_back(name);
+  };
+  const auto check3 = [&](const std::string& name, const geo::Vec3& v) {
+    check(name + ".x", v.x);
+    check(name + ".y", v.y);
+    check(name + ".z", v.z);
+  };
+  check3("position", s.position);
+  check3("velocity", s.velocity);
+  check3("acceleration", s.acceleration);
+  check("attitude.roll", s.attitude.roll);
+  check("attitude.pitch", s.attitude.pitch);
+  check("attitude.yaw", s.attitude.yaw);
+  check3("body_rates", s.body_rates);
+  for (int i = 0; i < 4; ++i) check("motors[" + std::to_string(i) + "]", s.motors.value[i]);
+  check("battery_voltage", s.battery_voltage);
+  check("battery_remaining", s.battery_remaining);
+  return out;
 }
 
 // The fields of a trace sample that identity checks compare.

@@ -3,6 +3,7 @@
 #include "sim/environment.h"
 #include "sim/quadcopter.h"
 #include "sim/simulator.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace avis::sim {
@@ -60,6 +61,19 @@ TEST_F(QuadcopterTest, MotorLagSmoothsCommands) {
   dynamics_.step(state_, uniform(1.0), env_, kStepSeconds, rng_);
   // After one 1 ms step the motors must not have reached the command.
   EXPECT_LT(state_.motors.value[0], 0.2);
+}
+
+TEST_F(QuadcopterTest, CutMotorsReachExactlyZero) {
+  // Spin up on the ground (below hover, so the vehicle stays put), cut the
+  // motors and sit for 60 s. The motor lag decays toward 0 by a factor of
+  // ~0.95 per step; without the snap to target it parks every motor at a
+  // subnormal value after about 15 s, where alpha * v rounds to zero.
+  step_n(uniform(0.3), 1000);
+  ASSERT_TRUE(state_.on_ground);
+  ASSERT_GT(state_.motors.value[0], 0.25);
+  step_n({}, 60000);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(state_.motors.value[i], 0.0) << "motor " << i;
+  EXPECT_EQ(avis::testing::subnormal_fields(state_), std::vector<std::string>{});
 }
 
 TEST_F(QuadcopterTest, GentleDescentLandsWithoutCrash) {

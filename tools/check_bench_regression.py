@@ -12,9 +12,9 @@ Usage: check_bench_regression.py CURRENT.json BASELINE.json [GATED_NAME...]
 
 Extra arguments override the default gated-name list, so the same gate can
 run against other bench binaries (CI gates perf_micro's BM_FullFirmwareStep,
-BM_HinjRoundTrip, BM_SensorRead, BM_EstimatorUpdate, BM_MonitorSample and
-BM_FuzzGeneration rows against bench/baselines/BENCH_perf_micro.json this
-way).
+BM_HinjRoundTrip, BM_SensorRead, BM_EstimatorUpdate, BM_MonitorSample,
+BM_FuzzGeneration and BM_SimulatorStepLandedIdle rows against
+bench/baselines/BENCH_perf_micro.json this way).
 """
 
 import json
