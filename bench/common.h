@@ -1,15 +1,15 @@
 // Shared driver for the evaluation benches (paper §VI).
 //
-// Every table bench runs one or more of the four approaches — Avis (SABRE),
-// Stratified BFI, BFI, Random — against a (personality, workload) pair for a
-// two-hour-equivalent budget and aggregates the unsafe conditions found.
+// The evaluation (bench/paper_eval.cpp) runs the four approaches — Avis
+// (SABRE), Stratified BFI, BFI, Random — against (personality, workload) pairs
+// for a two-hour-equivalent budget and aggregates the unsafe conditions found.
 // Approaches, personalities, workloads and environments are registry names
-// (core/scenario.h): a bench describes its grid as a list of ScenarioSpec
-// cells and runs it through core::CampaignRunner, which calibrates each
-// scenario once (cells with the same prototype share one Checker) and
-// shards those groups across the machine on top of the per-cell experiment
-// pool; every cell report is bit-identical to a serial run of the cell on a
-// fresh Checker (tests/test_oracle.cc).
+// (core/scenario.h): a bench describes its grid as a list of ScenarioSpec cells
+// and runs it through core::CampaignRunner, which calibrates each scenario once
+// (cells with the same prototype share one Checker) and shards those groups
+// across the machine on top of the per-cell experiment pool; every cell report
+// is bit-identical to a serial run of the cell on a fresh Checker
+// (tests/test_oracle.cc).
 #pragma once
 
 #include <optional>
@@ -28,11 +28,6 @@ inline std::vector<std::string> paper_approaches() {
   return {"avis", "stratified-bfi", "bfi", "random"};
 }
 
-// Display label for a registry approach name ("avis" -> "Avis").
-inline std::string label_of(const std::string& approach) {
-  return core::approach_label(approach);
-}
-
 // The two default evaluation workloads (paper §V-A).
 inline std::vector<std::string> evaluation_workloads() {
   return {"box-manual", "fence-mission"};
@@ -41,7 +36,7 @@ inline std::vector<std::string> evaluation_workloads() {
 inline std::vector<std::string> evaluation_personalities() { return {"ardupilot", "px4"}; }
 
 // Campaign cell for a bench approach. `bugs` overrides the scenario's bug
-// selector with an explicit population (table 5 re-inserts one known bug
+// selector with an explicit population (Table V re-inserts one known bug
 // per cell); nullopt keeps the "current" Table II population.
 inline core::CampaignCellSpec make_cell(std::string approach, std::string personality,
                                         std::string workload,
@@ -63,8 +58,7 @@ inline core::CampaignCellSpec make_cell(std::string approach, std::string person
 
 // The full evaluation grid for a set of approaches: both firmware
 // personalities x both default workloads per approach, in deterministic
-// (approach, personality, workload) order — the iteration order the serial
-// table benches used.
+// (approach, personality, workload) order.
 inline std::vector<core::CampaignCellSpec> evaluation_grid(
     const std::vector<std::string>& approaches, sim::SimTimeMs budget_ms = 7200 * 1000,
     std::uint64_t seed = 100) {
@@ -80,8 +74,8 @@ inline std::vector<core::CampaignCellSpec> evaluation_grid(
   return grid;
 }
 
-// Run a grid with the default worker split. Table benches typically follow
-// up with print_campaign_footer below.
+// Run a grid with the default worker split; benches follow up with
+// print_campaign_footer below.
 inline core::CampaignResult run_campaign(const std::vector<core::CampaignCellSpec>& grid) {
   return core::CampaignRunner().run(grid);
 }

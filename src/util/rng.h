@@ -3,7 +3,7 @@
 // Every stochastic component in this repository draws from an avis::util::Rng
 // seeded from the experiment description, so that a simulation is a pure
 // function of (firmware personality, workload, fault plan, seed). This is
-// what makes the replayer (DESIGN.md §5) exact.
+// what makes the replayer and docs/CONFORMANCE.md's golden exact.
 #pragma once
 
 #include <cmath>

@@ -26,7 +26,7 @@ TEST(AvisEndToEnd, FindsSeededBugsOnArduPilotFence) {
   EXPECT_TRUE(report.found_bug(fw::BugId::kApm16967));
   // Every unsafe condition traces to a seeded bug — no false positives —
   // except scenarios that kill an entire IMU family, which no firmware can
-  // survive (documented substitution note in DESIGN.md / EXPERIMENTS.md).
+  // survive (docs/CONFORMANCE.md, "Modelling substitutions").
   auto kills_imu_family = [](const core::FaultPlan& plan) {
     int gyros = 0;
     int accels = 0;

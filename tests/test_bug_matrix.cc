@@ -153,7 +153,7 @@ TEST(PatchedFirmware, SingletonSweepIsSafe) {
     const core::MonitorModel& model = checker.model();
     core::SabreConfig config;
     config.max_set_size = 1;    // single-sensor sweep: multi-IMU loss is
-    config.max_plan_events = 1; // physically unsurvivable (see DESIGN.md)
+    config.max_plan_events = 1; // physically unsurvivable (docs/CONFORMANCE.md)
     core::SabreScheduler sabre(core::SimulationHarness::iris_suite(),
                                model.golden_transitions(), config);
     core::BudgetClock budget(40 * 60 * 1000);

@@ -1,6 +1,8 @@
 // Contract test for the avis_campaign binary (tools/avis_campaign.cpp):
 // exit codes, the first line of stderr, and what reaches stdout and the
 // file system. The binary is the one the build produced (AVIS_CAMPAIGN_BIN).
+// The last test holds the debug_plan triage tool (DEBUG_PLAN_BIN) to the
+// same rule for bad arguments.
 //
 // kContract rows pin behaviour the table-driven parser kept from the
 // if/else parser before it: each expected line was captured from that
@@ -51,9 +53,9 @@ struct Outcome {
 };
 
 // Runs the binary through the shell, so `args` may quote.
-Outcome run(const std::string& args) {
+Outcome run(const std::string& args, const std::string& binary = kBinary) {
   const std::string out = temp_path("stdout"), err = temp_path("stderr");
-  const std::string command = kBinary + " " + args + " >" + out + " 2>" + err;
+  const std::string command = binary + " " + args + " >" + out + " 2>" + err;
   const int status = std::system(command.c_str());
   Outcome result;
   if (WIFEXITED(status)) result.code = WEXITSTATUS(status);
@@ -292,6 +294,21 @@ TEST(Cli, StdoutDocumentParsesAsJson) {
   EXPECT_EQ(report.at("cells").as_array().size(), 1u);
   EXPECT_EQ(result.err.rfind("| # ", 0), 0u) << result.err;
   EXPECT_NE(result.err.find("campaign: 1 cells"), std::string::npos);
+}
+
+// debug_plan parses its whole command line before it calibrates anything:
+// a missing argument, a malformed or out-of-range plan token, or an
+// unknown personality or workload prints the usage line and exits 2.
+TEST(Cli, DebugPlanRefusesBadArguments) {
+  for (const char* args : {"", "0", "0 1 1:0", "0 1 x:0:5000", "0 1 1:0:5000ms", "0 1 6:0:5000",
+                           "0 1 2:1:5000", "0 1 1:0:-1", "2 1", "0 3", "0x 1"}) {
+    SCOPED_TRACE(args);
+    const Outcome result = run(args, DEBUG_PLAN_BIN);
+    EXPECT_EQ(result.code, 2);
+    EXPECT_EQ(result.first_err_line(),
+              "usage: debug_plan <personality 0|1> <workload 0|1|2> <type:instance:ms>...");
+    EXPECT_EQ(result.out, "");
+  }
 }
 
 }  // namespace

@@ -4,35 +4,50 @@
 #include <cstdlib>
 #include <cstring>
 #include "core/checker.h"
+#include "util/json.h"
 #include "util/log.h"
 
 using namespace avis;
 
+static int usage() {
+  fprintf(stderr, "usage: debug_plan <personality 0|1> <workload 0|1|2> <type:instance:ms>...\n");
+  return 2;
+}
+
 int main(int argc, char** argv) {
-  // usage: debug_plan <personality 0|1> <workload 0|1|2> <type:instance:ms>...
+  // The whole command line parses before anything runs; a bad argument
+  // prints the usage line and exits 2.
+  if (argc < 3) return usage();
+  const auto pers = util::parse_integer<int>(argv[1]);
+  const auto wl = util::parse_integer<int>(argv[2]);
+  if (!pers || *pers < 0 || *pers > 1 || !wl || *wl < 0 || *wl > 2) return usage();
+  const sensors::SuiteConfig suite = core::SimulationHarness::iris_suite();
+  core::FaultPlan plan;
+  for (int i = 3; i < argc; ++i) {
+    int type = 0, inst = 0; long ms = 0; char extra = 0;
+    if (sscanf(argv[i], "%d:%d:%ld%c", &type, &inst, &ms, &extra) != 3) return usage();
+    if (type < 0 || type >= static_cast<int>(sensors::kAllSensorTypes.size())) return usage();
+    const auto sensor_type = static_cast<sensors::SensorType>(type);
+    if (inst < 0 || inst >= suite.count(sensor_type) || ms < 0) return usage();
+    plan.add(ms, {sensor_type, static_cast<uint8_t>(inst)});
+  }
   util::Logger::instance().set_level(util::LogLevel::kDebug);
-  int pers = atoi(argv[1]);
-  int wl = atoi(argv[2]);
   fw::BugRegistry all_bugs = fw::BugRegistry::current_code_base();
   for (fw::BugId id : fw::kAllBugs) all_bugs.enable(id);
-  core::Checker checker(static_cast<fw::Personality>(pers),
-                        static_cast<workload::WorkloadId>(wl), all_bugs);
+  core::Checker checker(static_cast<fw::Personality>(*pers),
+                        static_cast<workload::WorkloadId>(*wl), all_bugs);
   const auto& model = checker.model();
   printf("tau=%.2f P=%.2f A=%.2f D=%d dur=%.1fs\n", model.tau(), model.max_position_spread(),
          model.max_accel_spread(), model.mode_graph().diameter(),
          model.profiling_duration_ms() / 1000.0);
 
   core::ExperimentSpec spec;
-  spec.personality = static_cast<fw::Personality>(pers);
-  spec.workload = static_cast<workload::WorkloadId>(wl);
+  spec.personality = static_cast<fw::Personality>(*pers);
+  spec.workload = static_cast<workload::WorkloadId>(*wl);
   spec.bugs = all_bugs;
   spec.seed = 100;
   spec.stop_on_violation = false;
-  for (int i = 3; i < argc; ++i) {
-    int type, inst; long ms;
-    sscanf(argv[i], "%d:%d:%ld", &type, &inst, &ms);
-    spec.plan.add(ms, {static_cast<sensors::SensorType>(type), static_cast<uint8_t>(inst)});
-  }
+  spec.plan = plan;
   printf("plan: %s\n", spec.plan.to_string().c_str());
   core::SimulationHarness harness;
   auto r = harness.run(spec, &model);
