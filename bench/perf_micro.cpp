@@ -170,24 +170,6 @@ static void BM_EstimatorUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_EstimatorUpdate);
 
-// Provisioning cost of one experiment with and without a reusable arena.
-// Short runs (2 s simulated) make the per-run constant visible: Arg(0)
-// rebuilds the simulator/suite/firmware/channel from scratch every
-// iteration, Arg(1) resets one ExperimentContext in place. The results are
-// bit-identical (tests/test_harness.cc); only the provisioning cost moves.
-static void BM_ExperimentArenaReuse(benchmark::State& state) {
-  const bool reuse = state.range(0) != 0;
-  core::SimulationHarness harness;
-  core::ExperimentContext context;
-  core::ExperimentSpec spec;
-  spec.max_duration_ms = 2000;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(harness.run(spec, nullptr, reuse ? &context : nullptr));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ExperimentArenaReuse)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
-
 static void BM_MavlinkRoundTrip(benchmark::State& state) {
   mavlink::GlobalPositionInt gp;
   gp.position = {40.0, -83.0, 220.0};

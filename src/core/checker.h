@@ -145,11 +145,7 @@ class Checker {
         SnapshotCapture* capture =
             i == 0 && checkpoint_config_.enabled ? &golden_capture : nullptr;
         auto task = [this, capture, seed = prototype_.seed + static_cast<std::uint64_t>(i)] {
-          auto context = contexts_.acquire();
-          ExperimentResult result =
-              harness_.profile_run(prototype_, seed, context.get(), capture);
-          contexts_.release(std::move(context));
-          return result;
+          return harness_.profile_run(prototype_, seed, capture);
         };
         runs.push_back(pool_ ? pool_->submit(std::move(task))
                              : std::async(std::launch::deferred, std::move(task)));
@@ -293,14 +289,8 @@ class Checker {
                      plan = plans[i]] {
           Outcome out;
           if (i >= discard_from->load(std::memory_order_relaxed)) return out;
-          // A worker checks a context out per experiment, so consecutive
-          // runs reset retained storage instead of reallocating it (the
-          // arena-reuse contract). An exception skips the release and
-          // simply retires the context.
-          auto context = contexts_.acquire();
-          out.result = harness_.run(p_make_spec(plan, monitor), &monitor, context.get(),
-                                    checkpoints, capture_limit, &out.captures);
-          contexts_.release(std::move(context));
+          out.result = harness_.run(p_make_spec(plan, monitor), &monitor, nullptr, checkpoints,
+                                    capture_limit, &out.captures);
           return out;
         };
         outcomes.push_back(pool_ ? pool_->submit(std::move(task))
@@ -378,13 +368,10 @@ class Checker {
     if (!checkpoints_) {
       const ExperimentSpec spec = p_make_spec(FaultPlan{}, monitor);
       const ExperimentResult& golden = monitor.golden_run();
-      auto context = contexts_.acquire();
-      checkpoints_ =
-          golden.duration_ms < prototype_.max_duration_ms
-              ? harness_.root_from_run(spec, &monitor, checkpoint_config_, golden,
-                                       std::move(*golden_capture_), context.get())
-              : harness_.record_prefix(spec, &monitor, checkpoint_config_, context.get());
-      contexts_.release(std::move(context));
+      checkpoints_ = golden.duration_ms < prototype_.max_duration_ms
+                         ? harness_.root_from_run(spec, &monitor, checkpoint_config_, golden,
+                                                  std::move(*golden_capture_))
+                         : harness_.record_prefix(spec, &monitor, checkpoint_config_);
       golden_capture_.reset();
     }
     return &*checkpoints_;
@@ -449,7 +436,6 @@ class Checker {
   ExperimentSpec prototype_;
   CheckpointConfig checkpoint_config_;
   SimulationHarness harness_;
-  ExperimentContextPool contexts_;
   std::optional<MonitorModel> model_;
   // The golden run's root captures, from model() until p_checkpoints
   // builds the root out of them.

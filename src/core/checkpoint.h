@@ -28,9 +28,8 @@
 // falling back to the root at level 0. The contract is strict parity
 // either way: a restored-and-resumed run is bit-identical (trace,
 // transitions, outcome, unsafe records) to the same spec simulated from
-// scratch — the same spirit as the arena reset contract (docs/PERFORMANCE.md
-// has the full argument; tests/test_checkpoint.cc and
-// tests/test_checkpoint_tree.cc are the tripwires).
+// scratch (docs/PERFORMANCE.md has the full argument; tests/test_checkpoint.cc
+// and tests/test_checkpoint_tree.cc are the tripwires).
 #pragma once
 
 #include <algorithm>

@@ -1,5 +1,7 @@
 #include "core/harness.h"
 
+#include <memory>
+
 #include "util/checked.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -21,44 +23,46 @@ ExperimentResult SimulationHarness::run(const ExperimentSpec& spec,
                                         ExperimentContext* context,
                                         const CheckpointStore* checkpoints, int capture_limit,
                                         std::vector<ExperimentSnapshot>* tree_captures) const {
+  ExperimentContext local;
+  ExperimentContext& world = context != nullptr ? *context : local;
+  util::expects(!world.simulator, "run() provisions into an empty context");
   ScheduledDirector director(spec.plan);
   const CheckpointResume resume = resume_point(checkpoints, spec, monitor_model != nullptr);
   const auto events = static_cast<int>(spec.plan.events.size());
   if (tree_captures == nullptr || checkpoints == nullptr || !checkpoints->trees_enabled() ||
       events == 0 || events > capture_limit) {
-    return p_run(spec, director, monitor_model, context, resume);
+    return p_run(world, spec, director, monitor_model, resume);
   }
   SnapshotCapture capture = plan_tree_capture(spec, *checkpoints);
-  ExperimentResult result = p_run(spec, director, monitor_model, context, resume, &capture);
+  ExperimentResult result = p_run(world, spec, director, monitor_model, resume, &capture);
   *tree_captures = std::move(capture.snapshots);
   return result;
 }
 
 ExperimentResult SimulationHarness::run_with_director(const ExperimentSpec& spec,
                                                       hinj::FaultDirector& custom_director,
-                                                      const MonitorModel* monitor_model,
-                                                      ExperimentContext* context) const {
-  return p_run(spec, custom_director, monitor_model, context);
+                                                      const MonitorModel* monitor_model) const {
+  ExperimentContext world;
+  return p_run(world, spec, custom_director, monitor_model);
 }
 
 CheckpointStore SimulationHarness::record_prefix(const ExperimentSpec& spec,
                                                  const MonitorModel* monitor_model,
-                                                 const CheckpointConfig& config,
-                                                 ExperimentContext* context) const {
+                                                 const CheckpointConfig& config) const {
   ExperimentSpec prefix_spec = spec;
   prefix_spec.plan = FaultPlan{};
   SnapshotCapture capture = plan_root_capture(config, prefix_spec.max_duration_ms);
   ScheduledDirector director(prefix_spec.plan);
-  const ExperimentResult run = p_run(prefix_spec, director, nullptr, context, {}, &capture);
-  return root_from_run(prefix_spec, monitor_model, config, run, std::move(capture), context);
+  ExperimentContext world;
+  const ExperimentResult run = p_run(world, prefix_spec, director, nullptr, {}, &capture);
+  return root_from_run(prefix_spec, monitor_model, config, run, std::move(capture));
 }
 
 CheckpointStore SimulationHarness::root_from_run(const ExperimentSpec& spec,
                                                  const MonitorModel* monitor_model,
                                                  const CheckpointConfig& config,
                                                  const ExperimentResult& run,
-                                                 SnapshotCapture capture,
-                                                 ExperimentContext* context) const {
+                                                 SnapshotCapture capture) const {
   util::expects(run.duration_ms <= spec.max_duration_ms,
                 "the fault-free run outlasts the prefix it stands in for");
   ExperimentSpec prefix_spec = spec;
@@ -104,7 +108,8 @@ CheckpointStore SimulationHarness::root_from_run(const ExperimentSpec& spec,
       resume.transitions = &run.transitions;
     }
     ScheduledDirector director(prefix_spec.plan);
-    p_run(prefix_spec, director, nullptr, context, resume, &resim);
+    ExperimentContext world;
+    p_run(world, prefix_spec, director, nullptr, resume, &resim);
     util::expects(resim.snapshots.size() == resim.times.size(),
                   "a root re-simulation missed a capture time");
     for (ExperimentSnapshot& snap : resim.snapshots) snapshots.push_back(std::move(snap));
@@ -121,11 +126,11 @@ CheckpointStore SimulationHarness::root_from_run(const ExperimentSpec& spec,
 
 ExperimentResult SimulationHarness::run_recording(const ExperimentSpec& spec,
                                                   const MonitorModel* monitor_model,
-                                                  ExperimentContext* context,
                                                   CheckpointStore& store) const {
   ScheduledDirector director(spec.plan);
   SnapshotCapture capture = plan_tree_capture(spec, store);
-  ExperimentResult result = p_run(spec, director, monitor_model, context,
+  ExperimentContext world;
+  ExperimentResult result = p_run(world, spec, director, monitor_model,
                                   resume_point(&store, spec, monitor_model != nullptr), &capture);
   // An unsafe run's snapshots can never be restored (strategies only extend
   // bug-free chains), so merging them would only burn budget.
@@ -137,20 +142,11 @@ ExperimentResult SimulationHarness::run_recording(const ExperimentSpec& spec,
   return result;
 }
 
-ExperimentResult SimulationHarness::p_run(const ExperimentSpec& spec,
+ExperimentResult SimulationHarness::p_run(ExperimentContext& world, const ExperimentSpec& spec,
                                           hinj::FaultDirector& custom_director,
                                           const MonitorModel* monitor_model,
-                                          ExperimentContext* context,
                                           const CheckpointResume& resume,
                                           SnapshotCapture* capture) const {
-  // Without a caller-supplied arena, provision into a one-shot local one —
-  // same code path, same construction order, the storage just dies with the
-  // run. The reset protocol below must mirror from-scratch construction
-  // exactly (same seed draws in the same order, same boot traffic) so that
-  // a run is a pure function of its spec either way.
-  ExperimentContext local_context;
-  ExperimentContext& world = context != nullptr ? *context : local_context;
-
   // Checkpoint forking: a run whose plan matches a recorded (possibly
   // faulty) prefix up to time t is identical to that recording up to (the
   // top of) iteration t, so restoring the deepest usable snapshot skips the
@@ -167,51 +163,31 @@ ExperimentResult SimulationHarness::p_run(const ExperimentSpec& spec,
   // protects the bit-identical parity contract when provisioning changes.
   util::Rng seed_source(spec.seed);
 
-  // Simulator: re-emplace in place. The environment is rebuilt from the
-  // spec's factory (the default is the flat calm field), so two runs of the
-  // same spec fly the same world; preset factories carry no per-run state.
-  // A restored run's RNG stream position is loaded below, so the
-  // construction seed only matters cold.
+  // The environment is rebuilt from the spec's factory (the default is the
+  // flat calm field), so two runs of the same spec fly the same world;
+  // preset factories carry no per-run state. A restored run's RNG stream
+  // positions are loaded below, so the construction seeds only matter cold.
   world.simulator.emplace(spec.environment_factory ? spec.environment_factory()
                                                    : sim::Environment{},
                           sim::QuadcopterParams{}, seed_source.next_u64());
-
-  // Sensor suite: the expensive one (12 heap-allocated instances). Reset
-  // re-seeds the existing instances with the same fork sequence the
-  // constructor would draw; a restored run loads full instance state
-  // instead, so the reset would be wasted work.
   util::Rng sensor_seeds = seed_source.fork(1);
-  if (!world.suite) {
-    world.suite.emplace(iris_suite(), sensor_seeds);
-  } else if (!restoring) {
-    world.suite->reset(iris_suite(), sensor_seeds);
-  }
+  world.suite.emplace(iris_suite(), sensor_seeds);
 
   // Cold runs record from the first (boot) report; a restored run parks the
   // server while the firmware re-boots, because the boot-mode report
   // already lives in the spliced transition prefix and must not be
   // recorded a second time.
-  hinj::FaultDirector& boot_director =
-      restoring ? static_cast<hinj::FaultDirector&>(world.parked_director) : director;
-  if (world.server) {
-    world.server->set_director(boot_director);
-  } else {
-    world.server.emplace(boot_director);
-  }
-  // The client persists across runs: it is stateless between frames but
-  // owns the warmed-up request/response buffers.
-  if (!world.client) world.client.emplace(*world.server);
-
-  world.channel.reset_link();
-  if (!world.bus) world.bus.emplace(*world.suite, *world.client);
+  world.server.emplace(restoring ? static_cast<hinj::FaultDirector&>(world.parked_director)
+                                  : director);
+  world.client.emplace(*world.server);
+  world.bus.emplace(*world.suite, *world.client);
 
   fw::FirmwareConfig fw_config = spec.personality == fw::Personality::kArduPilotLike
                                      ? fw::FirmwareConfig::ardupilot()
                                      : fw::FirmwareConfig::px4();
   fw_config.bugs = spec.bugs;
-  // Firmware state is rebuilt per run (its constructor reports the boot
-  // mode through hinj, which must land after the director swap above);
-  // emplacing into retained storage keeps the object off the heap.
+  // The firmware's constructor reports the boot mode through hinj, so it
+  // comes after the server's director is chosen above.
   world.firmware.emplace(std::move(fw_config), *world.bus, *world.client,
                          world.channel.vehicle(), world.simulator->environment());
 
@@ -247,15 +223,8 @@ ExperimentResult SimulationHarness::p_run(const ExperimentSpec& spec,
 
   MonitorSession* monitor = nullptr;  // null = unmonitored
   if (monitor_model != nullptr) {
-    if (!world.monitor) {
-      world.monitor.emplace(*monitor_model);
-    }
-    if (restoring) {
-      world.monitor->restore(*monitor_model, *resume.trace, resume.snapshot->monitor);
-    } else {
-      world.monitor->restart(*monitor_model);
-    }
-    monitor = &*world.monitor;
+    monitor = &world.monitor.emplace(*monitor_model);
+    if (restoring) monitor->restore(*monitor_model, *resume.trace, resume.snapshot->monitor);
   }
 
   // Loop state; a restored run resumes it exactly where the snapshot froze
@@ -420,31 +389,30 @@ ExperimentResult SimulationHarness::p_run(const ExperimentSpec& spec,
   result.transitions = director.take_transitions();
   result.fired_bugs = world.firmware->fired_bugs();
   result.crash_cause = world.simulator->last_crash();
-  // The run's RecordingDirector is about to leave scope; park the retained
-  // server on the world's inert director so a pooled arena never dangles.
+  // The run's RecordingDirector is about to leave scope; park the server on
+  // the world's inert director so a kept world never dangles.
   world.server->set_director(world.parked_director);
   return result;
 }
 
 ExperimentResult SimulationHarness::profile_run(const ExperimentSpec& prototype,
-                                               std::uint64_t seed, ExperimentContext* context,
+                                               std::uint64_t seed,
                                                SnapshotCapture* capture) const {
   ExperimentSpec spec = prototype;
   spec.plan = FaultPlan{};
   spec.seed = seed;
   ScheduledDirector director(spec.plan);
-  ExperimentResult result = p_run(spec, director, nullptr, context, {}, capture);
+  ExperimentContext world;
+  ExperimentResult result = p_run(world, spec, director, nullptr, {}, capture);
   util::expects(result.workload_passed, "profiling run did not complete its workload");
   return result;
 }
 
 MonitorModel SimulationHarness::profile(const ExperimentSpec& prototype, int runs,
-                                        std::uint64_t seed_base,
-                                        ExperimentContext* context) const {
+                                        std::uint64_t seed_base) const {
   std::vector<ExperimentResult> profiling;
   for (int i = 0; i < runs; ++i) {
-    profiling.push_back(
-        profile_run(prototype, seed_base + static_cast<std::uint64_t>(i), context));
+    profiling.push_back(profile_run(prototype, seed_base + static_cast<std::uint64_t>(i)));
   }
   return MonitorModel::calibrate(std::move(profiling));
 }
@@ -452,13 +420,12 @@ MonitorModel SimulationHarness::profile(const ExperimentSpec& prototype, int run
 MonitorModel SimulationHarness::profile(fw::Personality personality,
                                         workload::WorkloadId workload,
                                         const fw::BugRegistry& bugs, int runs,
-                                        std::uint64_t seed_base,
-                                        ExperimentContext* context) const {
+                                        std::uint64_t seed_base) const {
   ExperimentSpec prototype;
   prototype.personality = personality;
   prototype.workload = workload;
   prototype.bugs = bugs;
-  return profile(prototype, runs, seed_base, context);
+  return profile(prototype, runs, seed_base);
 }
 
 }  // namespace avis::core

@@ -2,19 +2,15 @@
 // and workload into one experiment (the full loop of the paper's Fig. 7).
 //
 // "At the start of each test, Avis provisions a new instance of the
-// simulator and firmware" — every run() starts from a state that is a pure
-// function of its spec. Callers that run many experiments back to back hand
-// run() a reusable ExperimentContext: the same provisioning happens by
-// resetting retained storage in place instead of reallocating it, with
-// bit-identical results (the arena reset contract, docs/PERFORMANCE.md).
+// simulator and firmware" — every run provisions every layer fresh, so a
+// run is a pure function of its spec; a restored run loads its snapshot
+// state over that fresh world.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <functional>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -116,14 +112,10 @@ class RecordingDirector final : public hinj::FaultDirector {
   std::int64_t last_heartbeat_ms_ = 0;
 };
 
-// Reusable per-worker experiment arena (ROADMAP: "per-worker experiment
-// arenas"): the storage for one provisioned world — simulator, sensor
-// suite, hinj connection, MAVLink channel, firmware, monitor session — so
-// consecutive runs on the same worker reset state in place instead of
-// rebuilding it on the heap. The harness owns the provisioning/reset
-// protocol that makes reuse bit-identical to fresh construction; callers
-// just keep the context alive and pass it back in. One context serves one
-// run at a time (it is a worker's scratch space, not shared state).
+// The layers of one provisioned world — simulator, sensor suite, hinj
+// connection, MAVLink channel, firmware, monitor session. Every run
+// provisions a fresh one; a caller that inspects the world after the run
+// (tests, benches) hands run() an empty context to receive it.
 struct ExperimentContext {
   ExperimentContext() = default;
   ExperimentContext(const ExperimentContext&) = delete;
@@ -131,64 +123,16 @@ struct ExperimentContext {
 
   std::optional<sim::Simulator> simulator;
   std::optional<sensors::SensorSuite> suite;
-  // Between runs the server is parked on this inert director, so a pooled
-  // world never holds a pointer to a finished run's stack-local
-  // RecordingDirector.
+  // After the run the server is parked on this inert director, so a kept
+  // world never holds a pointer to the finished run's stack-local
+  // RecordingDirector (the firmware may still be stepped).
   hinj::NullDirector parked_director;
   std::optional<hinj::Server> server;
-  std::optional<hinj::Client> client;  // owns the warmed-up hinj frame buffers
-  mavlink::Channel channel;            // owns the warmed-up frame freelist
+  std::optional<hinj::Client> client;
+  mavlink::Channel channel;
   std::optional<fw::SensorBus> bus;
   std::optional<fw::Firmware> firmware;
   std::optional<MonitorSession> monitor;
-};
-
-// Hands contexts to pool workers: a worker checks one out per experiment
-// and returns it afterwards, and each context is reused by whichever worker
-// runs the next one. The free list is capped at the pool's high-water
-// concurrent-checkout mark: a release that would retain more idle contexts
-// than were ever simultaneously in use frees the context instead, so a wide
-// campaign cannot pin arena memory beyond its actual peak concurrency. The
-// lock is per experiment (hundreds of milliseconds of simulation), so
-// contention is irrelevant.
-class ExperimentContextPool {
- public:
-  std::unique_ptr<ExperimentContext> acquire() {
-    std::lock_guard lock(mutex_);
-    ++checked_out_;
-    high_water_ = std::max(high_water_, checked_out_);
-    if (!free_.empty()) {
-      std::unique_ptr<ExperimentContext> ctx = std::move(free_.back());
-      free_.pop_back();
-      return ctx;
-    }
-    return std::make_unique<ExperimentContext>();
-  }
-
-  void release(std::unique_ptr<ExperimentContext> ctx) {
-    std::lock_guard lock(mutex_);
-    if (checked_out_ > 0) --checked_out_;
-    if (free_.size() + checked_out_ < high_water_) {
-      free_.push_back(std::move(ctx));
-    }
-    // else: retaining it would exceed the peak-concurrency cap; let it die.
-  }
-
-  // Observability for tests: peak concurrent checkouts and current idles.
-  std::size_t high_water_mark() const {
-    std::lock_guard lock(mutex_);
-    return high_water_;
-  }
-  std::size_t idle_count() const {
-    std::lock_guard lock(mutex_);
-    return free_.size();
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<ExperimentContext>> free_;
-  std::size_t checked_out_ = 0;
-  std::size_t high_water_ = 0;
 };
 
 // The workload (ground station) is pumped at 20 ms — a realistic GCS loop
@@ -219,9 +163,8 @@ class SimulationHarness {
 
   // Run one experiment. If `monitor_model` is non-null the invariant monitor
   // runs alongside and, when spec.stop_on_violation, ends the run at the
-  // first violation. Profiling runs pass nullptr. `context`, when given, is
-  // the worker's reusable arena; nullptr provisions (and discards) a fresh
-  // one, which is bit-identical but pays the allocations. `checkpoints`,
+  // first violation. Profiling runs pass nullptr. `context`, when given,
+  // must be empty and receives the finished world. `checkpoints`,
   // when given, must have been built for the same scenario (same spec
   // minus the plan, same monitored-ness — record_prefix or root_from_run
   // below): the run then restores the deepest usable snapshot
@@ -245,8 +188,7 @@ class SimulationHarness {
   // never restores checkpoints.
   ExperimentResult run_with_director(const ExperimentSpec& spec,
                                      hinj::FaultDirector& director,
-                                     const MonitorModel* monitor_model,
-                                     ExperimentContext* context = nullptr) const;
+                                     const MonitorModel* monitor_model) const;
 
   // The fault-free root for `spec` (plan cleared) under `monitor_model`
   // (the monitor session's history is part of world state, so the root
@@ -257,8 +199,7 @@ class SimulationHarness {
   // profiling run is the same run, captured while profiling.
   CheckpointStore record_prefix(const ExperimentSpec& spec,
                                 const MonitorModel* monitor_model,
-                                const CheckpointConfig& config,
-                                ExperimentContext* context = nullptr) const;
+                                const CheckpointConfig& config) const;
 
   // Builds the root for `spec` from `run`, an unmonitored fault-free run of
   // the same scenario whose `capture` (plan_root_capture's cadence grid for
@@ -271,8 +212,7 @@ class SimulationHarness {
   // run (CheckpointStore::install_root).
   CheckpointStore root_from_run(const ExperimentSpec& spec, const MonitorModel* monitor_model,
                                 const CheckpointConfig& config, const ExperimentResult& run,
-                                SnapshotCapture capture,
-                                ExperimentContext* context = nullptr) const;
+                                SnapshotCapture capture) const;
 
   // Checkpoint-tree building block: run one *directed* experiment, restoring
   // from the deepest usable snapshot in `store`, while recording tree
@@ -282,7 +222,7 @@ class SimulationHarness {
   // does across a campaign, in one call — tests use it to grow a tree
   // without standing up a checker.
   ExperimentResult run_recording(const ExperimentSpec& spec, const MonitorModel* monitor_model,
-                                 ExperimentContext* context, CheckpointStore& store) const;
+                                 CheckpointStore& store) const;
 
   // Convenience: N fault-free profiling runs with distinct seeds, then
   // monitor calibration (paper: "We assume runs without sensor failures are
@@ -291,10 +231,10 @@ class SimulationHarness {
   // registry-named scenarios profile the exact world they search in; the
   // prototype's plan and seed are ignored.
   MonitorModel profile(const ExperimentSpec& prototype, int runs = 3,
-                       std::uint64_t seed_base = 1, ExperimentContext* context = nullptr) const;
+                       std::uint64_t seed_base = 1) const;
   MonitorModel profile(fw::Personality personality, workload::WorkloadId workload,
                        const fw::BugRegistry& bugs, int runs = 3,
-                       std::uint64_t seed_base = 1, ExperimentContext* context = nullptr) const;
+                       std::uint64_t seed_base = 1) const;
   // One of profile()'s runs: the prototype fault-free at `seed`; throws if
   // the workload did not complete. Runs are independent, so a caller may
   // run them concurrently and calibrate the results in seed order
@@ -302,7 +242,6 @@ class SimulationHarness {
   // given, is filled while the run simulates (plan_root_capture) — the
   // checker captures the golden run's snapshots for root_from_run this way.
   ExperimentResult profile_run(const ExperimentSpec& prototype, std::uint64_t seed,
-                               ExperimentContext* context = nullptr,
                                SnapshotCapture* capture = nullptr) const;
 
   // Per-run step hook for benches that need full-rate traces (Fig. 9/10).
@@ -311,13 +250,13 @@ class SimulationHarness {
   void set_step_hook(StepHook hook) { step_hook_ = std::move(hook); }
 
  private:
-  // The one experiment loop behind every public entry point: provision the
-  // world (cold, or restored from `resume`; default = cold), step it, and
-  // finalize the result. `capture`, when given, records snapshots while the
-  // run steps (plan_root_capture / plan_tree_capture); the caller files
-  // them into a store afterwards.
-  ExperimentResult p_run(const ExperimentSpec& spec, hinj::FaultDirector& custom_director,
-                         const MonitorModel* monitor_model, ExperimentContext* context,
+  // The one experiment loop behind every public entry point: provision a
+  // fresh world into the empty `world` (cold, or restored from `resume`;
+  // default = cold), step it, and finalize the result. `capture`, when
+  // given, records snapshots while the run steps (plan_root_capture /
+  // plan_tree_capture); the caller files them into a store afterwards.
+  ExperimentResult p_run(ExperimentContext& world, const ExperimentSpec& spec,
+                         hinj::FaultDirector& custom_director, const MonitorModel* monitor_model,
                          const CheckpointResume& resume = {},
                          SnapshotCapture* capture = nullptr) const;
 

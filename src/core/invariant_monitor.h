@@ -76,8 +76,7 @@ class MonitorSession {
   explicit MonitorSession(const MonitorModel& model) : model_(&model) {}
 
   // Rebind to a model and forget the previous run, keeping the history
-  // buffer's capacity — the arena-reuse path (core::ExperimentContext)
-  // restarts one session per run instead of growing a fresh history vector.
+  // buffer's capacity; restore() starts from here.
   void restart(const MonitorModel& model) {
     model_ = &model;
     history_.clear();

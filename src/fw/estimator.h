@@ -95,7 +95,7 @@ class StateEstimator {
   // Complete mid-run filter state for experiment checkpointing: both the
   // clean and the quirk-distorted solutions, fail-over health, and every
   // fallback latch. Config and bus wiring are construction-time and stay
-  // with the hosting arena.
+  // with the hosting world.
   struct Snapshot {
     EstimatedState state;
     EstimatedState published;

@@ -66,7 +66,7 @@ class Firmware {
   // estimator and cascade capsules, the mission store (a value type,
   // captured whole), and every mode/failsafe/bug latch. The config and the
   // bus/hinj/link/env wiring are construction-time properties of the spec
-  // and the hosting arena — a restored firmware keeps its own wiring. Kept
+  // and the hosting world — a restored firmware keeps its own wiring. Kept
   // in lockstep with the member list below: a new stateful member must join
   // this capsule or restored runs diverge from fresh ones (the parity suite
   // in tests/test_checkpoint.cc is the tripwire).

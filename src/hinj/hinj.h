@@ -123,8 +123,7 @@ class Server {
 //   * the mode controller's set_mode(): `hinj.update_mode(...)`
 // Sensor reads carry their frames on the stack; one Client is one
 // connection for the other messages: it owns the request/response buffers
-// ModeUpdate and Heartbeat reuse, so a long-lived client (e.g. in a reused
-// core::ExperimentContext) keeps their warmed-up capacity across runs.
+// ModeUpdate and Heartbeat reuse within a run.
 class Client {
  public:
   explicit Client(Server& server) : server_(&server) {}

@@ -60,9 +60,8 @@ class Channel {
   std::deque<std::vector<std::uint8_t>> to_gcs;
 
   // Return the link to its just-constructed observable state — no traffic
-  // in flight, sequence numbers at zero — while keeping the warmed-up frame
-  // freelist, so a reused channel (core::ExperimentContext) starts the next
-  // run allocation-free.
+  // in flight, sequence numbers at zero — while keeping the frame freelist;
+  // load() starts from here.
   void reset_link() {
     while (!to_vehicle.empty()) {
       recycle_frame(std::move(to_vehicle.front()));

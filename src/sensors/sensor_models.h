@@ -55,21 +55,9 @@ class SensorInstance {
   // Clean failure: the device stops communicating for the rest of the run.
   void fail() { failed_ = true; }
 
-  // Return the instance to its just-constructed state with a fresh noise
-  // stream, as if it had been rebuilt with `rng`. Lets a reused suite start
-  // a new run without reallocating the instance (core::ExperimentContext);
-  // identity, rate, and the model parameters of the derived class are
-  // construction-time constants and stay put.
-  void reset(util::Rng rng) {
-    rng_ = rng;
-    held_ = Sample{};
-    has_sample_ = false;
-    last_sample_ms_ = 0;
-    failed_ = false;
-  }
-
   // Mid-run state capture/restore (checkpointed prefix forking). save/load
-  // cover exactly the fields reset() clears, so a loaded instance is
+  // cover every field a run changes (identity, rate and the derived model's
+  // parameters are construction-time constants), so a loaded instance is
   // state-identical to one that lived through the prefix.
   InstanceState<Sample> save() const {
     return {rng_.save(), held_, has_sample_, last_sample_ms_, failed_};
@@ -305,8 +293,6 @@ struct SuiteConfig {
   int total() const {
     return gyroscopes + accelerometers + barometers + gpses + compasses + batteries;
   }
-
-  bool operator==(const SuiteConfig&) const = default;
 };
 
 // Mid-run state of every instance in a suite, in the suite's construction
@@ -352,24 +338,9 @@ class SensorSuite {
 
   const SuiteConfig& config() const { return config_; }
 
-  // Re-seed every instance in place, drawing fork ids in exactly the order
-  // the constructor does, so a reset suite is state-identical to a freshly
-  // built one (the arena-reuse determinism contract, docs/PERFORMANCE.md)
-  // without re-doing the per-instance heap allocations. The complement must
-  // match — a different config means a different vehicle, not a new run.
-  void reset(const SuiteConfig& config, util::Rng& seed_source) {
-    util::expects(config == config_, "suite reset must keep the sensor complement");
-    for (int i = 0; i < config.gyroscopes; ++i) gyros_[i]->reset(seed_source.fork(i));
-    for (int i = 0; i < config.accelerometers; ++i) accels_[i]->reset(seed_source.fork(16 + i));
-    for (int i = 0; i < config.barometers; ++i) baros_[i]->reset(seed_source.fork(32 + i));
-    for (int i = 0; i < config.gpses; ++i) gpses_[i]->reset(seed_source.fork(48 + i));
-    for (int i = 0; i < config.compasses; ++i) compasses_[i]->reset(seed_source.fork(64 + i));
-    for (int i = 0; i < config.batteries; ++i) batteries_[i]->reset(seed_source.fork(80 + i));
-  }
-
   // Capture/restore every instance's mid-run state (checkpointed prefix
-  // forking). Like reset(), load() requires the same sensor complement —
-  // restoring a different vehicle's snapshot is a logic error.
+  // forking). load() requires the same sensor complement — restoring a
+  // different vehicle's snapshot is a logic error.
   SuiteSnapshot save() const {
     SuiteSnapshot s;
     for (const auto& g : gyros_) s.gyros.push_back(g->save());

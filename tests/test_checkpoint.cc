@@ -1,12 +1,12 @@
 // Checkpointed prefix forking: a restored-and-resumed run must be
 // bit-identical (trace, transitions, outcome, unsafe records) to the same
-// spec simulated from scratch — the snapshot/restore analogue of the arena
-// reset contract. The matrix below sweeps the full registry surface (both
-// personalities x all five workloads) under the RNG-heaviest environment
-// preset (gusty exercises the simulator's wind stream every step, so a
-// mid-stream util::Rng snapshot — including the cached Marsaglia spare
-// gaussian — is load-bearing), interleaved through one ExperimentContext
-// like tests/test_harness.cc does for arenas.
+// spec simulated from scratch. The matrix below sweeps the full registry
+// surface (both personalities x all five workloads) under the RNG-heaviest
+// environment preset (gusty exercises the simulator's wind stream every
+// step, so a mid-stream util::Rng snapshot — including the cached Marsaglia
+// spare gaussian — is load-bearing), interleaved on one thread so that
+// per-thread state leaking from an earlier combination would surface in a
+// later one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -183,11 +183,9 @@ TEST(Checkpoint, EvictionTakesTheRootLastAndClearTreeKeepsIt) {
 // The headline contract: restore-vs-fresh parity across the full registry
 // surface — both personalities x all five workloads x gusty — with early
 // (miss), mid-mission, multi-event and empty (golden re-run) plans, all
-// interleaved through one context so stale state from any earlier
-// combination would surface in a later one.
+// interleaved on one thread.
 TEST(Checkpoint, RestoredRunsAreBitIdenticalAcrossTheRegistrySurface) {
   SimulationHarness harness;
-  ExperimentContext context;
   CheckpointConfig config;  // default cadence (5000 ms), default budget
 
   const std::vector<std::string> personalities = {"ardupilot", "px4"};
@@ -209,17 +207,17 @@ TEST(Checkpoint, RestoredRunsAreBitIdenticalAcrossTheRegistrySurface) {
       // parity must hold either way.
       ExperimentSpec golden_spec = prototype;
       golden_spec.plan = FaultPlan{};
-      const ExperimentResult golden = harness.run(golden_spec, nullptr, &context);
+      const ExperimentResult golden = harness.run(golden_spec, nullptr);
       std::optional<MonitorModel> model;
       if (golden.workload_passed) {
-        model = harness.profile(prototype, 3, prototype.seed, &context);
+        model = harness.profile(prototype, 3, prototype.seed);
         ++monitored_combos;
       }
       const MonitorModel* monitor = model ? &*model : nullptr;
 
       ExperimentSpec spec = prototype;
       if (monitor != nullptr) spec.max_duration_ms = model->profiling_duration_ms() + 45000;
-      const CheckpointStore store = harness.record_prefix(spec, monitor, config, &context);
+      const CheckpointStore store = harness.record_prefix(spec, monitor, config);
       ASSERT_GT(store.root_size(), 0u);
       EXPECT_EQ(store.evicted(), 0);
 
@@ -240,8 +238,8 @@ TEST(Checkpoint, RestoredRunsAreBitIdenticalAcrossTheRegistrySurface) {
 
       for (PlanCase& plan_case : cases) {
         spec.plan = plan_case.plan;
-        const ExperimentResult fresh = harness.run(spec, monitor, &context);
-        const ExperimentResult restored = harness.run(spec, monitor, &context, &store);
+        const ExperimentResult fresh = harness.run(spec, monitor);
+        const ExperimentResult restored = harness.run(spec, monitor, nullptr, &store);
         EXPECT_EQ(fresh.resumed_from_ms, 0);
         if (plan_case.expect_hit) {
           EXPECT_GT(restored.resumed_from_ms, 0) << plan_case.name;
@@ -267,20 +265,19 @@ TEST(Checkpoint, RestoredViolationTimingMatchesFresh) {
                                     workload::WorkloadId::kFenceMission);
   const MonitorModel& model = checker.model();
   SimulationHarness harness;
-  ExperimentContext context;
 
   ExperimentSpec spec;
   spec.personality = fw::Personality::kArduPilotLike;
   spec.workload = workload::WorkloadId::kFenceMission;
   spec.seed = 100;
   spec.max_duration_ms = model.profiling_duration_ms() + 45000;
-  const CheckpointStore store = harness.record_prefix(spec, &model, {}, &context);
+  const CheckpointStore store = harness.record_prefix(spec, &model, {});
 
   spec.plan.add(avis::testing::transition_time(model, "auto-wp2"),
                 {SensorType::kCompass, 0});
-  const ExperimentResult fresh = harness.run(spec, &model, &context);
+  const ExperimentResult fresh = harness.run(spec, &model);
   ASSERT_TRUE(fresh.violation.has_value());
-  const ExperimentResult restored = harness.run(spec, &model, &context, &store);
+  const ExperimentResult restored = harness.run(spec, &model, nullptr, &store);
   EXPECT_GT(restored.resumed_from_ms, 0);
   expect_results_identical(fresh, restored, "fence-mission violation");
 }
@@ -293,7 +290,6 @@ TEST(Checkpoint, RootOverBudgetIsEvictedWholeAndRunsGoCold) {
                                                 workload::WorkloadId::kAuto);
   const MonitorModel& model = checker.model();
   SimulationHarness harness;
-  ExperimentContext context;
 
   ExperimentSpec spec;
   spec.personality = fw::Personality::kArduPilotLike;
@@ -301,26 +297,26 @@ TEST(Checkpoint, RootOverBudgetIsEvictedWholeAndRunsGoCold) {
   spec.seed = 100;
   spec.max_duration_ms = model.profiling_duration_ms() + 45000;
 
-  const CheckpointStore full = harness.record_prefix(spec, &model, {}, &context);
+  const CheckpointStore full = harness.record_prefix(spec, &model, {});
   ASSERT_GT(full.root_size(), 2u);
 
   CheckpointConfig exact;
   exact.byte_budget = full.bytes();
-  const CheckpointStore fits = harness.record_prefix(spec, &model, exact, &context);
+  const CheckpointStore fits = harness.record_prefix(spec, &model, exact);
   EXPECT_EQ(fits.evicted(), 0);
   EXPECT_EQ(fits.root_size(), full.root_size());
 
   CheckpointConfig tight;
   tight.byte_budget = full.bytes() - 1;
-  const CheckpointStore evicted = harness.record_prefix(spec, &model, tight, &context);
+  const CheckpointStore evicted = harness.record_prefix(spec, &model, tight);
   EXPECT_EQ(evicted.evicted(), static_cast<int>(full.root_size()));
   EXPECT_FALSE(evicted.has_restore_points());
   EXPECT_EQ(evicted.recordings(), 0u);
   EXPECT_EQ(evicted.bytes(), 0u);
 
   spec.plan.add(12000, {SensorType::kCompass, 0});
-  const ExperimentResult fresh = harness.run(spec, &model, &context);
-  const ExperimentResult restored = harness.run(spec, &model, &context, &evicted);
+  const ExperimentResult fresh = harness.run(spec, &model);
+  const ExperimentResult restored = harness.run(spec, &model, nullptr, &evicted);
   EXPECT_EQ(restored.resumed_from_ms, 0);
   expect_results_identical(fresh, restored, "evicted root");
 }
@@ -408,7 +404,6 @@ ExperimentSpec experiment_spec(Checker& checker) {
 
 TEST(CheckpointRoot, GoldenRunRootMatchesTheMonitoredPrefixRun) {
   SimulationHarness harness;
-  ExperimentContext context;
   for (const RootScenario& root : kRootScenarios) {
     SCOPED_TRACE(root_label(root));
     Checker& checker = root_checker(root);
@@ -419,7 +414,7 @@ TEST(CheckpointRoot, GoldenRunRootMatchesTheMonitoredPrefixRun) {
 
     // The shared prefix is the monitored fault-free run's trace and mode
     // trace.
-    const ExperimentResult prefix = harness.run(spec, &model, &context);
+    const ExperimentResult prefix = harness.run(spec, &model);
     expect_results_identical(prefix, root_recording(*store, prefix), "shared prefix");
 
     // A snapshot at every cadence point and every golden transition the
@@ -451,8 +446,9 @@ TEST(CheckpointRoot, GoldenRunRootMatchesTheMonitoredPrefixRun) {
       SCOPED_TRACE("t=" + std::to_string(t));
       ExperimentSpec cut = spec;
       cut.max_duration_ms = t;
-      const ExperimentResult cold = harness.run(cut, &model, &context);
-      expect_capsules_equal(context.monitor->save(), snap->monitor);
+      ExperimentContext world;
+      const ExperimentResult cold = harness.run(cut, &model, &world);
+      expect_capsules_equal(world.monitor->save(), snap->monitor);
       EXPECT_EQ(snap->trace_len, cold.trace.size());
       EXPECT_EQ(snap->transitions_len, cold.transitions.size());
       EXPECT_FALSE(snap->violation.has_value());
@@ -462,7 +458,6 @@ TEST(CheckpointRoot, GoldenRunRootMatchesTheMonitoredPrefixRun) {
 
 TEST(CheckpointRoot, InjectionsAtGoldenTransitionsResumeExactlyThere) {
   SimulationHarness harness;
-  ExperimentContext context;
   for (const RootScenario& root : kRootScenarios) {
     SCOPED_TRACE(root_label(root));
     Checker& checker = root_checker(root);
@@ -476,9 +471,9 @@ TEST(CheckpointRoot, InjectionsAtGoldenTransitionsResumeExactlyThere) {
       SCOPED_TRACE(t.mode_name + "@" + std::to_string(t.time_ms));
       ExperimentSpec spec = base;
       spec.plan.add(t.time_ms, {SensorType::kCompass, 0});
-      const ExperimentResult restored = harness.run(spec, &model, &context, store);
+      const ExperimentResult restored = harness.run(spec, &model, nullptr, store);
       EXPECT_EQ(restored.resumed_from_ms, t.time_ms);
-      const ExperimentResult cold = harness.run(spec, &model, &context);
+      const ExperimentResult cold = harness.run(spec, &model);
       expect_results_identical(cold, restored, "transition restore");
       ++checked;
     }
@@ -494,18 +489,17 @@ TEST(CheckpointRoot, InjectionsAtGoldenTransitionsResumeExactlyThere) {
 // latched violation instead.
 TEST(CheckpointRoot, ReplayViolationTruncatesTheRoot) {
   SimulationHarness harness;
-  ExperimentContext context;
   const MonitorModel& wrong_model = root_checker(kRootScenarios[2]).model();  // box-manual
   ExperimentSpec spec = root_checker(kRootScenarios[0]).prototype();          // fence-mission
   CheckpointConfig config;
   config.interval_ms = kRootIntervalMs;
 
-  const ExperimentResult monitored = harness.run(spec, &wrong_model, &context);
+  const ExperimentResult monitored = harness.run(spec, &wrong_model);
   ASSERT_TRUE(monitored.violation.has_value());
-  const ExperimentResult unmonitored = harness.run(spec, nullptr, &context);
+  const ExperimentResult unmonitored = harness.run(spec, nullptr);
   ASSERT_LT(monitored.duration_ms, unmonitored.duration_ms);
 
-  const CheckpointStore store = harness.record_prefix(spec, &wrong_model, config, &context);
+  const CheckpointStore store = harness.record_prefix(spec, &wrong_model, config);
   expect_results_identical(monitored, root_recording(store, monitored), "truncated prefix");
   const sim::SimTimeMs stop_ms = monitored.duration_ms - 1;  // the violating iteration
   // The root's capture times (cadence grid plus the model's golden
@@ -524,14 +518,14 @@ TEST(CheckpointRoot, ReplayViolationTruncatesTheRoot) {
   // A plan past the stop restores the last snapshot and still matches cold.
   ExperimentSpec late = spec;
   late.plan.add(stop_ms + 1, {SensorType::kGps, 0});
-  const ExperimentResult restored = harness.run(late, &wrong_model, &context, &store);
+  const ExperimentResult restored = harness.run(late, &wrong_model, nullptr, &store);
   EXPECT_GT(restored.resumed_from_ms, 0);
-  expect_results_identical(harness.run(late, &wrong_model, &context), restored, "late plan");
+  expect_results_identical(harness.run(late, &wrong_model), restored, "late plan");
 
   // Without stop_on_violation the monitored run goes on, and so does the
   // root; its snapshots past the violation carry it.
   spec.stop_on_violation = false;
-  const CheckpointStore latched = harness.record_prefix(spec, &wrong_model, config, &context);
+  const CheckpointStore latched = harness.record_prefix(spec, &wrong_model, config);
   EXPECT_EQ(root_recording(latched, {}).trace.size(), unmonitored.trace.size());
   int after_violation = 0;
   for (sim::SimTimeMs t = kRootIntervalMs; t < unmonitored.duration_ms; t += kRootIntervalMs) {
@@ -541,8 +535,9 @@ TEST(CheckpointRoot, ReplayViolationTruncatesTheRoot) {
     ASSERT_EQ(snap->time_ms, t);
     ExperimentSpec cut = spec;
     cut.max_duration_ms = t;
-    const ExperimentResult cold = harness.run(cut, &wrong_model, &context);
-    expect_capsules_equal(context.monitor->save(), snap->monitor);
+    ExperimentContext world;
+    const ExperimentResult cold = harness.run(cut, &wrong_model, &world);
+    expect_capsules_equal(world.monitor->save(), snap->monitor);
     ASSERT_EQ(cold.violation.has_value(), snap->violation.has_value());
     if (cold.violation) {
       EXPECT_EQ(cold.violation->time_ms, snap->violation->time_ms);
@@ -550,28 +545,6 @@ TEST(CheckpointRoot, ReplayViolationTruncatesTheRoot) {
     }
   }
   EXPECT_GT(after_violation, 0);
-}
-
-// The context pool's free list is capped at its high-water concurrent-
-// checkout mark: contexts released beyond the peak are freed, not pinned.
-TEST(ExperimentContextPool, FreeListCapsAtHighWaterMark) {
-  ExperimentContextPool pool;
-  std::vector<std::unique_ptr<ExperimentContext>> held;
-  for (int i = 0; i < 3; ++i) held.push_back(pool.acquire());
-  EXPECT_EQ(pool.high_water_mark(), 3u);
-  for (auto& ctx : held) pool.release(std::move(ctx));
-  held.clear();
-  EXPECT_EQ(pool.idle_count(), 3u);
-  // Releasing contexts the pool never saw concurrently must not grow the
-  // idle list beyond the peak.
-  pool.release(std::make_unique<ExperimentContext>());
-  pool.release(std::make_unique<ExperimentContext>());
-  EXPECT_EQ(pool.idle_count(), 3u);
-  // Reuse drains the free list before allocating.
-  auto a = pool.acquire();
-  EXPECT_EQ(pool.idle_count(), 2u);
-  pool.release(std::move(a));
-  EXPECT_EQ(pool.idle_count(), 3u);
 }
 
 }  // namespace

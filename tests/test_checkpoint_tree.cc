@@ -35,11 +35,11 @@ FaultPlan chain(std::initializer_list<std::pair<sim::SimTimeMs, SensorId>> event
 // The headline contract: a chain that extends a recorded parent restores a
 // *faulty-prefix* snapshot (resume point strictly past its first injection,
 // depth >= 1) and is bit-identical to the cold run — swept over both
-// personalities x two workloads, parent -> child -> grandchild, all sharing
-// one context so stale state from any earlier combination would surface.
+// personalities x two workloads, parent -> child -> grandchild, all on one
+// thread so per-thread state leaking from an earlier combination would
+// surface.
 TEST(CheckpointTree, TreeRestoredChainsAreBitIdenticalAcrossTheRegistrySurface) {
   SimulationHarness harness;
-  ExperimentContext context;
   CheckpointConfig config;  // trees on by default, 1000 ms cadence
 
   const SensorId compass{SensorType::kCompass, 0};
@@ -56,16 +56,16 @@ TEST(CheckpointTree, TreeRestoredChainsAreBitIdenticalAcrossTheRegistrySurface) 
       scenario.workload = workload;
       ExperimentSpec spec = scenario_prototype(scenario);
 
-      CheckpointStore store = harness.record_prefix(spec, nullptr, config, &context);
+      CheckpointStore store = harness.record_prefix(spec, nullptr, config);
       ASSERT_GT(store.root_size(), 0u);
 
       // Grow the tree: parent {compass@12s}, then child {.., gps@18s} (the
       // child's own recording files depth-2 snapshots past 18 s).
       spec.plan = chain({{12000, compass}});
-      harness.run_recording(spec, nullptr, &context, store);
+      harness.run_recording(spec, nullptr, store);
       ASSERT_GT(store.size(), store.root_size()) << "parent recording merged nothing";
       spec.plan = chain({{12000, compass}, {18000, gps}});
-      harness.run_recording(spec, nullptr, &context, store);
+      harness.run_recording(spec, nullptr, store);
 
       // min_depth, not exact: the transition horizon legitimately stops a
       // child's recording before its second injection on workloads whose
@@ -88,8 +88,8 @@ TEST(CheckpointTree, TreeRestoredChainsAreBitIdenticalAcrossTheRegistrySurface) 
       };
       for (const ChainCase& c : cases) {
         spec.plan = c.plan;
-        const ExperimentResult fresh = harness.run(spec, nullptr, &context);
-        const ExperimentResult restored = harness.run(spec, nullptr, &context, &store);
+        const ExperimentResult fresh = harness.run(spec, nullptr);
+        const ExperimentResult restored = harness.run(spec, nullptr, nullptr, &store);
         EXPECT_GE(restored.resumed_depth, c.min_depth) << c.name;
         if (c.min_depth >= 1) {
           // A tree restore resumes strictly past the first injection — the
@@ -116,7 +116,6 @@ TEST(CheckpointTree, TreeRestoredChainsAreBitIdenticalAcrossTheRegistrySurface) 
 // until the caller says so.
 TEST(CheckpointTree, CapturingRunsMatchColdRunsAndLeaveTheStoreUntouched) {
   SimulationHarness harness;
-  ExperimentContext context;
   CheckpointConfig config;
 
   const SensorId compass{SensorType::kCompass, 0};
@@ -127,10 +126,10 @@ TEST(CheckpointTree, CapturingRunsMatchColdRunsAndLeaveTheStoreUntouched) {
   scenario.workload = "auto";
   ExperimentSpec prototype = scenario_prototype(scenario);
 
-  CheckpointStore store = harness.record_prefix(prototype, nullptr, config, &context);
+  CheckpointStore store = harness.record_prefix(prototype, nullptr, config);
   ExperimentSpec parent = prototype;
   parent.plan = chain({{12000, compass}});
-  harness.run_recording(parent, nullptr, &context, store);
+  harness.run_recording(parent, nullptr, store);
   ASSERT_GT(store.size(), store.root_size());
   const std::size_t size = store.size();
 
@@ -151,10 +150,10 @@ TEST(CheckpointTree, CapturingRunsMatchColdRunsAndLeaveTheStoreUntouched) {
   for (const Case& c : cases) {
     ExperimentSpec spec = prototype;
     spec.plan = c.plan;
-    const ExperimentResult cold = harness.run(spec, nullptr, &context);
+    const ExperimentResult cold = harness.run(spec, nullptr);
     std::vector<ExperimentSnapshot> captures;
     const ExperimentResult restored =
-        harness.run(spec, nullptr, &context, &store, kCaptureLimit, &captures);
+        harness.run(spec, nullptr, nullptr, &store, kCaptureLimit, &captures);
     expect_results_identical(cold, restored, c.name);
     EXPECT_EQ(!captures.empty(), c.captures) << c.name;
     EXPECT_EQ(store.size(), size) << c.name;
@@ -167,7 +166,6 @@ TEST(CheckpointTree, CapturingRunsMatchColdRunsAndLeaveTheStoreUntouched) {
 // shallower.
 TEST(CheckpointTree, BudgetPressureEvictsTreeRecordingsBeforeTheRoot) {
   SimulationHarness harness;
-  ExperimentContext context;
 
   const SensorId compass{SensorType::kCompass, 0};
   const SensorId gps{SensorType::kGps, 0};
@@ -179,21 +177,21 @@ TEST(CheckpointTree, BudgetPressureEvictsTreeRecordingsBeforeTheRoot) {
 
   // Measure the root's footprint with a roomy budget first.
   CheckpointConfig roomy;
-  const CheckpointStore full = harness.record_prefix(prototype, nullptr, roomy, &context);
+  const CheckpointStore full = harness.record_prefix(prototype, nullptr, roomy);
   ASSERT_GT(full.root_size(), 0u);
 
   // Room for the root plus a sliver: every merged tree recording pushes
   // past the budget and must be evicted; the root must survive intact.
   CheckpointConfig tight;
   tight.byte_budget = full.bytes() + 4096;
-  CheckpointStore store = harness.record_prefix(prototype, nullptr, tight, &context);
+  CheckpointStore store = harness.record_prefix(prototype, nullptr, tight);
   ASSERT_EQ(store.evicted(), 0);
   const std::size_t root_snapshots = store.root_size();
 
   ExperimentSpec parent = prototype;
   for (const SensorId id : {compass, gps}) {
     parent.plan = chain({{12000, id}});
-    harness.run_recording(parent, nullptr, &context, store);
+    harness.run_recording(parent, nullptr, store);
     EXPECT_EQ(store.recordings(), 1u);
     EXPECT_EQ(store.bytes(), full.bytes());
     EXPECT_EQ(store.root_size(), root_snapshots);
@@ -205,8 +203,8 @@ TEST(CheckpointTree, BudgetPressureEvictsTreeRecordingsBeforeTheRoot) {
   // bit-identical.
   ExperimentSpec child = prototype;
   child.plan = chain({{12000, compass}, {18000, gps}});
-  const ExperimentResult fresh = harness.run(child, nullptr, &context);
-  const ExperimentResult restored = harness.run(child, nullptr, &context, &store);
+  const ExperimentResult fresh = harness.run(child, nullptr);
+  const ExperimentResult restored = harness.run(child, nullptr, nullptr, &store);
   EXPECT_EQ(restored.resumed_depth, 0);
   EXPECT_GT(restored.resumed_from_ms, 0);
   expect_results_identical(fresh, restored, "post-eviction child");
@@ -216,7 +214,6 @@ TEST(CheckpointTree, BudgetPressureEvictsTreeRecordingsBeforeTheRoot) {
 // first, the newest survives, and every eviction is counted.
 TEST(CheckpointTree, EvictionIsOldestRecordingFirst) {
   SimulationHarness harness;
-  ExperimentContext context;
 
   const SensorId compass{SensorType::kCompass, 0};
   const SensorId gps{SensorType::kGps, 0};
@@ -228,28 +225,28 @@ TEST(CheckpointTree, EvictionIsOldestRecordingFirst) {
   ExperimentSpec prototype = scenario_prototype(scenario);
 
   CheckpointConfig roomy;
-  const CheckpointStore sized = harness.record_prefix(prototype, nullptr, roomy, &context);
+  const CheckpointStore sized = harness.record_prefix(prototype, nullptr, roomy);
 
   ExperimentSpec parent = prototype;
   parent.plan = chain({{12000, compass}});
 
   // Budget with room for the root and roughly one recording: merging a
   // second recording evicts the first (FIFO), not the newcomer or the root.
-  CheckpointStore probe = harness.record_prefix(prototype, nullptr, roomy, &context);
-  harness.run_recording(parent, nullptr, &context, probe);
+  CheckpointStore probe = harness.record_prefix(prototype, nullptr, roomy);
+  harness.run_recording(parent, nullptr, probe);
   const std::size_t recording_bytes = probe.bytes() - sized.bytes();
   ASSERT_GT(recording_bytes, 0u);
 
   CheckpointConfig capped;
   capped.byte_budget = sized.bytes() + recording_bytes + recording_bytes / 2;
-  CheckpointStore store = harness.record_prefix(prototype, nullptr, capped, &context);
-  harness.run_recording(parent, nullptr, &context, store);
+  CheckpointStore store = harness.record_prefix(prototype, nullptr, capped);
+  harness.run_recording(parent, nullptr, store);
   ASSERT_EQ(store.evicted(), 0);
   ASSERT_EQ(store.recordings(), 2u);
 
   ExperimentSpec second = prototype;
   second.plan = chain({{14000, gps}});
-  harness.run_recording(second, nullptr, &context, store);
+  harness.run_recording(second, nullptr, store);
   EXPECT_GT(store.evicted(), 0);
   EXPECT_EQ(store.recordings(), 2u);
   EXPECT_EQ(store.root_size(), sized.root_size());

@@ -1,8 +1,8 @@
 // Contract test for the avis_campaign binary (tools/avis_campaign.cpp):
 // exit codes, the first line of stderr, and what reaches stdout and the
 // file system. The binary is the one the build produced (AVIS_CAMPAIGN_BIN).
-// The last test holds the debug_plan triage tool (DEBUG_PLAN_BIN) to the
-// same rule for bad arguments.
+// The last tests hold the debug_plan, debug_golden and debug_monitor triage
+// tools (DEBUG_*_BIN) to the same rule for bad arguments.
 //
 // kContract rows pin behaviour the table-driven parser kept from the
 // if/else parser before it: each expected line was captured from that
@@ -307,6 +307,30 @@ TEST(Cli, DebugPlanRefusesBadArguments) {
     EXPECT_EQ(result.code, 2);
     EXPECT_EQ(result.first_err_line(),
               "usage: debug_plan <personality 0|1> <workload 0|1|2> <type:instance:ms>...");
+    EXPECT_EQ(result.out, "");
+  }
+}
+
+// debug_golden takes an optional workload and personality; anything else,
+// including a number out of either range, is refused before it simulates.
+TEST(Cli, DebugGoldenRefusesBadArguments) {
+  for (const char* args : {"7 9", "3", "-1", "0 2", "x", "2 0x", "1 0 extra"}) {
+    SCOPED_TRACE(args);
+    const Outcome result = run(args, DEBUG_GOLDEN_BIN);
+    EXPECT_EQ(result.code, 2);
+    EXPECT_EQ(result.first_err_line(), "usage: debug_golden [workload 0|1|2] [personality 0|1]");
+    EXPECT_EQ(result.out, "");
+  }
+}
+
+// debug_monitor takes no arguments: any argument is refused before it
+// calibrates.
+TEST(Cli, DebugMonitorRefusesArguments) {
+  for (const char* args : {"1", "1 2"}) {
+    SCOPED_TRACE(args);
+    const Outcome result = run(args, DEBUG_MONITOR_BIN);
+    EXPECT_EQ(result.code, 2);
+    EXPECT_EQ(result.first_err_line(), "usage: debug_monitor");
     EXPECT_EQ(result.out, "");
   }
 }

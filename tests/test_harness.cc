@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "core/harness.h"
 #include "core/replay.h"
 #include "test_helpers.h"
@@ -8,6 +12,7 @@ namespace avis::core {
 namespace {
 
 using avis::testing::cached_checker;
+using avis::testing::expect_results_identical;
 using avis::testing::run_plan;
 using avis::testing::transition_time;
 
@@ -42,13 +47,13 @@ TEST(Harness, NoFaultPlanEqualsGoldenRun) {
   }
 }
 
-TEST(Harness, ReusedContextIsBitIdenticalToFreshProvisioning) {
-  // The arena reset contract: a run through a context that already hosted
-  // other experiments must equal a from-scratch run of the same spec in
-  // every observable field. Interleave different specs through one context
-  // so stale state from run N-1 would be caught in run N.
+TEST(Harness, RunsArePureFunctionsOfTheirSpec) {
+  // Every run provisions its world fresh, so a result depends on its spec
+  // alone. The one per-thread state that outlives a run is the attitude
+  // trig memo (geo::detail::tls_trig_cache): run each spec alone on a new
+  // thread, then all of them interleaved on this one, so a memo entry left
+  // by run N-1 that changed run N would show up as a difference.
   SimulationHarness harness;
-  ExperimentContext context;
 
   FaultPlan baro_plan;
   baro_plan.add(5000, {sensors::SensorType::kBarometer, 0});
@@ -58,8 +63,8 @@ TEST(Harness, ReusedContextIsBitIdenticalToFreshProvisioning) {
   specs[2].plan = baro_plan;
   specs[2].personality = fw::Personality::kPx4Like;
 
-  // Monitored runs interleave too: the restarted MonitorSession (violation
-  // timing, stop_on_violation truncation) must match a fresh session.
+  // Monitored runs interleave too (violation timing, stop_on_violation
+  // truncation).
   auto& checker = cached_checker(fw::Personality::kArduPilotLike, workload::WorkloadId::kAuto);
   const MonitorModel& model = checker.model();
   std::vector<const MonitorModel*> models = {nullptr, nullptr, nullptr, &model, &model};
@@ -68,32 +73,13 @@ TEST(Harness, ReusedContextIsBitIdenticalToFreshProvisioning) {
   specs.push_back(specs.back());
   specs.back().plan.add(8000, {sensors::SensorType::kGps, 0});
 
+  std::vector<ExperimentResult> alone(specs.size());
   for (std::size_t s = 0; s < specs.size(); ++s) {
-    const ExperimentSpec& spec = specs[s];
-    const ExperimentResult fresh = harness.run(spec, models[s]);
-    const ExperimentResult reused = harness.run(spec, models[s], &context);
-    EXPECT_EQ(fresh.workload_passed, reused.workload_passed);
-    EXPECT_EQ(fresh.duration_ms, reused.duration_ms);
-    EXPECT_EQ(fresh.fired_bugs, reused.fired_bugs);
-    ASSERT_EQ(fresh.violation.has_value(), reused.violation.has_value()) << "spec " << s;
-    if (fresh.violation) {
-      EXPECT_EQ(fresh.violation->type, reused.violation->type);
-      EXPECT_EQ(fresh.violation->time_ms, reused.violation->time_ms);
-      EXPECT_EQ(fresh.violation->mode_id, reused.violation->mode_id);
-      EXPECT_EQ(fresh.violation->details, reused.violation->details);
-    }
-    ASSERT_EQ(fresh.transitions.size(), reused.transitions.size());
-    for (std::size_t i = 0; i < fresh.transitions.size(); ++i) {
-      EXPECT_EQ(fresh.transitions[i].time_ms, reused.transitions[i].time_ms);
-      EXPECT_EQ(fresh.transitions[i].mode_id, reused.transitions[i].mode_id);
-      EXPECT_EQ(fresh.transitions[i].mode_name, reused.transitions[i].mode_name);
-    }
-    ASSERT_EQ(fresh.trace.size(), reused.trace.size());
-    for (std::size_t i = 0; i < fresh.trace.size(); ++i) {
-      EXPECT_EQ(fresh.trace[i].position, reused.trace[i].position) << "i=" << i;
-      EXPECT_EQ(fresh.trace[i].acceleration, reused.trace[i].acceleration) << "i=" << i;
-      EXPECT_EQ(fresh.trace[i].mode_id, reused.trace[i].mode_id) << "i=" << i;
-    }
+    std::thread([&, s] { alone[s] = harness.run(specs[s], models[s]); }).join();
+  }
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    expect_results_identical(alone[s], harness.run(specs[s], models[s]),
+                             "spec " + std::to_string(s));
   }
 }
 
@@ -165,22 +151,37 @@ TEST(Harness, ParkedVehicleEndsWithoutSubnormalState) {
       [&](sim::SimTimeMs now, const sim::VehicleState&, const fw::Firmware& firmware) {
         if (firmware.armed()) last_armed_ms = now;
       });
-  ExperimentContext context;
-  harness.run(spec, &model, &context);
-  const sim::VehicleState& parked = context.simulator->state();
+  ExperimentContext world;
+  harness.run(spec, &model, &world);
+  const sim::VehicleState& parked = world.simulator->state();
   ASSERT_TRUE(parked.on_ground);
   ASSERT_FALSE(parked.crashed);
-  ASSERT_GE(context.simulator->now_ms() - last_armed_ms, 15000);
+  ASSERT_GE(world.simulator->now_ms() - last_armed_ms, 15000);
   EXPECT_EQ(avis::testing::subnormal_fields(parked), std::vector<std::string>{});
+}
+
+TEST(Harness, RunProvisionsOnlyIntoAnEmptyContext) {
+  // A context receives one finished world; handing it to a second run is a
+  // logic error, not a way to reuse its storage.
+  SimulationHarness harness;
+  ExperimentSpec spec;
+  spec.max_duration_ms = 100;
+  ExperimentContext world;
+  harness.run(spec, nullptr, &world);
+  ASSERT_TRUE(world.simulator.has_value());
+  EXPECT_THROW(harness.run(spec, nullptr, &world), util::InvariantError);
 }
 
 TEST(Harness, ProfileRejectsFailingWorkload) {
   SimulationHarness harness;
-  // An absurdly short max duration cannot complete the workload -> the
-  // profiling precondition ("runs without sensor failures are correct")
-  // fails loudly rather than calibrating on garbage.
-  EXPECT_NO_THROW(harness.profile(fw::Personality::kArduPilotLike, workload::WorkloadId::kAuto,
-                                  fw::BugRegistry::current_code_base(), 2, 300));
+  // A max duration too short to complete the workload -> the profiling
+  // precondition ("runs without sensor failures are correct") fails loudly
+  // rather than calibrating on garbage.
+  ExperimentSpec prototype;
+  prototype.personality = fw::Personality::kArduPilotLike;
+  prototype.workload = workload::WorkloadId::kAuto;
+  prototype.max_duration_ms = 300;
+  EXPECT_THROW(harness.profile_run(prototype, 1), util::InvariantError);
 }
 
 TEST(Replay, AnchorsFaultsToModeOccurrences) {

@@ -1,10 +1,19 @@
 #include <cstdio>
 #include "core/harness.h"
+#include "util/json.h"
+
+using namespace avis;
+
+static int usage() {
+  fprintf(stderr, "usage: debug_golden [workload 0|1|2] [personality 0|1]\n");
+  return 2;
+}
 
 int main(int argc, char** argv) {
-  using namespace avis;
-  int wl = argc > 1 ? atoi(argv[1]) : 2;  // default fence
-  int pers = argc > 2 ? atoi(argv[2]) : 0;
+  if (argc > 3) return usage();
+  const auto wl = argc > 1 ? util::parse_integer<int>(argv[1]) : 2;  // default fence
+  const auto pers = argc > 2 ? util::parse_integer<int>(argv[2]) : 0;
+  if (!wl || *wl < 0 || *wl > 2 || !pers || *pers < 0 || *pers > 1) return usage();
   core::SimulationHarness harness;
   harness.set_step_hook([](sim::SimTimeMs t, const sim::VehicleState& s, const fw::Firmware& f) {
     if (t % 1000 == 0) {
@@ -16,8 +25,8 @@ int main(int argc, char** argv) {
     }
   });
   core::ExperimentSpec spec;
-  spec.personality = static_cast<fw::Personality>(pers);
-  spec.workload = static_cast<workload::WorkloadId>(wl);
+  spec.personality = static_cast<fw::Personality>(*pers);
+  spec.workload = static_cast<workload::WorkloadId>(*wl);
   spec.seed = 1;
   spec.max_duration_ms = 120000;
   auto r = harness.run(spec, nullptr);

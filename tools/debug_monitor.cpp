@@ -1,8 +1,12 @@
 #include <cstdio>
 #include "core/checker.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char**) {
   using namespace avis;
+  if (argc > 1) {
+    fprintf(stderr, "usage: debug_monitor\n");
+    return 2;
+  }
   core::Checker checker(fw::Personality::kArduPilotLike, workload::WorkloadId::kFenceMission,
                         fw::BugRegistry::current_code_base());
   const auto& model = checker.model();
@@ -13,9 +17,7 @@ int main(int argc, char** argv) {
   spec.personality = fw::Personality::kArduPilotLike;
   spec.workload = workload::WorkloadId::kFenceMission;
   spec.seed = 1100;
-  if (argc > 1) spec.plan.add(atoi(argv[2] ? argv[2] : 0) , {});
   // fault: compass#1 at t=0
-  spec.plan = {};
   spec.plan.add(0, {sensors::SensorType::kCompass, 1});
   spec.stop_on_violation = false;
   core::SimulationHarness harness;
