@@ -35,12 +35,12 @@ inline std::vector<std::string> evaluation_workloads() {
 
 inline std::vector<std::string> evaluation_personalities() { return {"ardupilot", "px4"}; }
 
-// Campaign cell for a bench approach. `bugs` overrides the scenario's bug
-// selector with an explicit population (Table V re-inserts one known bug
-// per cell); nullopt keeps the "current" Table II population.
+// Campaign cell for a bench approach. `bugs` names the cell's bug
+// population selector (Table V's "current+APM-4679" re-inserts one known
+// bug); nullopt keeps the "current" Table II population.
 inline core::CampaignCellSpec make_cell(std::string approach, std::string personality,
                                         std::string workload,
-                                        std::optional<fw::BugRegistry> bugs = std::nullopt,
+                                        std::optional<std::string> bugs = std::nullopt,
                                         sim::SimTimeMs budget_ms = 7200 * 1000,
                                         std::uint64_t seed = 100,
                                         std::string environment = "calm") {
@@ -52,7 +52,7 @@ inline core::CampaignCellSpec make_cell(std::string approach, std::string person
   cell.scenario.budget_ms = budget_ms;
   cell.scenario.seed = seed;
   cell.scenario.strategy_seed = seed + 7;
-  cell.bugs_override = std::move(bugs);
+  if (bugs) cell.scenario.bugs = std::move(*bugs);
   return cell;
 }
 

@@ -52,27 +52,27 @@ std::vector<core::CampaignCellSpec> paper_grid() {
   for (fw::BugId bug : fw::kAllBugs) {
     const fw::BugInfo& info = fw::bug_info(bug);
     if (!info.known) continue;
-    fw::BugRegistry registry = fw::BugRegistry::current_code_base();
-    registry.enable(bug);
+    const std::string bugs = std::string("current+") + info.report_name;
     const std::string personality =
         info.personality == fw::Personality::kArduPilotLike ? "ardupilot" : "px4";
     for (const std::string& approach : bench::paper_approaches()) {
       for (const std::string& workload : bench::evaluation_workloads()) {
-        grid.push_back(bench::make_cell(approach, personality, workload, registry));
+        grid.push_back(bench::make_cell(approach, personality, workload, bugs));
       }
     }
   }
   return grid;
 }
 
-// Table V's leak guard: a cell with a bugs_override holds exactly one known
-// bug, any other cell none, and each (bug, approach, workload) has one cell.
+// Table V's leak guard: a cell on a re-inserted-bug selector holds exactly
+// one known bug, a "current" cell none, and each (bug, approach, workload)
+// has one cell.
 bool table5_cells_are_disjoint(const std::vector<core::CampaignCellSpec>& grid) {
   std::set<std::tuple<fw::BugId, std::string, std::string>> seen;
   for (const core::CampaignCellSpec& cell : grid) {
     const std::vector<fw::BugId> known = known_bugs(cell);
     const core::ScenarioSpec& s = cell.scenario;
-    if (known.size() != (cell.bugs_override ? 1u : 0u) ||
+    if (known.size() != (s.bugs == "current" ? 0u : 1u) ||
         (!known.empty() && !seen.emplace(known[0], s.approach, s.workload).second)) {
       std::cerr << cell_name(cell) << ": a known bug leaked into another cell\n";
       return false;

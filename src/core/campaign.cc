@@ -30,9 +30,7 @@ GroupResult p_run_group(const std::vector<const CampaignCellSpec*>& cells,
   for (const CampaignCellSpec* cell : cells) {
     if (!cell->make_strategy) approach_registry().at(cell->scenario.approach);
   }
-  ExperimentSpec prototype = scenario_prototype(cells.front()->scenario);
-  if (cells.front()->bugs_override) prototype.bugs = *cells.front()->bugs_override;
-  Checker checker(std::move(prototype), checkpoints);
+  Checker checker(scenario_prototype(cells.front()->scenario), checkpoints);
   checker.set_workers(experiment_workers);  // before model(): profiling fans out too
   GroupResult results(cells.size());
   for (std::size_t i = 0; i < cells.size() && !(should_stop && should_stop()); ++i) {
@@ -58,7 +56,7 @@ GroupResult p_run_group(const std::vector<const CampaignCellSpec*>& cells,
 PrototypeKey prototype_key(const CampaignCellSpec& cell) {
   const ScenarioSpec& s = cell.scenario;
   PrototypeKey key{s.personality, s.workload, s.environment, s.seed, {}};
-  key.bugs = (cell.bugs_override ? *cell.bugs_override : resolve_bugs(s.bugs)).enabled_bugs();
+  key.bugs = resolve_bugs(s.bugs).enabled_bugs();
   std::sort(key.bugs.begin(), key.bugs.end());
   return key;
 }
@@ -101,7 +99,6 @@ util::WorkerBudget CampaignRunner::worker_split(std::size_t groups) const {
 CampaignResult CampaignRunner::run(const std::vector<CampaignCellSpec>& grid) const {
   CampaignResult result;
   result.checkpoints_enabled = options_.checkpoints.enabled;
-  result.checkpoint_trees = options_.checkpoints.enabled && options_.checkpoints.trees;
   result.checkpoint_budget_bytes = options_.checkpoints.byte_budget;
   result.cells.reserve(grid.size());
   const auto start = std::chrono::steady_clock::now();
@@ -222,13 +219,11 @@ std::string campaign_report_json(const CampaignResult& result) {
   os << "    \"cell_workers\": " << result.split.campaign_workers << ",\n";
   os << "    \"experiment_workers\": " << result.split.experiment_workers << ",\n";
   // The checkpoint knobs the campaign ran with (CLI: --no-checkpoints,
-  // --no-checkpoint-trees, --checkpoint-budget-mb). Deliberately inside the
-  // checkpoint_* prefix: the smoke diff masks that prefix when comparing
-  // checkpoint modes, and these keys (like the counters) legitimately
-  // differ across modes.
+  // --checkpoint-budget-mb). Deliberately inside the checkpoint_* prefix:
+  // the smoke diff masks that prefix when comparing checkpoint modes, and
+  // these keys (like the counters) legitimately differ across modes.
   os << "    \"checkpoint_enabled\": " << (result.checkpoints_enabled ? "true" : "false")
      << ",\n";
-  os << "    \"checkpoint_trees\": " << (result.checkpoint_trees ? "true" : "false") << ",\n";
   os << "    \"checkpoint_budget_bytes\": " << result.checkpoint_budget_bytes << ",\n";
   os << "    \"wall_seconds\": " << result.wall_seconds << ",\n";
   os << "    \"total_experiments\": " << result.total_experiments() << ",\n";
@@ -267,12 +262,9 @@ std::string campaign_report_json(const CampaignResult& result) {
     os << "      \"personality\": \"" << util::json_escape(scenario.personality) << "\",\n";
     os << "      \"workload\": \"" << util::json_escape(scenario.workload) << "\",\n";
     os << "      \"environment\": \"" << util::json_escape(scenario.environment) << "\",\n";
-    // A bugs_override replaced the scenario's named population with an
-    // ad-hoc one (table 5's re-inserted bugs); don't misreport it as the
-    // selector name.
-    os << "      \"bugs\": \""
-       << util::json_escape(cell.spec.bugs_override ? std::string("custom") : scenario.bugs)
-       << "\",\n";
+    // The bug population's selector name; Table V's re-inserted bugs are
+    // selectors too ("current+APM-4679").
+    os << "      \"bugs\": \"" << util::json_escape(scenario.bugs) << "\",\n";
     os << "      \"budget_ms\": " << scenario.budget_ms << ",\n";
     os << "      \"budget_used_ms\": " << report.budget_used_ms << ",\n";
     os << "      \"seed\": " << scenario.seed << ",\n";

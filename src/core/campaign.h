@@ -16,7 +16,6 @@
 #include <compare>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,14 +43,13 @@ struct CampaignCellSpec {
   // ("Avis" for "avis"), or the raw approach name for non-registry cells.
   std::string label;
 
-  // Escape hatches for cells that are not registry entries: the ablation
-  // bench runs SABRE with per-cell pruning configs, table 5 re-inserts one
-  // known bug per cell, and the parity tests pin custom factories. When
-  // set, they override the corresponding scenario field; everything else
-  // (personality, workload, environment, budget, seeds) still resolves from
-  // the scenario.
+  // Escape hatch for strategies that are not registry entries: the
+  // ablation bench runs SABRE with per-cell pruning configs, and the parity
+  // tests pin custom factories. When set, it replaces the approach's
+  // factory; everything else (personality, workload, environment, bugs,
+  // budget, seeds) still resolves from the scenario — Table V's re-inserted
+  // bugs are bug_selector_registry() names ("current+APM-4679").
   StrategyFactory make_strategy;
-  std::optional<fw::BugRegistry> bugs_override;
 
   std::string display_label() const {
     return !label.empty() ? label : approach_label(scenario.approach);
@@ -59,10 +57,9 @@ struct CampaignCellSpec {
 };
 
 // What defines a cell's ExperimentSpec prototype, and so its calibration:
-// personality, workload, environment, seed and the resolved bug set (sorted
-// ids of bugs_override when set, else of the named population). Approach,
-// strategy seed, budget, constraints and label are deliberately left out.
-// cell_identity_hash reads the bug set from here too. Throws
+// personality, workload, environment, seed and the resolved bug set (the
+// sorted ids of the named population). Approach, strategy seed, budget,
+// constraints and label are deliberately left out. Throws
 // util::UnknownNameError for an unregistered population.
 struct PrototypeKey {
   std::string personality, workload, environment;
@@ -103,7 +100,6 @@ struct CampaignResult {
   // Checkpoint knobs the cells ran with, echoed into the report JSON so an
   // archived report is self-describing.
   bool checkpoints_enabled = true;
-  bool checkpoint_trees = true;
   std::size_t checkpoint_budget_bytes = 0;
   double wall_seconds = 0.0;      // whole-campaign wall time
   // True when the campaign was stopped early (SIGINT/SIGTERM): cells holds

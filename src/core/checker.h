@@ -226,6 +226,12 @@ class Checker {
   }
   const CheckpointConfig& checkpoint_config() const { return checkpoint_config_; }
 
+  // The spec run() simulates for `plan` (p_make_spec): the prototype at its
+  // own seed, capped at the profiled duration plus kSettleMs, stopping at
+  // the first violation. Calibrates on first use. `avis_campaign --explain`
+  // replays one campaign experiment from it.
+  ExperimentSpec experiment_spec(const FaultPlan& plan) { return p_make_spec(plan, model()); }
+
   fw::Personality personality() const { return prototype_.personality; }
   // The enum id the prototype was built from; registry-named scenarios run
   // through `prototype().workload_factory` and leave this at its default.
@@ -266,9 +272,7 @@ class Checker {
     // empty tree so its hit counters (and plan recordings) are a function
     // of the campaign alone, not of which strategies ran before it.
     if (checkpoints_) checkpoints_->clear_tree();
-    const int capture_limit =
-        checkpoints != nullptr && checkpoints->trees_enabled() ? strategy.chain_extension_limit()
-                                                               : 0;
+    const int capture_limit = checkpoints != nullptr ? strategy.chain_extension_limit() : 0;
     const int request_width = pool_ ? 2 * pool_->worker_count() * kRequestChunk : kRequestChunk;
     CheckerReport report;
     report.strategy_name = strategy.name();

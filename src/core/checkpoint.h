@@ -56,13 +56,10 @@
 namespace avis::core {
 
 struct CheckpointConfig {
+  // Prefix forking from the fault-free root and from checkpoint trees of
+  // recorded faulty runs. Wall-clock only: reports are identical on or off
+  // modulo the checkpoint counters (the CLI's --no-checkpoints A/B).
   bool enabled = true;
-  // Checkpoint trees: record qualifying directed (faulty) runs so plans
-  // that extend a previously-run chain restore the shared faulty prefix
-  // instead of re-simulating it. A wall-clock-only knob like `enabled`:
-  // reports are identical with trees on or off modulo the checkpoint
-  // counters themselves (the CLI's --no-checkpoint-trees A/B switch).
-  bool trees = true;
   // Snapshot cadence in simulated milliseconds. Finer cadence means less
   // suffix to re-simulate per experiment but more capture cost and memory;
   // 1000 ms measured best on SABRE campaigns (the offset crawls inject a
@@ -232,7 +229,6 @@ class CheckpointStore {
   explicit CheckpointStore(CheckpointConfig config) : config_(config) {}
 
   const CheckpointConfig& config() const { return config_; }
-  bool trees_enabled() const { return config_.trees; }
 
   // Observability: snapshots held (all buckets, and the root's alone),
   // recordings held (the root counts as one), snapshots evicted to fit the
@@ -386,7 +382,7 @@ class CheckpointStore {
   // children, so its snapshots could never be restored.
   void merge_run(const FaultPlan& plan, std::vector<ExperimentSnapshot> snapshots,
                  std::vector<StateSample> trace, std::vector<ModeTransition> transitions) {
-    if (!config_.trees || plan.events.empty() || snapshots.empty()) return;
+    if (plan.events.empty() || snapshots.empty()) return;
     if (!tree_plans_.insert(plan.signature()).second) return;
     auto recording = std::make_shared<TreeRecording>();
     recording->trace = std::move(trace);

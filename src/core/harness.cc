@@ -29,8 +29,8 @@ ExperimentResult SimulationHarness::run(const ExperimentSpec& spec,
   ScheduledDirector director(spec.plan);
   const CheckpointResume resume = resume_point(checkpoints, spec, monitor_model != nullptr);
   const auto events = static_cast<int>(spec.plan.events.size());
-  if (tree_captures == nullptr || checkpoints == nullptr || !checkpoints->trees_enabled() ||
-      events == 0 || events > capture_limit) {
+  if (tree_captures == nullptr || checkpoints == nullptr || events == 0 ||
+      events > capture_limit) {
     return p_run(world, spec, director, monitor_model, resume);
   }
   SnapshotCapture capture = plan_tree_capture(spec, *checkpoints);

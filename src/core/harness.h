@@ -171,12 +171,12 @@ class SimulationHarness {
   // (CheckpointStore::resolve) and simulates only the suffix, bit-identical
   // to a cold run (result.resumed_from_ms records the skip).
   //
-  // Checkpoint-tree recording, for the checker: when `tree_captures` is
-  // non-null, the store grows trees and the plan has 1..`capture_limit`
-  // events (the strategy's chain_extension_limit — plans it may extend
-  // later), the run's tree snapshots replace *tree_captures. The store is
-  // only read; the caller merges the captures once no other run is reading
-  // it (Checker defers merges to the request boundary).
+  // Checkpoint-tree recording, for the checker: when `tree_captures` and
+  // `checkpoints` are non-null and the plan has 1..`capture_limit` events
+  // (the strategy's chain_extension_limit — plans it may extend later), the
+  // run's tree snapshots replace *tree_captures. The store is only read;
+  // the caller merges the captures once no other run is reading it
+  // (Checker defers merges to the request boundary).
   ExperimentResult run(const ExperimentSpec& spec, const MonitorModel* monitor_model = nullptr,
                        ExperimentContext* context = nullptr,
                        const CheckpointStore* checkpoints = nullptr, int capture_limit = 0,

@@ -51,14 +51,6 @@ std::string cell_identity_hash(const CampaignCellSpec& cell) {
   mix(cell.label);
   mix("\x1f");  // unit separator: "a"+"bc" must not collide with "ab"+"c"
   mix(cell.scenario.to_json());
-  // An override replaces the named population the JSON carries. Mixed in
-  // only when set, so override-free (CLI) cells keep their v2 hashes.
-  if (cell.bugs_override) {
-    mix("\x1f");
-    for (const fw::BugId id : prototype_key(cell).bugs) {
-      mix(std::to_string(static_cast<int>(id)) + ",");
-    }
-  }
   return p_hex64(hash);
 }
 
@@ -67,7 +59,6 @@ CampaignJournal::Header CampaignJournal::bind(const std::vector<CampaignCellSpec
   Header header;
   header.cells = grid.size();
   header.checkpoints_enabled = checkpoints.enabled;
-  header.checkpoint_trees = checkpoints.enabled && checkpoints.trees;
   header.checkpoint_interval_ms = checkpoints.interval_ms;
   header.checkpoint_budget_bytes = checkpoints.byte_budget;
   header.cell_hashes.reserve(grid.size());
@@ -90,7 +81,6 @@ std::string CampaignJournal::header_diff(const Header& journal, const Header& re
   field("journal version", journal.version, requested.version);
   field("cells", journal.cells, requested.cells);
   field("checkpoints_enabled", journal.checkpoints_enabled, requested.checkpoints_enabled);
-  field("checkpoint_trees", journal.checkpoint_trees, requested.checkpoint_trees);
   field("checkpoint_interval_ms", journal.checkpoint_interval_ms,
         requested.checkpoint_interval_ms);
   field("checkpoint_budget_bytes", journal.checkpoint_budget_bytes,
@@ -119,7 +109,6 @@ CampaignJournal CampaignJournal::start(const std::string& path, const Header& he
   os << "{\"type\": \"avis_campaign_journal\", \"version\": " << header.version
      << ", \"cells\": " << header.cells
      << ", \"checkpoints_enabled\": " << header.checkpoints_enabled
-     << ", \"checkpoint_trees\": " << header.checkpoint_trees
      << ", \"checkpoint_interval_ms\": " << header.checkpoint_interval_ms
      << ", \"checkpoint_budget_bytes\": " << header.checkpoint_budget_bytes
      << ", \"cell_hashes\": [";
@@ -177,7 +166,6 @@ CampaignJournal::Loaded CampaignJournal::load(const std::string& path) {
     }
     header.cells = json.at("cells").as_int<std::size_t>("cells");
     header.checkpoints_enabled = json.at("checkpoints_enabled").as_bool();
-    header.checkpoint_trees = json.at("checkpoint_trees").as_bool();
     header.checkpoint_interval_ms = json.at("checkpoint_interval_ms").as_int64();
     header.checkpoint_budget_bytes =
         json.at("checkpoint_budget_bytes").as_int<std::size_t>("checkpoint_budget_bytes");

@@ -38,10 +38,10 @@ class JournalError : public std::runtime_error {
 };
 
 // Content-addressed cell identity: FNV-1a 64 over label + 0x1f +
-// ScenarioSpec::to_json() (byte-stable key order), plus — only when
-// bugs_override is set — 0x1f and the override's sorted bug ids
-// (prototype_key), as 16 hex digits. A journal record only ever resumes a
-// cell whose spec is bit-identical — changing any grid flag or re-inserted
+// ScenarioSpec::to_json() (byte-stable key order), as 16 hex digits. The
+// spec names everything a cell runs — a re-inserted bug is its bug
+// selector ("current+APM-4679") — so a journal record only ever resumes a
+// cell whose spec is bit-identical: changing any grid flag or re-inserted
 // bug changes the hash and fails the header bind.
 std::string cell_identity_hash(const CampaignCellSpec& cell);
 
@@ -59,14 +59,14 @@ class CampaignJournal {
   // v2: the header no longer carries batch_width (the lockstep batch
   // engine is gone). v3: cell reports no longer carry
   // checkpoint_tree_evicted (checkpoint_evicted counts every evicted
-  // snapshot). load() refuses any other version.
-  static constexpr int kVersion = 3;
+  // snapshot). v4: the header no longer carries checkpoint_trees (trees
+  // are on whenever checkpoints are). load() refuses any other version.
+  static constexpr int kVersion = 4;
 
   struct Header {
     int version = kVersion;
     std::size_t cells = 0;
     bool checkpoints_enabled = true;
-    bool checkpoint_trees = true;
     sim::SimTimeMs checkpoint_interval_ms = 0;
     std::size_t checkpoint_budget_bytes = 0;
     std::vector<std::string> cell_hashes;  // grid order

@@ -209,6 +209,18 @@ util::Registry<BugSelector>& bug_selector_registry() {
       for (fw::BugId id : fw::kAllBugs) registry.enable(id);
       return registry;
     });
+    // Table V: one previously-known bug re-inserted into the current code
+    // base, e.g. "current+APM-4679".
+    for (fw::BugId id : fw::kAllBugs) {
+      const fw::BugInfo& info = fw::bug_info(id);
+      if (!info.known) continue;
+      r.add(std::string("current+") + info.report_name,
+            std::string("current code base with ") + info.report_name + " re-inserted", [id] {
+              fw::BugRegistry registry = fw::BugRegistry::current_code_base();
+              registry.enable(id);
+              return registry;
+            });
+    }
     return r;
   }();
   return registry;

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -193,10 +194,10 @@ TEST(Campaign, ResumeRefusesDriftedGrid) {
   EXPECT_NE(diff, "");
   EXPECT_NE(diff.find("cell 0"), std::string::npos) << diff;
 
-  core::CheckpointConfig no_trees;
-  no_trees.trees = false;
+  core::CheckpointConfig coarser;
+  coarser.interval_ms = 2000;
   EXPECT_NE(core::CampaignJournal::header_diff(
-                loaded.header, core::CampaignJournal::bind(grid, no_trees), grid),
+                loaded.header, core::CampaignJournal::bind(grid, coarser), grid),
             "");
   std::filesystem::remove(path);
 }
@@ -261,9 +262,7 @@ std::vector<core::CampaignCellSpec> group_grid() {
   grid.push_back(grid[1]);
   grid.back().scenario.environment = "breeze";
   grid.push_back(grid[0]);
-  fw::BugRegistry bugs = core::resolve_bugs("current");
-  bugs.enable(fw::BugId::kApm5428);
-  grid.back().bugs_override = bugs;
+  grid.back().scenario.bugs = "current+APM-5428";
   grid.push_back(grid[1]);
   grid.back().scenario.budget_ms = kBudgetMs / 2;
   grid.back().scenario.constraints.window_start_ms = 5000;
@@ -276,10 +275,11 @@ TEST(Campaign, SamePrototypeCellsShareOneCalibration) {
   EXPECT_EQ(key(grid[0]), key(grid[1]));
   EXPECT_EQ(key(grid[0]), key(grid[5]));
   for (const std::size_t miss : {2, 3, 4}) EXPECT_NE(key(grid[0]), key(grid[miss])) << miss;
-  // An override equal to the named population is the same prototype.
-  core::CampaignCellSpec same_bugs = grid[0];
-  same_bugs.bugs_override = core::resolve_bugs(same_bugs.scenario.bugs);
-  EXPECT_EQ(key(grid[0]), key(same_bugs));
+  // A re-inserted-bug selector is the current population plus its bug.
+  std::vector<fw::BugId> reinserted = key(grid[0]).bugs;
+  reinserted.push_back(fw::BugId::kApm5428);
+  std::sort(reinserted.begin(), reinserted.end());
+  EXPECT_EQ(key(grid[4]).bugs, reinserted);
 
   // Four groups, each first cell (0, 2, 3, 4) on its own cell worker.
   std::vector<const core::MonitorModel*> seen(grid.size(), nullptr);

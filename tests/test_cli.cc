@@ -1,8 +1,8 @@
 // Contract test for the avis_campaign binary (tools/avis_campaign.cpp):
 // exit codes, the first line of stderr, and what reaches stdout and the
 // file system. The binary is the one the build produced (AVIS_CAMPAIGN_BIN).
-// The last tests hold the debug_plan, debug_golden and debug_monitor triage
-// tools (DEBUG_*_BIN) to the same rule for bad arguments.
+// The last tests replay a journaled unsafe run through --explain and hold
+// its plan argument to the same rule for bad input.
 //
 // kContract rows pin behaviour the table-driven parser kept from the
 // if/else parser before it: each expected line was captured from that
@@ -13,13 +13,18 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/journal.h"
+#include "fw/modes.h"
 #include "util/json.h"
 
 namespace {
@@ -53,9 +58,9 @@ struct Outcome {
 };
 
 // Runs the binary through the shell, so `args` may quote.
-Outcome run(const std::string& args, const std::string& binary = kBinary) {
+Outcome run(const std::string& args) {
   const std::string out = temp_path("stdout"), err = temp_path("stderr");
-  const std::string command = binary + " " + args + " >" + out + " 2>" + err;
+  const std::string command = kBinary + " " + args + " >" + out + " 2>" + err;
   const int status = std::system(command.c_str());
   Outcome result;
   if (WIFEXITED(status)) result.code = WEXITSTATUS(status);
@@ -128,9 +133,6 @@ const Row kContract[] = {
     {"--approaches avis,nope", 2,
      "--approaches: unknown approach: 'nope' registered approaches are: avis, stratified-bfi, "
      "bfi, random"},
-    {"--bugs nope", 2,
-     "--bugs: unknown bug population: 'nope' registered bug populations are: current, "
-     "patched, all"},
     {"--approaches ,", 2, "usage: $0 [options]"},
     // Cross-flag rules.
     {"--fuzz-mutants 4", 2,
@@ -180,6 +182,11 @@ const Row kChanged[] = {
     {"--fuzz 1 --fuzz-corpus - --fuzz-report -", 2,
      "--fuzz-corpus and --fuzz-report both write to stdout ('-'); send at most one document "
      "there"},
+    // The bug-population listing names the re-inserted-bug selectors.
+    {"--bugs nope", 2,
+     "--bugs: unknown bug population: 'nope' registered bug populations are: current, "
+     "patched, all, current+APM-4455, current+APM-4679, current+APM-5428, current+APM-9349, "
+     "current+PX4-13291"},
 };
 
 TEST(Cli, BadFlagsKeepTheirExitCodeAndFirstLine) {
@@ -197,6 +204,7 @@ TEST(Cli, HelpPrintsUsageToStdout) {
     EXPECT_EQ(result.out.rfind("usage: " + kBinary + " [options]\n", 0), 0u) << result.out;
     // Every row renders, under the three headings and the exit-code footer.
     for (const char* text : {"--budget-ms N", "--fuzz-report FILE", "--resume FILE",
+                             "--explain PLAN",
                              "fuzz mode (docs/FUZZING.md):",
                              "crash safety (docs/CRASH_SAFETY.md):", "exit codes: 0 complete"}) {
       EXPECT_NE(result.out.find(text), std::string::npos) << text;
@@ -234,11 +242,14 @@ TEST(Cli, OutOfRangeJsonIntegersAreRefused) {
   std::filesystem::remove(grid);
 
   const std::string journal = temp_path("journal.jsonl");
-  write_file(journal, "{\"type\": \"avis_campaign_journal\", \"version\": 4294967299}\n");
+  // 2^32 + kVersion: a cast to int would read this build's version.
+  const std::string wrapped =
+      std::to_string((1LL << 32) + avis::core::CampaignJournal::kVersion);
+  write_file(journal, "{\"type\": \"avis_campaign_journal\", \"version\": " + wrapped + "}\n");
   result = run(kTinyGrid + " --resume " + journal);
   EXPECT_EQ(result.code, 2);
   EXPECT_EQ(result.first_err_line(),
-            "--resume: " + journal + ": journal format version 4294967299, but this build " +
+            "--resume: " + journal + ": journal format version " + wrapped + ", but this build " +
                 "reads version " + std::to_string(avis::core::CampaignJournal::kVersion) +
                 " — rerun the campaign with a fresh --journal");
   std::filesystem::remove(journal);
@@ -296,43 +307,93 @@ TEST(Cli, StdoutDocumentParsesAsJson) {
   EXPECT_NE(result.err.find("campaign: 1 cells"), std::string::npos);
 }
 
-// debug_plan parses its whole command line before it calibrates anything:
-// a missing argument, a malformed or out-of-range plan token, or an
-// unknown personality or workload prints the usage line and exits 2.
-TEST(Cli, DebugPlanRefusesBadArguments) {
-  for (const char* args : {"", "0", "0 1 1:0", "0 1 x:0:5000", "0 1 1:0:5000ms", "0 1 6:0:5000",
-                           "0 1 2:1:5000", "0 1 1:0:-1", "2 1", "0 3", "0x 1"}) {
-    SCOPED_TRACE(args);
-    const Outcome result = run(args, DEBUG_PLAN_BIN);
-    EXPECT_EQ(result.code, 2);
-    EXPECT_EQ(result.first_err_line(),
-              "usage: debug_plan <personality 0|1> <workload 0|1|2> <type:instance:ms>...");
-    EXPECT_EQ(result.out, "");
+// One Avis cell: a single calibration group, which --explain needs.
+const std::string kFenceCell =
+    "--approaches avis --personalities ardupilot --workloads fence-mission --seed 100";
+
+// The rest of the first stdout line that starts with `prefix`.
+std::string line_of(const std::string& out, const std::string& prefix) {
+  const std::size_t at = out.rfind(prefix, 0) == 0 ? 0 : out.find("\n" + prefix);
+  if (at == std::string::npos) return "<no '" + prefix + "' line>";
+  const std::size_t begin = out.find(prefix, at) + prefix.size();
+  return out.substr(begin, out.find('\n', begin) - begin);
+}
+
+// --explain replays a campaign's experiment: the first unsafe record a
+// journaled cell holds comes back with the same violation and fired bugs.
+TEST(Cli, ExplainReplaysTheJournaledUnsafeRecord) {
+  const std::string journal = temp_path("explain.jsonl");
+  const Outcome campaign = run(kFenceCell + " --budget-ms 600000 --quiet --journal " + journal);
+  ASSERT_EQ(campaign.code, 0) << campaign.err;
+  const auto loaded = avis::core::CampaignJournal::load(journal);
+  std::filesystem::remove(journal);
+  ASSERT_EQ(loaded.cells.size(), 1u);
+  ASSERT_FALSE(loaded.cells[0].report.unsafe.empty());
+  const avis::core::UnsafeRecord& record = loaded.cells[0].report.unsafe.front();
+
+  const Outcome explain = run(kFenceCell + " --explain '" + record.plan.to_string() + "'");
+  ASSERT_EQ(explain.code, 0) << explain.err;
+  EXPECT_EQ(line_of(explain.out, "plan: "), record.plan.to_string());
+  const avis::core::Violation& violation = record.violation;
+  EXPECT_EQ(line_of(explain.out, "verdict: "),
+            std::string(avis::core::to_string(violation.type)) + " at " +
+                std::to_string(violation.time_ms) + " ms in " +
+                avis::fw::CompositeMode::from_id(violation.mode_id).name());
+  std::string fired;
+  for (const avis::fw::BugId id : record.fired_bugs) {
+    fired += std::string(" ") + avis::fw::bug_info(id).report_name;
+  }
+  EXPECT_EQ(line_of(explain.out, "fired:"), fired.empty() ? " none" : fired);
+  // Sample lines start 2 s before the violation.
+  char first_sample[32];
+  std::snprintf(first_sample, sizeof(first_sample), "\n%8lld  ",
+                static_cast<long long>(std::max<std::int64_t>(0, violation.time_ms - 2000)));
+  EXPECT_NE(explain.out.find(first_sample), std::string::npos) << explain.out;
+}
+
+// The plan line is FaultPlan::to_string of the parsed plan: a normalized
+// plan round-trips, and '{}' is a fault-free run.
+TEST(Cli, ExplainPrintsThePlanItRan) {
+  for (const auto& [plan, verdict] : {std::pair{"{barometer#0@3520ms, GPS#0@9000ms}", "liveliness"},
+                                      std::pair{"{}", "passed"}}) {
+    SCOPED_TRACE(plan);
+    const Outcome result = run(kFenceCell + " --explain '" + plan + "'");
+    ASSERT_EQ(result.code, 0) << result.err;
+    EXPECT_EQ(line_of(result.out, "plan: "), plan);
+    EXPECT_EQ(line_of(result.out, "verdict: ").rfind(verdict, 0), 0u) << result.out;
   }
 }
 
-// debug_golden takes an optional workload and personality; anything else,
-// including a number out of either range, is refused before it simulates.
-TEST(Cli, DebugGoldenRefusesBadArguments) {
-  for (const char* args : {"7 9", "3", "-1", "0 2", "x", "2 0x", "1 0 extra"}) {
+// A bad plan, a grid of more than one calibration group, or a flag that
+// writes or runs something else exits 2 before anything calibrates.
+TEST(Cli, ExplainRefusesBadInputBeforeCalibrating) {
+  const std::string kRefused =
+      "--explain prints one experiment; it does not combine with --fuzz, --journal, --resume, "
+      "--out or --dump-scenario";
+  const std::pair<std::string, std::string> cases[] = {
+      {kFenceCell + " --explain '{gyroscope#2@0ms}'",
+       "--explain: no such sensor instance on the iris suite"},
+      {kFenceCell + " --explain '{gyro#0@0ms}'",
+       "--explain: unknown fault type: 'gyro'; did you mean 'gyroscope'?"},
+      {kFenceCell + " --explain '{barometer#0@-1ms}'",
+       "--explain: a time is a non-negative integer in ms"},
+      {kFenceCell + " --explain 'barometer#0@3520ms'", "--explain: a plan is a braced list"},
+      {"--explain '{}'", "--explain needs a grid of one calibration group"},
+      {kFenceCell + " --explain '{}' --fuzz 1", kRefused},
+      {kFenceCell + " --explain '{}' --resume j.jsonl", kRefused},
+      {kFenceCell + " --explain '{}' --journal j.jsonl", kRefused},
+      {kFenceCell + " --explain '{}' --out r.json", kRefused},
+      {kFenceCell + " --explain '{}' --dump-scenario -", kRefused},
+  };
+  for (const auto& [args, message] : cases) {
     SCOPED_TRACE(args);
-    const Outcome result = run(args, DEBUG_GOLDEN_BIN);
+    const Outcome result = run(args);
     EXPECT_EQ(result.code, 2);
-    EXPECT_EQ(result.first_err_line(), "usage: debug_golden [workload 0|1|2] [personality 0|1]");
     EXPECT_EQ(result.out, "");
+    EXPECT_EQ(result.first_err_line().rfind(message, 0), 0u) << result.err;
   }
-}
-
-// debug_monitor takes no arguments: any argument is refused before it
-// calibrates.
-TEST(Cli, DebugMonitorRefusesArguments) {
-  for (const char* args : {"1", "1 2"}) {
-    SCOPED_TRACE(args);
-    const Outcome result = run(args, DEBUG_MONITOR_BIN);
-    EXPECT_EQ(result.code, 2);
-    EXPECT_EQ(result.first_err_line(), "usage: debug_monitor");
-    EXPECT_EQ(result.out, "");
-  }
+  EXPECT_FALSE(std::filesystem::exists("j.jsonl"));
+  EXPECT_FALSE(std::filesystem::exists("r.json"));
 }
 
 }  // namespace

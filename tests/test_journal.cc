@@ -96,31 +96,25 @@ TEST(Journal, CellIdentityHashIsStableAndSpecSensitive) {
             core::cell_identity_hash(small_grid(101)[0]));
 }
 
-// Table V's pattern: cells that differ only in a re-inserted bug population
-// (bugs_override) are different cells, so a resume must not graft one's
-// record onto the other. Override-free cells keep the hashes journals
-// written before the override was hashed already carry.
-TEST(Journal, CellIdentityHashSeesBugsOverride) {
+// Table V's pattern: cells that differ only in a re-inserted bug
+// (bug selectors "current+APM-5428", "current+APM-9349") are different
+// cells, so a resume must not graft one's record onto the other. Cells on
+// "current" keep the hashes journals already carry.
+TEST(Journal, CellIdentityHashSeesReinsertedBugs) {
   const auto plain = small_grid();
   EXPECT_EQ(core::cell_identity_hash(plain[0]), "149686358d63cf5c");
   EXPECT_EQ(core::cell_identity_hash(plain[1]), "7cc690232669a7d8");
 
-  const auto with_bug = [&plain](std::initializer_list<fw::BugId> ids) {
+  const auto with_bugs = [&plain](const char* selector) {
     auto grid = plain;
-    for (auto& cell : grid) {
-      fw::BugRegistry bugs;
-      for (const fw::BugId id : ids) bugs.enable(id);
-      cell.bugs_override = bugs;
-    }
+    for (auto& cell : grid) cell.scenario.bugs = selector;
     return grid;
   };
-  const auto a = with_bug({fw::BugId::kApm5428});
-  const auto b = with_bug({fw::BugId::kApm9349});
+  const auto a = with_bugs("current+APM-5428");
+  const auto b = with_bugs("current+APM-9349");
   EXPECT_NE(core::cell_identity_hash(a[0]), core::cell_identity_hash(b[0]));
   EXPECT_NE(core::cell_identity_hash(a[0]), core::cell_identity_hash(plain[0]));
-  // The ids are hashed sorted: enable order does not matter.
-  EXPECT_EQ(core::cell_identity_hash(with_bug({fw::BugId::kApm5428, fw::BugId::kApm9349})[0]),
-            core::cell_identity_hash(with_bug({fw::BugId::kApm9349, fw::BugId::kApm5428})[0]));
+  EXPECT_NE(core::cell_identity_hash(b[0]), core::cell_identity_hash(plain[0]));
 
   const std::string diff = core::CampaignJournal::header_diff(
       core::CampaignJournal::bind(a, {}), core::CampaignJournal::bind(b, {}), b);
@@ -161,7 +155,6 @@ TEST(Journal, RoundTripsHeaderAndRecords) {
     EXPECT_EQ(loaded.header.version, core::CampaignJournal::kVersion);
     EXPECT_EQ(loaded.header.cells, grid.size());
     EXPECT_TRUE(loaded.header.checkpoints_enabled);
-    EXPECT_TRUE(loaded.header.checkpoint_trees);
     EXPECT_EQ(loaded.header.checkpoint_interval_ms, 2500);
     EXPECT_EQ(loaded.header.checkpoint_budget_bytes, checkpoints.byte_budget);
     ASSERT_EQ(loaded.header.cell_hashes.size(), grid.size());
@@ -195,7 +188,6 @@ TEST(Journal, HeaderDiffNamesEveryDriftedField) {
   const std::string config_diff =
       core::CampaignJournal::header_diff(header, config_drift, grid);
   EXPECT_NE(config_diff.find("checkpoints_enabled"), std::string::npos) << config_diff;
-  EXPECT_NE(config_diff.find("checkpoint_trees"), std::string::npos) << config_diff;
 
   // A different grid seed keeps the shape but changes every cell hash; the
   // diff names the cells (with their registry coordinates), not just "hash".
@@ -300,25 +292,26 @@ TEST(Journal, LoadRejectsMissingAndHeaderlessFiles) {
   std::filesystem::remove(path);
 }
 
-// A version-1 journal (its header still carries the retired batch_width
-// knob) must not resume under this build: load() refuses it with a message
-// naming both versions, which the CLI's --resume turns into exit code 2.
+// A version-3 journal (its header still carries the retired
+// checkpoint_trees knob) must not resume under this build: load() refuses
+// it with a message naming both versions, which the CLI's --resume turns
+// into exit code 2.
 TEST(Journal, OldVersionJournalIsRefusedNamingBothVersions) {
   const auto grid = small_grid();
   const std::string path = temp_path("old_version");
   write_file(path,
-             "{\"type\": \"avis_campaign_journal\", \"version\": 1, \"cells\": 2, "
+             "{\"type\": \"avis_campaign_journal\", \"version\": 3, \"cells\": 2, "
              "\"checkpoints_enabled\": true, \"checkpoint_trees\": true, "
              "\"checkpoint_interval_ms\": 1000, \"checkpoint_budget_bytes\": 0, "
-             "\"batch_width\": 0, \"cell_hashes\": [\"" +
+             "\"cell_hashes\": [\"" +
                  core::cell_identity_hash(grid[0]) + "\", \"" +
                  core::cell_identity_hash(grid[1]) + "\"]}\n");
   try {
     core::CampaignJournal::load(path);
-    ADD_FAILURE() << "a version-1 journal loaded";
+    ADD_FAILURE() << "a version-3 journal loaded";
   } catch (const core::JournalError& err) {
     const std::string message = err.what();
-    EXPECT_NE(message.find("version 1"), std::string::npos) << message;
+    EXPECT_NE(message.find("version 3,"), std::string::npos) << message;
     EXPECT_NE(message.find("version " + std::to_string(core::CampaignJournal::kVersion)),
               std::string::npos)
         << message;
@@ -327,14 +320,15 @@ TEST(Journal, OldVersionJournalIsRefusedNamingBothVersions) {
 }
 
 // A header whose fields pass through narrowing casts must be range-checked
-// first: 4294967299 is 3 modulo 2^32, so a cast to int would resume it as
-// this build's version.
+// first: 2^32 + kVersion would resume as this build's version through a
+// cast to int.
 TEST(Journal, VersionPastIntIsRefusedWithTheVersionMessage) {
   const auto grid = small_grid();
   const std::string path = temp_path("wrapped_version");
   std::ostringstream header;
-  header << "{\"type\": \"avis_campaign_journal\", \"version\": 4294967299, \"cells\": 2, "
-            "\"checkpoints_enabled\": true, \"checkpoint_trees\": true, "
+  const std::string wrapped = std::to_string((1LL << 32) + core::CampaignJournal::kVersion);
+  header << "{\"type\": \"avis_campaign_journal\", \"version\": " << wrapped << ", \"cells\": 2, "
+            "\"checkpoints_enabled\": true, "
             "\"checkpoint_interval_ms\": 1000, \"checkpoint_budget_bytes\": 0, "
             "\"cell_hashes\": [\""
          << core::cell_identity_hash(grid[0]) << "\", \"" << core::cell_identity_hash(grid[1])
@@ -342,9 +336,9 @@ TEST(Journal, VersionPastIntIsRefusedWithTheVersionMessage) {
   write_file(path, header.str());
   try {
     core::CampaignJournal::load(path);
-    ADD_FAILURE() << "a journal claiming version 4294967299 loaded";
+    ADD_FAILURE() << "a journal claiming version " << wrapped << " loaded";
   } catch (const core::JournalError& err) {
-    EXPECT_NE(std::string(err.what()).find("journal format version 4294967299"),
+    EXPECT_NE(std::string(err.what()).find("journal format version " + wrapped),
               std::string::npos)
         << err.what();
   }
@@ -359,7 +353,7 @@ TEST(Journal, CellCountDisagreeingWithHashesIsRefused) {
   write_file(path,
              "{\"type\": \"avis_campaign_journal\", \"version\": " +
                  std::to_string(core::CampaignJournal::kVersion) +
-                 ", \"cells\": 3, \"checkpoints_enabled\": true, \"checkpoint_trees\": true, "
+                 ", \"cells\": 3, \"checkpoints_enabled\": true, "
                  "\"checkpoint_interval_ms\": 1000, \"checkpoint_budget_bytes\": 0, "
                  "\"cell_hashes\": [\"" +
                  core::cell_identity_hash(grid[0]) + "\"]}\n");

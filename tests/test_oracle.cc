@@ -70,8 +70,8 @@ void register_armed_workload() {
 }
 
 // Grid indices. The document part comes first, in ScenarioGrid::expand order;
-// the custom cells after it carry a make_strategy factory or a
-// bugs_override, which a document cannot express.
+// the custom cells after it carry a make_strategy factory, which a document
+// cannot express.
 enum Cell : std::size_t {
   // The product: SABRE on both personalities x both paper workloads.
   kSabreApAuto, kSabreApBox, kSabrePxAuto, kSabrePxBox,
@@ -160,8 +160,7 @@ const std::vector<core::CampaignCellSpec>& grid() {
     cells.push_back(random);
     cells.back().scenario.environment = "breeze";
     cells.push_back(sabre);
-    cells.back().bugs_override = core::resolve_bugs("current");
-    cells.back().bugs_override->enable(fw::BugId::kApm5428);
+    cells.back().scenario.bugs = "current+APM-5428";
     // Budget and constraints are outside the prototype: this one groups.
     cells.push_back(random);
     cells.back().scenario.budget_ms = kCustomMs / 2;
@@ -169,12 +168,6 @@ const std::vector<core::CampaignCellSpec>& grid() {
     return cells;
   }();
   return cells;
-}
-
-core::ExperimentSpec prototype_of(const core::CampaignCellSpec& cell) {
-  core::ExperimentSpec prototype = core::scenario_prototype(cell.scenario);
-  if (cell.bugs_override) prototype.bugs = *cell.bugs_override;
-  return prototype;
 }
 
 std::unique_ptr<core::InjectionStrategy> strategy_of(const core::CampaignCellSpec& cell,
@@ -185,14 +178,13 @@ std::unique_ptr<core::InjectionStrategy> strategy_of(const core::CampaignCellSpe
 
 // --- Checkpoint configs -----------------------------------------------------
 
-enum class Config { kDefault, kOff, kRootOnly, kBudget512K, kBudget16K };
+enum class Config { kDefault, kOff, kBudget512K, kBudget16K };
 
 core::CheckpointConfig checkpoint_config(Config config) {
   core::CheckpointConfig checkpoints;
   switch (config) {
     case Config::kDefault: break;
     case Config::kOff: checkpoints.enabled = false; break;
-    case Config::kRootOnly: checkpoints.trees = false; break;
     // Tree recordings churn behind the root.
     case Config::kBudget512K: checkpoints.byte_budget = 512 * 1024; break;
     // Too small for the root: evicted when built, every run starts cold.
@@ -282,7 +274,6 @@ const std::vector<Row>& rows() {
       {"baselines_w4", kChecker, kDefault, 0, 4, kNone, kBaselineCells},
       {"baselines_w1", kChecker, kDefault, 0, 1, kNone, kBaselineCells},
       {"checkpoints_off_w3", kChecker, kOff, 0, 3, kNone, {kSabreApAuto}},
-      {"root_only_w4", kChecker, kRootOnly, 0, 4, kNone, {kSabreApAuto, kShortApAuto}},
       {"budget_512k_w2", kChecker, kBudget512K, 0, 2, kNone, {kCustomSabreAuto}},
       {"feedback_throws_w1", kChecker, kDefault, 0, 1, kFeedbackThrows, {kShortApBox}},
       {"feedback_throws_w4", kChecker, kDefault, 0, 4, kFeedbackThrows, {kShortApBox}},
@@ -315,7 +306,7 @@ struct Reference {
 
 Reference run_reference(std::size_t index, Config config) {
   const core::CampaignCellSpec& cell = grid()[index];
-  core::Checker checker(prototype_of(cell), checkpoint_config(config));
+  core::Checker checker(core::scenario_prototype(cell.scenario), checkpoint_config(config));
   Probe strategy(strategy_of(cell, checker.model()), /*one_at_a_time=*/true);
   core::BudgetClock budget(cell.scenario.budget_ms);
   Reference reference{checker.run(strategy, budget), strategy.proposed(), false,
@@ -395,7 +386,8 @@ core::Checker& shared_checker(std::size_t index, const Row& row) {
   auto& checker = cache[{core::prototype_key(cell), row.config}];
   const bool fresh = !checker;
   if (fresh) {
-    checker = std::make_unique<core::Checker>(prototype_of(cell), checkpoint_config(row.config));
+    checker = std::make_unique<core::Checker>(core::scenario_prototype(cell.scenario),
+                                              checkpoint_config(row.config));
   }
   checker->set_workers(row.workers);
   if (fresh) expect_models_equal(reference(index, Config::kDefault).model, checker->model());
@@ -499,7 +491,6 @@ core::CampaignResult drive_document(const Row& row) {
   core::CampaignResult expected = expected_campaign(row);
   expected.split = result.split;
   expected.checkpoints_enabled = result.checkpoints_enabled;
-  expected.checkpoint_trees = result.checkpoint_trees;
   expected.checkpoint_budget_bytes = result.checkpoint_budget_bytes;
   EXPECT_EQ(report_without_timing(expected), report_without_timing(result));
   return result;
@@ -620,11 +611,6 @@ TEST(OracleReferences, CheckpointConfigsAgreeModuloTheirCounters) {
       EXPECT_TRUE(report.checkpoint_hits_by_level.empty());
     } else {
       EXPECT_EQ(report.checkpoint_hits + report.checkpoint_misses, report.experiments);
-    }
-    if (config == Config::kRootOnly) {
-      EXPECT_GT(report.checkpoint_hits, 0);
-      EXPECT_EQ(root_hits(report), report.checkpoint_hits);
-      EXPECT_EQ(report.checkpoint_evicted, 0);
     }
     if (config == Config::kBudget512K || config == Config::kBudget16K) {
       EXPECT_GT(report.checkpoint_evicted, 0);

@@ -180,6 +180,30 @@ TEST(Registries, BuiltinsArePresent) {
   EXPECT_EQ(core::approach_label("not-registered"), "not-registered");
 }
 
+// Table V's populations are selectors: "current+<REPORT>" is the current
+// code base plus exactly that previously-known bug, one per known bug, and a
+// scenario naming one survives the JSON round trip.
+TEST(Registries, ReinsertedBugSelectorsAddOneKnownBug) {
+  const std::vector<fw::BugId> current = core::resolve_bugs("current").enabled_bugs();
+  int known = 0;
+  for (const fw::BugId id : fw::kAllBugs) {
+    if (!fw::bug_info(id).known) continue;
+    ++known;
+    const std::string name = std::string("current+") + fw::bug_info(id).report_name;
+    SCOPED_TRACE(name);
+    const fw::BugRegistry bugs = core::resolve_bugs(name);
+    EXPECT_TRUE(bugs.enabled(id));
+    EXPECT_EQ(bugs.enabled_bugs().size(), current.size() + 1);
+    for (const fw::BugId other : current) EXPECT_TRUE(bugs.enabled(other));
+    core::ScenarioSpec spec;
+    spec.bugs = name;
+    EXPECT_NO_THROW(spec.validate());
+    EXPECT_EQ(core::ScenarioSpec::from_json(spec.to_json()), spec);
+  }
+  EXPECT_EQ(known, 5);
+  EXPECT_EQ(core::bug_selector_registry().entries().size(), 3u + known);
+}
+
 TEST(ScenarioPrototype, ResolvesEveryAxis) {
   core::ScenarioSpec spec;
   spec.personality = "px4";

@@ -13,11 +13,16 @@
 // moves the text table and notes to stderr. Bad flags, unknown registry
 // names ("did you mean ...?") and conflicting flags exit 2.
 //
+// --explain PLAN replays one experiment of a one-scenario grid exactly as
+// the checker runs it and prints why it was safe or unsafe (p_explain).
+//
 // Examples:
 //   avis_campaign                                # full 4x2x2 grid, 2 h budget
 //   avis_campaign --workloads wind-gust-box --environments gusty
 //                 --dump-scenario grid.json          # write the grid, don't run
 //   avis_campaign --scenario-file grid.json --out report.json
+//   avis_campaign --approaches avis --personalities ardupilot
+//                 --workloads fence-mission --explain '{barometer#0@3520ms}'
 #include <algorithm>
 #include <climits>
 #include <csignal>
@@ -27,6 +32,8 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -59,6 +66,7 @@ struct Cli {
   core::CampaignOptions campaign;
   fuzz::FuzzOptions fuzz;
   std::string scenario_file, out, dump_scenario, fuzz_corpus, fuzz_report, journal, resume;
+  std::optional<core::FaultPlan> explain;
   bool quiet = false, list = false, version = false, help = false;
 };
 
@@ -159,6 +167,51 @@ Apply seed(std::uint64_t& target) {
   };
 }
 
+// A fault plan exactly as FaultPlan::to_string prints it: "{}" or
+// "{barometer#0@3520ms, GPS#0@9000ms}", every instance on the iris suite.
+Apply plan(std::optional<core::FaultPlan>& target) {
+  return [&target](const char* flag, const char* value) {
+    const auto refuse = [&](const char* why) {
+      std::cerr << flag << ": " << why << " (got '" << value
+                << "'; e.g. '{barometer#0@3520ms, GPS#0@9000ms}')\n";
+      return false;
+    };
+    const std::string_view text = value;
+    if (text.size() < 2 || text.front() != '{' || text.back() != '}') {
+      return refuse("a plan is a braced list");
+    }
+    const sensors::SuiteConfig suite = core::SimulationHarness::iris_suite();
+    core::FaultPlan parsed;
+    for (std::string_view rest = text.substr(1, text.size() - 2); !rest.empty();) {
+      const std::size_t comma = rest.find(", ");
+      const std::string_view event = rest.substr(0, comma);
+      rest = comma == std::string_view::npos ? std::string_view() : rest.substr(comma + 2);
+      const std::size_t hash = event.find('#'), at = event.find('@');
+      if ((comma != std::string_view::npos && rest.empty()) || hash == std::string_view::npos ||
+          at == std::string_view::npos || at < hash || !event.ends_with("ms")) {
+        return refuse("each event is SENSOR#INSTANCE@Tms, separated by ', '");
+      }
+      sensors::SensorType type;
+      try {
+        type = core::resolve_fault_type(event.substr(0, hash));
+      } catch (const util::UnknownNameError& err) {
+        std::cerr << flag << ": " << err.what() << "\n";
+        return false;
+      }
+      const auto instance = util::parse_integer<int>(event.substr(hash + 1, at - hash - 1));
+      const auto time_ms =
+          util::parse_integer<sim::SimTimeMs>(event.substr(at + 1, event.size() - at - 3));
+      if (!instance || *instance < 0 || *instance >= suite.count(type)) {
+        return refuse("no such sensor instance on the iris suite");
+      }
+      if (!time_ms || *time_ms < 0) return refuse("a time is a non-negative integer in ms");
+      parsed.add(*time_ms, {type, static_cast<std::uint8_t>(*instance)});
+    }
+    target = std::move(parsed);
+    return true;
+  };
+}
+
 // Largest --checkpoint-budget-mb whose byte count fits in std::size_t.
 constexpr std::int64_t kMaxBudgetMb = SIZE_MAX >> 20;
 
@@ -190,8 +243,6 @@ std::vector<Flag> p_flags(Cli& cli) {
        integer(run.experiment_workers, 0, INT_MAX)},
       {"--no-checkpoints", nullptr, kRun, "disable prefix forking (A/B timing; same report)",
        set(checkpoints.enabled, false)},
-      {"--no-checkpoint-trees", nullptr, kRun, "keep only the fault-free root (A/B timing)",
-       set(checkpoints.trees, false)},
       {"--checkpoint-interval-ms", "N", kRun, "snapshot cadence for the prefix run (default 1000)",
        integer(checkpoints.interval_ms, 1, kPositive)},
       {"--checkpoint-budget-mb", "N", kRun, "retained snapshot budget (default 64)",
@@ -207,6 +258,8 @@ std::vector<Flag> p_flags(Cli& cli) {
       {"-h", nullptr, kAction, nullptr, set(cli.help)},
       {"--fuzz", "N", kAction, "run N coverage-guided mutation generations",
        integer(cli.fuzz.generations, 1, INT_MAX)},
+      {"--explain", "PLAN", kAction, "replay one plan on a one-scenario grid, print why",
+       plan(cli.explain)},
       {"--fuzz-mutants", "N", kFuzz, "mutants evaluated per generation (default 8)",
        integer(cli.fuzz.mutants_per_generation, 1, INT_MAX)},
       {"--fuzz-seed", "N", kFuzz, "mutation rng seed (default 1; fixes the corpus)",
@@ -336,6 +389,90 @@ int p_run_fuzz(const Cli& cli, std::ostream& text) {
   return written ? 0 : 1;
 }
 
+// --explain: the checker's own experiment for `plan` (Checker::
+// experiment_spec: the campaign's seed, duration cap, monitor and stop at
+// the first violation), simulated from scratch — bit-identical to a
+// checkpoint-restored run — so its verdict is the UnsafeRecord a campaign
+// journals for the plan. Prints the calibration, the verdict, the
+// transitions, and per monitor sample the truth, the firmware's estimate,
+// the distance to the nearest profiling run against tau and the golden run:
+// every 100 ms from 2 s before a violation to where the run stopped, every
+// 1 s for a safe run.
+int p_explain(const core::FaultPlan& plan, const std::vector<core::CampaignCellSpec>& grid,
+              int workers) {
+  const core::PrototypeKey key = core::prototype_key(grid.front());
+  if (!std::all_of(grid.begin(), grid.end(), [&key](const core::CampaignCellSpec& cell) {
+        return core::prototype_key(cell) == key;
+      })) {
+    std::cerr << "--explain needs a grid of one calibration group: one personality, workload, "
+                 "environment, bug population and seed\n";
+    return 2;
+  }
+  const core::ScenarioSpec& scenario = grid.front().scenario;
+  core::CheckpointConfig cold;
+  cold.enabled = false;
+  core::Checker checker(core::scenario_prototype(scenario), cold);
+  checker.set_workers(std::min(workers, core::Checker::kProfilingRuns));
+  std::map<sim::SimTimeMs, geo::Vec3> estimate;  // by sample time
+  core::SimulationHarness harness;
+  // The hook sees the world after the step that ends at t: the sample at t - 1.
+  harness.set_step_hook([&estimate](sim::SimTimeMs t, const sim::VehicleState&,
+                                    const fw::Firmware& firmware) {
+    if ((t - 1) % core::kSamplePeriodMs == 0) estimate[t - 1] = firmware.estimate().position;
+  });
+  core::ExperimentResult result;
+  try {
+    const core::MonitorModel& model = checker.model();
+    result = harness.run(checker.experiment_spec(plan), &model);
+  } catch (const std::exception& err) {
+    std::cerr << "--explain failed: " << err.what() << "\n";
+    return 1;
+  }
+  const core::MonitorModel& model = checker.model();
+  const auto mode_name = [](std::uint16_t id) { return fw::CompositeMode::from_id(id).name(); };
+  std::printf("scenario: %s/%s/%s, bugs %s, seed %llu\n", scenario.personality.c_str(),
+              scenario.workload.c_str(), scenario.environment.c_str(), scenario.bugs.c_str(),
+              static_cast<unsigned long long>(scenario.seed));
+  std::printf("calibration: tau=%.3f P=%.3f A=%.3f D=%d profiling=%lld ms\n", model.tau(),
+              model.max_position_spread(), model.max_accel_spread(),
+              model.mode_graph().diameter(),
+              static_cast<long long>(model.profiling_duration_ms()));
+  std::printf("plan: %s\n", plan.to_string().c_str());
+  const std::optional<core::Violation>& violation = result.violation;
+  if (violation) {
+    std::printf("verdict: %s at %lld ms in %s\ndetails: %s\n", core::to_string(violation->type),
+                static_cast<long long>(violation->time_ms), mode_name(violation->mode_id).c_str(),
+                violation->details.c_str());
+  } else {
+    std::printf("verdict: passed after %lld ms (workload %s)\n",
+                static_cast<long long>(result.duration_ms),
+                result.workload_passed ? "passed" : "did not pass");
+  }
+  std::printf("crash: %s\nfired:", sim::to_string(result.crash_cause));
+  for (fw::BugId id : result.fired_bugs) std::printf(" %s", fw::bug_info(id).report_name);
+  std::printf("%s\ntransitions:", result.fired_bugs.empty() ? " none" : "");
+  for (const core::ModeTransition& t : result.transitions) {
+    std::printf(" %s@%lld", t.mode_name.c_str(), static_cast<long long>(t.time_ms));
+  }
+  std::printf("\n%8s  %-14s %-24s  %-24s  %-13s %-14s %6s\n", "t ms", "mode", "truth x y alt (m)",
+              "estimate x y alt (m)", "d/tau", "golden mode", "alt");
+  for (const core::StateSample& s : result.trace) {
+    if (violation ? s.time_ms < violation->time_ms - 2000 : s.time_ms % 1000 != 0) continue;
+    double nearest = std::numeric_limits<double>::infinity();
+    for (std::size_t run = 0; run < model.profiling_run_count(); ++run) {
+      nearest = std::min(nearest, model.state_distance(s, model.profiling_state(run, s.time_ms)));
+    }
+    const geo::Vec3& est = estimate.at(s.time_ms);
+    const core::StateSample& golden = model.profiling_state(0, s.time_ms);
+    std::printf("%8lld  %-14s (%7.2f %7.2f %6.2f)  (%7.2f %7.2f %6.2f)  %6.2f/%-5.2f%s %-14s",
+                static_cast<long long>(s.time_ms), mode_name(s.mode_id).c_str(), s.position.x,
+                s.position.y, -s.position.z, est.x, est.y, -est.z, nearest, model.tau(),
+                nearest > model.tau() ? "*" : " ", mode_name(golden.mode_id).c_str());
+    std::printf(" %6.2f\n", -golden.position.z);
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -396,6 +533,10 @@ int main(int argc, char** argv) {
       {(!cli.journal.empty() || !cli.resume.empty()) && (fuzzing || !cli.dump_scenario.empty()),
        "--journal/--resume apply to campaign runs; they do not combine with --fuzz or "
        "--dump-scenario"},
+      {cli.explain && (fuzzing || !cli.journal.empty() || !cli.resume.empty() ||
+                       !cli.out.empty() || !cli.dump_scenario.empty()),
+       "--explain prints one experiment; it does not combine with --fuzz, --journal, "
+       "--resume, --out or --dump-scenario"},
       {!cli.scenario_file.empty() && seen[kGrid],
        "--scenario-file carries the whole grid; combining it with grid-shaping flags (" +
            p_group_names(flags, kGrid) + ") is ambiguous"},
@@ -435,6 +576,8 @@ int main(int argc, char** argv) {
     std::cerr << err.what() << "\n";
     return 2;
   }
+
+  if (cli.explain) return p_explain(*cli.explain, grid, cli.campaign.total_workers);
 
   // On --resume the loaded header must bind the exact campaign the flags
   // describe — any drift (different grid, different checkpoint knobs) would
