@@ -6,8 +6,8 @@
 // Approaches, personalities, workloads and environments are registry names
 // (core/scenario.h): a bench describes its grid as a list of ScenarioSpec cells
 // and runs it through core::CampaignRunner, which calibrates each scenario once
-// (cells with the same prototype share one Checker) and shards those groups
-// across the machine on top of the per-cell experiment pool; every cell report
+// (cells with the same prototype share one Checker) and runs those groups and
+// their experiments on one pool of the machine's cores; every cell report
 // is bit-identical to a serial run of the cell on a fresh Checker
 // (tests/test_oracle.cc).
 #pragma once
@@ -19,6 +19,7 @@
 
 #include "core/campaign.h"
 #include "core/scenario.h"
+#include "util/concurrency.h"
 #include "util/table.h"
 
 namespace avis::bench {
@@ -74,19 +75,18 @@ inline std::vector<core::CampaignCellSpec> evaluation_grid(
   return grid;
 }
 
-// Run a grid with the default worker split; benches follow up with
+// Run a grid on the default pool, no caps; benches follow up with
 // print_campaign_footer below.
 inline core::CampaignResult run_campaign(const std::vector<core::CampaignCellSpec>& grid) {
   return core::CampaignRunner().run(grid);
 }
 
-inline void print_campaign_footer(std::ostream& os, const core::CampaignResult& result) {
-  os << "\ncampaign: " << result.cells.size() << " cells, "
-     << result.split.campaign_workers << " concurrent ("
-     << result.split.experiment_workers << " experiment worker"
-     << (result.split.experiment_workers == 1 ? "" : "s") << "/cell), "
-     << result.total_experiments() << " simulations in "
-     << result.wall_seconds << " s wall\n";
+// `workers` is the pool size the campaign ran with.
+inline void print_campaign_footer(std::ostream& os, const core::CampaignResult& result,
+                                  int workers = util::default_worker_count()) {
+  os << "\ncampaign: " << result.cells.size() << " cells on a pool of " << workers
+     << " thread" << (workers == 1 ? "" : "s") << ", " << result.total_experiments()
+     << " simulations in " << result.wall_seconds << " s wall\n";
 }
 
 }  // namespace avis::bench

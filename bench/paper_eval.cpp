@@ -9,7 +9,7 @@
 // per-cell document tests/golden/paper_eval.json pins
 // (tests/test_conformance.cc; docs/CONFORMANCE.md holds the paper's
 // numbers). Every cell report is a pure function of its spec, so the
-// document does not depend on the worker split.
+// document does not depend on the pool size.
 //
 //   paper_eval [--json FILE]
 #include <algorithm>
@@ -174,7 +174,7 @@ void render_tables(std::ostream& os, const core::CampaignResult& campaign) {
 }
 
 // The pinned document: per cell in grid order, its identity and outcome.
-// No wall-clock, worker-split, checkpoint or coverage fields.
+// No wall-clock, pool-size, checkpoint or coverage fields.
 std::string golden_json(const core::CampaignResult& campaign) {
   std::ostringstream os;
   os << "{\n  \"cells\": [\n";

@@ -3,9 +3,11 @@
 // The paper's evaluation hinges on experiments-per-budget (§VI, Tables
 // II-V): whichever checker runs the most experiments in the 2-hour window
 // finds the most unsafe conditions. These benches measure (a) raw harness
-// throughput — experiments/sec for a single thread — and (b) full checker
-// campaigns at 1/2/4/8 workers, so the parallel execution layer's speedup
-// (and any regression to it) shows up directly in the perf trajectory.
+// throughput — experiments/sec for a single thread — (b) a full checker
+// campaign at the paper's budget inline and on a 4-thread pool, and (c) a
+// 4-cell campaign at pool sizes 1/2/4, so the parallel execution layer's
+// speedup (and any regression to it) shows up directly in the perf
+// trajectory.
 //
 // Wall-clock (real time) is the measured quantity: the whole point of the
 // worker pool is to trade idle cores for elapsed time. items/s in the
@@ -16,6 +18,7 @@
 #include "core/campaign.h"
 #include "core/checker.h"
 #include "core/sabre.h"
+#include "util/thread_pool.h"
 
 using namespace avis;
 
@@ -30,9 +33,10 @@ core::Checker& shared_checker() {
   return checker;
 }
 
-// Per-campaign simulated budget. Big enough for several SABRE expansion
-// waves (tens of experiments) so worker-pool ramp-up amortizes; small
-// enough that a serial campaign completes in a few seconds of wall time.
+// Per-cell simulated budget of BM_CampaignGrid. Big enough for several
+// SABRE expansion waves (tens of experiments) so worker-pool ramp-up
+// amortizes; small enough that a serial campaign completes in a few seconds
+// of wall time.
 constexpr sim::SimTimeMs kCampaignBudgetMs = 600 * 1000;
 
 }  // namespace
@@ -76,39 +80,6 @@ static void BM_CheckerSetup(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckerSetup)->Unit(benchmark::kMillisecond);
 
-// Full SABRE campaign at N workers. Arg(1) runs Checker::run without a
-// pool; higher counts dispatch batches across the worker pool. The reports
-// are identical by construction (see tests/test_oracle.cc), so the runs are
-// directly comparable: items/s is experiments per wall second and real_time
-// per iteration is the campaign wall time.
-static void BM_CheckerCampaign(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
-  core::Checker& checker = shared_checker();
-  const core::MonitorModel& model = checker.model();
-  const auto suite = core::SimulationHarness::iris_suite();
-
-  checker.set_workers(workers);
-  std::int64_t experiments = 0;
-  for (auto _ : state) {
-    core::SabreScheduler sabre(suite, model.golden_transitions());
-    core::BudgetClock budget(kCampaignBudgetMs);
-    const core::CheckerReport report = checker.run(sabre, budget);
-    experiments += report.experiments;
-    benchmark::DoNotOptimize(report);
-  }
-  state.SetItemsProcessed(experiments);
-  state.counters["experiments/campaign"] = benchmark::Counter(
-      static_cast<double>(experiments) / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_CheckerCampaign)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kSecond)
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
-
 // Forwards to SABRE and counts the checker's requests (next_batch calls):
 // fewer, fuller requests mean fewer wave barriers.
 class RequestCountingSabre final : public core::InjectionStrategy {
@@ -139,14 +110,16 @@ class RequestCountingSabre final : public core::InjectionStrategy {
 
 // The same campaign at the paper's budget (2 h of simulated time, §VI):
 // the representative cell, where the augmented lane, pair strata and the
-// budget-end discard all come into play. requests/campaign counts checker
+// budget-end discard all come into play. Arg(1) runs Checker::run inline;
+// Arg(4) runs it on a 4-thread pool. requests/campaign counts checker
 // requests; experiments/campaign must not vary with the worker count.
 static void BM_CheckerCampaign2h(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
   core::Checker& checker = shared_checker();
   const core::MonitorModel& model = checker.model();
 
-  checker.set_workers(workers);
+  util::ThreadPool pool(workers);
+  checker.use_pool(&pool);
   std::int64_t experiments = 0;
   std::int64_t requests = 0;
   for (auto _ : state) {
@@ -157,6 +130,7 @@ static void BM_CheckerCampaign2h(benchmark::State& state) {
     requests += sabre.requests();
     benchmark::DoNotOptimize(report);
   }
+  checker.use_pool(nullptr);  // the pool dies here; the checker lives on
   const auto iterations = static_cast<double>(state.iterations());
   state.SetItemsProcessed(experiments);
   state.counters["experiments/campaign"] =
@@ -171,17 +145,15 @@ BENCHMARK(BM_CheckerCampaign2h)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
 
-// Whole-campaign sharding: a 4-cell Avis grid (both personalities x both
-// default workloads) run at N concurrent cells with a single experiment
-// worker per cell, so the reported wall time isolates cell-level
-// parallelism. experiments/campaign must not vary with N — each cell's
-// report is bit-identical to its serial run (tests/test_oracle.cc).
+// Whole-campaign scaling: a 4-cell Avis grid (both personalities x both
+// default workloads, 4 calibration groups) on a pool of N threads with no
+// caps, so groups and their experiments share the pool. experiments/campaign
+// must not vary with N — each cell's report is bit-identical to its serial
+// run (tests/test_oracle.cc).
 static void BM_CampaignGrid(benchmark::State& state) {
-  const int cell_workers = static_cast<int>(state.range(0));
   const auto grid = bench::evaluation_grid({"avis"}, /*budget_ms=*/kCampaignBudgetMs);
   core::CampaignOptions options;
-  options.cell_workers = cell_workers;
-  options.experiment_workers = 1;
+  options.total_workers = static_cast<int>(state.range(0));
   const core::CampaignRunner runner(options);
 
   std::int64_t experiments = 0;

@@ -5,16 +5,17 @@
 // Everything is registry-named (core/scenario.h): the scenario below is the
 // same declarative spec `avis_campaign --scenario-file` runs, and swapping
 // the workload, environment preset, or bug population is a one-string edit.
-// Campaigns run through Checker::run on a pool of the machine's cores,
-// which spreads each batch of experiments across them; the reports are
-// identical at any worker count (docs/PERFORMANCE.md), so the comparison
-// itself is unchanged.
+// Campaigns run through Checker::run on a pool of the machine's cores that
+// this example creates and hands to the Checker, which spreads each batch
+// of experiments across it; the reports are identical at any pool size
+// (docs/PERFORMANCE.md), so the comparison itself is unchanged.
 #include <iostream>
 
 #include "core/checker.h"
 #include "core/scenario.h"
 #include "util/concurrency.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 using namespace avis;
 
@@ -32,8 +33,9 @@ int main() {
 
   // One calibrated checker shared by every approach, exactly as the paper
   // compares strategies against the same profiled model.
+  util::ThreadPool pool(workers);
   core::Checker checker(core::scenario_prototype(scenario));
-  checker.set_workers(workers);  // before model(): profiling fans out too
+  checker.use_pool(&pool);  // before model(): profiling fans out too
   const core::MonitorModel& model = checker.model();
 
   util::TextTable table({"strategy", "sims", "labels", "unsafe #", "distinct bugs"});

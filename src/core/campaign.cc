@@ -1,6 +1,7 @@
 #include "core/campaign.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <map>
@@ -20,20 +21,21 @@ namespace {
 using GroupResult = std::vector<std::optional<CampaignCellResult>>;
 
 // Runs a calibration group's cells back to back on one Checker; the first
-// pays for profiling and the checkpoint root. p_campaign clears the tree
+// pays for profiling and the checkpoint root. Checker::run clears the tree
 // per campaign, so each report equals a run on a fresh Checker. Approaches
 // resolve first: a typo must throw before the group simulates anything.
 GroupResult p_run_group(const std::vector<const CampaignCellSpec*>& cells,
-                        int experiment_workers, const CheckpointConfig& checkpoints,
+                        util::ThreadPool& pool, int experiment_workers,
+                        const CheckpointConfig& checkpoints,
                         const std::function<bool()>& should_stop) {
   auto start = std::chrono::steady_clock::now();
   for (const CampaignCellSpec* cell : cells) {
     if (!cell->make_strategy) approach_registry().at(cell->scenario.approach);
   }
   Checker checker(scenario_prototype(cells.front()->scenario), checkpoints);
-  checker.set_workers(experiment_workers);  // before model(): profiling fans out too
+  checker.use_pool(&pool, experiment_workers);
   GroupResult results(cells.size());
-  for (std::size_t i = 0; i < cells.size() && !(should_stop && should_stop()); ++i) {
+  for (std::size_t i = 0; i < cells.size() && !should_stop(); ++i) {
     const CampaignCellSpec& spec = *cells[i];
     CampaignCellResult& result = results[i].emplace();
     result.spec = spec;
@@ -73,27 +75,6 @@ std::vector<CampaignCellSpec> expand_to_cells(const ScenarioGrid& grid) {
   }
   util::expects(!cells.empty(), "scenario grid expands to an empty campaign");
   return cells;
-}
-
-util::WorkerBudget CampaignRunner::worker_split(std::size_t groups) const {
-  const int total = std::max(1, options_.total_workers);
-  util::WorkerBudget split = util::split_worker_budget(total, static_cast<int>(groups));
-  if (options_.cell_workers > 0 && options_.experiment_workers > 0) {
-    // Both halves pinned: the caller explicitly owns the thread count.
-    split.campaign_workers = options_.cell_workers;
-    split.experiment_workers = options_.experiment_workers;
-  } else if (options_.cell_workers > 0) {
-    // Re-derive the free half from the pinned one so a single-sided
-    // override still honours the no-oversubscription budget.
-    split.campaign_workers = options_.cell_workers;
-    split.experiment_workers = std::max(1, total / options_.cell_workers);
-  } else if (options_.experiment_workers > 0) {
-    split.experiment_workers = options_.experiment_workers;
-    split.campaign_workers = std::max(
-        1, std::min(static_cast<int>(std::max<std::size_t>(groups, 1)),
-                    total / options_.experiment_workers));
-  }
-  return split;
 }
 
 CampaignResult CampaignRunner::run(const std::vector<CampaignCellSpec>& grid) const {
@@ -147,42 +128,66 @@ CampaignResult CampaignRunner::run(const std::vector<CampaignCellSpec>& grid) co
     slot[i] = {it->second, groups[it->second].size()};
     groups[it->second].push_back(&grid[i]);
   }
-  // The cell pool runs group tasks, so the hardware budget divides by
-  // groups: the workers a group's cells cannot use go to its Checker.
-  result.split = worker_split(groups.size());
-  // One task per group, on the cell pool or deferred to its collection on
-  // this thread (as Checker::run does without a pool). A task polls the stop
-  // flag before each cell: running cells finish, no new one starts.
-  std::optional<util::ThreadPool> pool;
-  if (result.split.campaign_workers > 1 && groups.size() > 1) {
-    pool.emplace(result.split.campaign_workers);
-  }
-  std::vector<std::future<GroupResult>> tasks;
+  // One pool for the whole campaign: `lanes` outer tasks each run groups
+  // one after another, and the groups' profiling runs and experiments are
+  // leaf tasks that idle lanes and waiting groups pick up. A group polls
+  // `stop` before each cell: running cells finish, no new one starts.
+  std::atomic<bool> failed = false;
+  const std::function<bool()> stop = [this, &failed] {
+    return failed.load() || (options_.should_stop && options_.should_stop());
+  };
+  std::vector<std::packaged_task<GroupResult()>> tasks;
+  std::vector<std::future<GroupResult>> futures;
+  std::atomic<std::size_t> next_group = 0;
+  // Declared after everything its tasks reference: destroyed (joined) first.
+  util::ThreadPool pool(std::max(1, options_.total_workers));
   for (const auto& cells : groups) {
-    auto task = [this, &cells, workers = result.split.experiment_workers] {
-      return p_run_group(cells, workers, options_.checkpoints, options_.should_stop);
-    };
-    tasks.push_back(pool ? pool->submit(std::move(task))
-                         : std::async(std::launch::deferred, std::move(task)));
+    tasks.emplace_back([this, &cells, &pool, &stop, &failed] {
+      try {
+        return p_run_group(cells, pool, options_.experiment_workers, options_.checkpoints, stop);
+      } catch (...) {
+        failed = true;  // the other groups start no further cell
+        throw;
+      }
+    });
+    futures.push_back(tasks.back().get_future());
+  }
+  const int cap = options_.cell_workers > 0 ? options_.cell_workers : pool.worker_count();
+  const std::size_t lanes =
+      std::min(groups.size(), static_cast<std::size_t>(std::min(cap, pool.worker_count())));
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    pool.submit_outer([&tasks, &next_group] {
+      for (std::size_t g; (g = next_group++) < tasks.size();) tasks[g]();
+    });
   }
   // Collection in grid order keeps the result vector (and the journal) in
-  // grid order no matter which group finishes first.
+  // grid order no matter which group finishes first. A failure, in a group
+  // or in the journal, stops the other groups, and its rethrow waits them
+  // out: their tasks reference this frame.
   std::vector<GroupResult> done(groups.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (resumed[i] != nullptr) {
-      result.cells.push_back(from_journal(*resumed[i]));
-      continue;
+  try {
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      if (resumed[i] != nullptr) {
+        result.cells.push_back(from_journal(*resumed[i]));
+        continue;
+      }
+      const auto [group, member] = slot[i];
+      if (futures[group].valid()) done[group] = futures[group].get();
+      std::optional<CampaignCellResult>& cell = done[group][member];
+      if (!cell) {
+        result.interrupted = true;
+        continue;
+      }
+      cell->grid_index = static_cast<int>(i);
+      journal_cell(*cell, i);
+      result.cells.push_back(std::move(*cell));
     }
-    const auto [group, member] = slot[i];
-    if (tasks[group].valid()) done[group] = tasks[group].get();
-    std::optional<CampaignCellResult>& cell = done[group][member];
-    if (!cell) {
-      result.interrupted = true;
-      continue;
+  } catch (...) {
+    failed = true;
+    for (auto& future : futures) {
+      if (future.valid()) future.wait();
     }
-    cell->grid_index = static_cast<int>(i);
-    journal_cell(*cell, i);
-    result.cells.push_back(std::move(*cell));
+    throw;
   }
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -216,8 +221,6 @@ std::string campaign_report_json(const CampaignResult& result) {
   // Emitted only for partial reports so complete runs — resumed or not —
   // stay byte-identical to the pre-journal format.
   if (result.interrupted) os << "    \"interrupted\": true,\n";
-  os << "    \"cell_workers\": " << result.split.campaign_workers << ",\n";
-  os << "    \"experiment_workers\": " << result.split.experiment_workers << ",\n";
   // The checkpoint knobs the campaign ran with (CLI: --no-checkpoints,
   // --checkpoint-budget-mb). Deliberately inside the checkpoint_* prefix:
   // the smoke diff masks that prefix when comparing checkpoint modes, and

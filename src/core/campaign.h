@@ -5,12 +5,12 @@
 // group: one Checker runs them back to back, so they share its profiling
 // runs, monitor model and root checkpoint store, while each cell keeps its
 // own strategy, BudgetClock and checkpoint tree. Groups share nothing
-// mutable, so the runner executes them concurrently on a cell-level
-// ThreadPool layered on top of each cell's in-process experiment pool, and
-// collects results in deterministic grid order. Every cell report is
-// bit-identical to a run of the same cell on a fresh Checker regardless of
-// either worker count (tests/test_oracle.cc; docs/PERFORMANCE.md has the
-// full contract).
+// mutable, so the runner executes them concurrently on one ThreadPool per
+// campaign, which also runs every group's profiling runs and experiments,
+// and collects results in deterministic grid order. Every cell report is
+// bit-identical to a run of the same cell on a fresh Checker at any pool
+// size and cap (tests/test_oracle.cc; docs/PERFORMANCE.md has the full
+// contract).
 #pragma once
 
 #include <compare>
@@ -96,7 +96,6 @@ struct CampaignCellResult {
 };
 
 struct CampaignResult {
-  util::WorkerBudget split;       // worker split the campaign actually ran with
   // Checkpoint knobs the cells ran with, echoed into the report JSON so an
   // archived report is self-describing.
   bool checkpoints_enabled = true;
@@ -155,10 +154,12 @@ struct CampaignResult {
 };
 
 struct CampaignOptions {
-  // Hardware budget divided between the two pool levels via
-  // util::split_worker_budget; an explicit cell_workers / experiment_workers
-  // (> 0) overrides the corresponding half of the split.
+  // Threads in the campaign's one pool, shared by its groups and their
+  // experiments.
   int total_workers = util::default_worker_count();
+  // Caps that only lower concurrency (0 = none): the groups in progress at
+  // once, and the parallel width a group's requests are sized for (1 runs
+  // its experiments inline on the group's thread; Checker::use_pool).
   int cell_workers = 0;
   int experiment_workers = 0;
   // Checkpointed prefix forking, per calibration group (each group's Checker
@@ -187,18 +188,14 @@ class CampaignRunner {
   explicit CampaignRunner(CampaignOptions options = {}) : options_(options) {}
 
   // Runs every cell of the grid and returns their results in grid order.
-  // The pool runs one task per calibration group, in order of each group's
-  // first cell. Exceptions thrown inside a cell (propagated through the
-  // pool's futures) surface on the calling thread; unregistered scenario
-  // names throw util::UnknownNameError before their group simulates.
+  // Groups start in order of their first cell. An exception thrown inside a
+  // cell stops every group before its next cell, and surfaces on the
+  // calling thread once all have stopped; unregistered scenario names throw
+  // util::UnknownNameError before their group simulates.
   CampaignResult run(const std::vector<CampaignCellSpec>& grid) const;
 
   // Convenience: expand a scenario grid and run it.
   CampaignResult run(const ScenarioGrid& grid) const { return run(expand_to_cells(grid)); }
-
-  // The worker split `run` uses for a grid with this many calibration
-  // groups (one cell-pool task each).
-  util::WorkerBudget worker_split(std::size_t groups) const;
 
  private:
   CampaignOptions options_;

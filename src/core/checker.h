@@ -1,6 +1,8 @@
 // The checker loop: drives one search strategy against one (firmware
 // personality, workload) pair under a budget, collecting every unsafe
 // condition found. This is the outer loop all of Tables II-V run through.
+// A Checker owns no threads: it runs inline, or on a pool it is handed
+// (core::CampaignRunner hands every group the campaign's one pool).
 #pragma once
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -129,11 +132,10 @@ class Checker {
   // by every campaign on this checker, so comparisons share the same model:
   // core::CampaignRunner runs each calibration group's cells (equal
   // core::prototype_key) back to back on one Checker. The profiling runs
-  // are independent, so they fan out over the experiment pool (when
-  // set_workers gave it more than one worker) and calibrate in seed order:
-  // the model is the same at every worker count. With checkpointing on, the
-  // golden run (run 0, at the experiments' own seed) also captures the
-  // cadence snapshots p_checkpoints builds the scenario's root from.
+  // fan out over the pool and calibrate in seed order: the model is the
+  // same at every pool size. With checkpointing on, the golden run (run 0,
+  // at the experiments' own seed) also captures the cadence snapshots
+  // p_checkpoints builds the scenario's root from.
   const MonitorModel& model() {
     if (!model_) {
       SnapshotCapture golden_capture;
@@ -147,10 +149,9 @@ class Checker {
         auto task = [this, capture, seed = prototype_.seed + static_cast<std::uint64_t>(i)] {
           return harness_.profile_run(prototype_, seed, capture);
         };
-        runs.push_back(pool_ ? pool_->submit(std::move(task))
-                             : std::async(std::launch::deferred, std::move(task)));
+        runs.push_back(p_submit(std::move(task)));
       }
-      for (auto& run : runs) run.wait();  // no run outlives a failed one
+      for (auto& run : runs) p_wait(run);  // no run outlives a failed one
       std::vector<ExperimentResult> profiling;
       for (auto& run : runs) profiling.push_back(run.get());
       model_ = MonitorModel::calibrate(std::move(profiling));
@@ -159,22 +160,18 @@ class Checker {
     return *model_;
   }
 
-  // Sizes the experiment pool this Checker owns for its whole life: model()
-  // profiles on it and run() farms experiments out to it. 1 (the default)
-  // means no pool, everything runs on the calling thread. Call it before
-  // model() for the profiling runs to fan out; the pool is rebuilt only for
-  // a different worker count.
-  void set_workers(int workers) {
-    if (workers <= 1) {
-      pool_.reset();
-    } else if (!pool_ || pool_->worker_count() != workers) {
-      pool_.emplace(workers);
-    }
+  // Runs model()'s profiling runs and run()'s experiments as tasks on
+  // `pool`, borrowed for those calls, with requests sized for `width`
+  // parallel experiments (0: the pool's size). A width of 1 or a null pool
+  // (the default) runs every plan inline on the calling thread.
+  void use_pool(util::ThreadPool* pool, int width = 0) {
+    width_ = pool == nullptr ? 1 : width > 0 ? width : pool->worker_count();
+    pool_ = width_ > 1 ? pool : nullptr;
   }
 
   static constexpr int kProfilingRuns = 3;
   // Strategy request size: run() asks for up to kRequestChunk plans at a
-  // time without a pool and for 2 x workers x kRequestChunk with one, capped
+  // time inline and for 2 x width x kRequestChunk on a pool, capped
   // at p_adaptive_width's estimate of how many experiments still fit the
   // budget. SABRE fills a request across expansion waves as long as
   // in-flight feedback cannot change them, so the cap is what keeps a
@@ -187,35 +184,87 @@ class Checker {
   // stalled (CheckerReport::stalled_runs).
   static constexpr sim::SimTimeMs kSettleMs = 45000;
 
-  // The checker loop, on the pool set_workers() sized (none: every plan
-  // runs on this thread when its result is due). Every plan of a request is
-  // its own task, and results are applied on this thread in proposal order.
-  // Budget charging, feedback() and UnsafeRecord collection are therefore
-  // single-threaded, so BudgetClock needs no locking and the report is
-  // bit-identical at every worker count to one-plan-at-a-time execution
-  // (strategies never hand out a plan that an earlier plan's feedback could
-  // have changed — SABRE crosses an expansion wave only when the next one
-  // is settled). If the budget exhausts mid-request, the remainder is
-  // discarded — exactly the experiments a serial run would never have
-  // started — and tasks that have not started yet skip their simulation.
-  // Discarded plans were already consumed from the strategy, so a strategy
-  // that went through a run should not be resumed with a fresh budget (no
-  // current caller does). See docs/PERFORMANCE.md.
+  // The checker loop. Every plan of a request is a pool task (inline: it
+  // runs on this thread when its result is due), and results are applied
+  // on this thread in proposal order, so BudgetClock needs no locking and
+  // the report is bit-identical at every pool size and width to
+  // one-plan-at-a-time execution (no strategy hands out a plan an earlier
+  // plan's feedback could have changed). If the budget exhausts
+  // mid-request, the remainder is discarded — exactly the experiments a
+  // serial run would never have started — and tasks that have not started
+  // yet skip their simulation; a strategy that went through a run should
+  // not be resumed with a fresh budget. While a request is in flight the
+  // checkpoint store is read-only: tree merges wait for its boundary.
+  // See docs/PERFORMANCE.md.
   CheckerReport run(InjectionStrategy& strategy, BudgetClock& budget) {
-    try {
-      return p_campaign(strategy, budget);
-    } catch (...) {
-      // Tasks of the failed request may still be queued or running against
-      // the checkpoint store; joining the pool (it drops unstarted tasks)
-      // keeps them away from the next campaign's clear_tree(). The pool is
-      // rebuilt at its size, so the next run keeps its workers.
-      if (pool_) {
-        const int workers = pool_->worker_count();
-        pool_.reset();
-        pool_.emplace(workers);
+    const MonitorModel& monitor = model();
+    const CheckpointStore* checkpoints = p_checkpoints(monitor);
+    // Per-campaign tree: every campaign over this checker starts from an
+    // empty tree so its hit counters (and plan recordings) are a function
+    // of the campaign alone, not of which strategies ran before it.
+    if (checkpoints_) checkpoints_->clear_tree();
+    const int capture_limit = checkpoints != nullptr ? strategy.chain_extension_limit() : 0;
+    const int request_width = pool_ ? 2 * width_ * kRequestChunk : kRequestChunk;
+    CheckerReport report;
+    report.strategy_name = strategy.name();
+    bool out_of_budget = false;
+    std::vector<PendingMerge> deferred;
+    while (!out_of_budget && !budget.exhausted()) {
+      std::vector<FaultPlan> plans =
+          strategy.next_batch(budget, p_adaptive_width(budget, request_width));
+      if (plans.empty()) break;
+      // Plans at or past this index are never applied; their tasks skip the
+      // simulation unless they already started.
+      std::atomic<std::size_t> discard_from = plans.size();
+      std::vector<std::future<Outcome>> outcomes;
+      outcomes.reserve(plans.size());
+      for (std::size_t i = 0; i < plans.size(); ++i) {
+        outcomes.push_back(p_submit([this, &monitor, checkpoints, capture_limit, &discard_from,
+                                     i, plan = plans[i]] {
+          Outcome out;
+          if (i >= discard_from.load(std::memory_order_relaxed)) return out;
+          out.result = harness_.run(p_make_spec(plan, monitor), &monitor, nullptr, checkpoints,
+                                    capture_limit, &out.captures);
+          return out;
+        }));
       }
-      throw;
+      try {
+        for (std::size_t i = 0; i < plans.size(); ++i) {
+          // Plan 0 is always applied: the serial loop runs and applies any
+          // plan next() returns, even when proposal-side charges (BFI's
+          // labels) crossed the budget limit while producing it. Later plans
+          // are discarded once the budget exhausts.
+          if (!out_of_budget && i > 0 && budget.exhausted()) {
+            out_of_budget = true;
+            discard_from.store(i, std::memory_order_relaxed);
+          }
+          p_wait(outcomes[i]);  // drain: a running task may still read the store
+          if (out_of_budget) continue;
+          Outcome out = outcomes[i].get();  // rethrows worker errors
+          p_apply(report, strategy, budget, plans[i], std::move(out.result), out.captures,
+                  deferred);
+        }
+      } catch (...) {
+        // A failed request drains before it unwinds: no task may outlive
+        // this frame or touch the store the next run's clear_tree() mutates.
+        discard_from.store(0, std::memory_order_relaxed);
+        for (auto& outcome : outcomes) {
+          if (outcome.valid()) p_wait(outcome);
+        }
+        throw;
+      }
+      // The request is fully drained: no task holds the store, so it can be
+      // mutated.
+      for (PendingMerge& merge : deferred) {
+        checkpoints_->merge_run(merge.plan, std::move(merge.snapshots), std::move(merge.trace),
+                                std::move(merge.transitions));
+      }
+      deferred.clear();
     }
+    report.labels = budget.labels();
+    report.budget_used_ms = budget.used_ms();
+    report.checkpoint_evicted = checkpoints != nullptr ? checkpoints->evicted() : 0;
+    return report;
   }
 
   // The scenario's checkpoint store (built on first use when enabled);
@@ -259,78 +308,6 @@ class Checker {
     std::vector<ExperimentSnapshot> captures;
   };
 
-  // The checker loop behind run() (no pool: each plan runs on this thread
-  // when its result is due). The checkpoint store is built on this thread
-  // before any plan runs; while a request is in flight the store is strictly
-  // read-only, and tree merges wait for the request's boundary, which is
-  // what lets the next wave's children resolve their parents' recordings
-  // without a worker ever observing a mutation.
-  CheckerReport p_campaign(InjectionStrategy& strategy, BudgetClock& budget) {
-    const MonitorModel& monitor = model();
-    const CheckpointStore* checkpoints = p_checkpoints(monitor);
-    // Per-campaign tree: every campaign over this checker starts from an
-    // empty tree so its hit counters (and plan recordings) are a function
-    // of the campaign alone, not of which strategies ran before it.
-    if (checkpoints_) checkpoints_->clear_tree();
-    const int capture_limit = checkpoints != nullptr ? strategy.chain_extension_limit() : 0;
-    const int request_width = pool_ ? 2 * pool_->worker_count() * kRequestChunk : kRequestChunk;
-    CheckerReport report;
-    report.strategy_name = strategy.name();
-    bool out_of_budget = false;
-    std::vector<PendingMerge> deferred;
-    while (!out_of_budget && !budget.exhausted()) {
-      std::vector<FaultPlan> plans =
-          strategy.next_batch(budget, p_adaptive_width(budget, request_width));
-      if (plans.empty()) break;
-      // Plans at or past this index are never applied; their tasks skip the
-      // simulation unless they already started. Shared with the tasks so it
-      // outlives this frame if an exception unwinds it mid-request.
-      auto discard_from = std::make_shared<std::atomic<std::size_t>>(plans.size());
-      std::vector<std::future<Outcome>> outcomes;
-      outcomes.reserve(plans.size());
-      for (std::size_t i = 0; i < plans.size(); ++i) {
-        auto task = [this, &monitor, checkpoints, capture_limit, discard_from, i,
-                     plan = plans[i]] {
-          Outcome out;
-          if (i >= discard_from->load(std::memory_order_relaxed)) return out;
-          out.result = harness_.run(p_make_spec(plan, monitor), &monitor, nullptr, checkpoints,
-                                    capture_limit, &out.captures);
-          return out;
-        };
-        outcomes.push_back(pool_ ? pool_->submit(std::move(task))
-                                 : std::async(std::launch::deferred, std::move(task)));
-      }
-      for (std::size_t i = 0; i < plans.size(); ++i) {
-        // Plan 0 is always applied: the serial loop runs and applies any
-        // plan next() returns, even when proposal-side charges (BFI's
-        // labels) crossed the budget limit while producing it. Later plans
-        // are discarded once the budget exhausts.
-        if (!out_of_budget && i > 0 && budget.exhausted()) {
-          out_of_budget = true;
-          discard_from->store(i, std::memory_order_relaxed);
-        }
-        if (out_of_budget) {
-          outcomes[i].wait();  // drain: a running task may still read the store
-          continue;
-        }
-        Outcome out = outcomes[i].get();  // rethrows worker errors
-        p_apply(report, strategy, budget, plans[i], std::move(out.result), out.captures,
-                deferred);
-      }
-      // The request is fully drained: no task holds the store, so it can be
-      // mutated.
-      for (PendingMerge& merge : deferred) {
-        checkpoints_->merge_run(merge.plan, std::move(merge.snapshots), std::move(merge.trace),
-                                std::move(merge.transitions));
-      }
-      deferred.clear();
-    }
-    report.labels = budget.labels();
-    report.budget_used_ms = budget.used_ms();
-    report.checkpoint_evicted = checkpoints != nullptr ? checkpoints->evicted() : 0;
-    return report;
-  }
-
   // Budget-aware request sizing: a full request proposed just before the
   // budget exhausts runs experiments whose results the discard rule throws
   // away — pure wall-clock waste, and a no-injection control plan at a
@@ -347,6 +324,16 @@ class Checker {
     const sim::SimTimeMs fit = (budget.remaining_ms() + avg - 1) / avg;
     return std::clamp(static_cast<int>(std::min<sim::SimTimeMs>(fit, width)), 1, width);
   }
+
+  // A task on the pool, or deferred to its first wait on this thread.
+  template <typename F>
+  std::future<std::invoke_result_t<F>> p_submit(F&& task) {
+    return pool_ ? pool_->submit(std::forward<F>(task))
+                 : std::async(std::launch::deferred, std::forward<F>(task));
+  }
+  // On a pool worker, runs queued experiments while it waits.
+  template <typename T>
+  void p_wait(const std::future<T>& task) const { pool_ ? pool_->wait(task) : task.wait(); }
 
   ExperimentSpec p_make_spec(const FaultPlan& plan, const MonitorModel& monitor) const {
     ExperimentSpec spec = prototype_;
@@ -382,7 +369,7 @@ class Checker {
   }
 
   // One finished directed run waiting to be merged into the checkpoint
-  // tree at the request boundary (p_campaign defers merges so in-flight
+  // tree at the request boundary (run() defers merges so in-flight
   // runs only ever read the store).
   struct PendingMerge {
     FaultPlan plan;
@@ -445,9 +432,8 @@ class Checker {
   // builds the root out of them.
   std::optional<SnapshotCapture> golden_capture_;
   std::optional<CheckpointStore> checkpoints_;
-  // Last member: destroyed (joined) first, while everything its tasks
-  // reference is still alive.
-  std::optional<util::ThreadPool> pool_;
+  util::ThreadPool* pool_ = nullptr;  // borrowed (use_pool); null runs inline
+  int width_ = 1;
 };
 
 }  // namespace avis::core

@@ -1,7 +1,7 @@
 // Campaign-level execution (docs/PERFORMANCE.md, "Campaign-level
-// parallelism"): the worker split, the JSON report, refusing a resume
-// against a drifted grid, loud failures for unknown approaches, and which
-// cells share a calibration. That every cell reports what a fresh serial
+// parallelism"): the JSON report, refusing a resume against a drifted grid,
+// loud failures for unknown approaches, which cells share a calibration,
+// and the one pool every group and experiment runs on. That every cell reports what a fresh serial
 // run of it reports — at any split, grouped, interrupted or resumed — is
 // the differential oracle's (tests/test_oracle.cc).
 #include <gtest/gtest.h>
@@ -14,13 +14,13 @@
 #include <condition_variable>
 #include <filesystem>
 #include <mutex>
+#include <set>
 
 #include "core/campaign.h"
 #include "core/journal.h"
 #include "core/scenario.h"
 #include "test_helpers.h"
 #include "util/checked.h"
-#include "util/concurrency.h"
 #include "util/json.h"
 #include "workload/registry.h"
 
@@ -50,78 +50,6 @@ std::vector<core::CampaignCellSpec> test_grid() {
   return grid;
 }
 
-TEST(WorkerBudget, SplitNeverOversubscribes) {
-  for (int total = 1; total <= 16; ++total) {
-    for (int cells = 1; cells <= 24; ++cells) {
-      const util::WorkerBudget split = util::split_worker_budget(total, cells);
-      EXPECT_GE(split.campaign_workers, 1);
-      EXPECT_GE(split.experiment_workers, 1);
-      EXPECT_LE(split.campaign_workers, cells);
-      EXPECT_LE(split.campaign_workers * split.experiment_workers, std::max(total, 1))
-          << "total=" << total << " cells=" << cells;
-    }
-  }
-}
-
-TEST(WorkerBudget, FavoursCellsThenExperiments) {
-  // 8 workers, 4 cells: all four cells run concurrently with 2 experiment
-  // workers each.
-  const util::WorkerBudget split = util::split_worker_budget(8, 4);
-  EXPECT_EQ(split.campaign_workers, 4);
-  EXPECT_EQ(split.experiment_workers, 2);
-  // More cells than workers: one worker per cell, serial experiments.
-  const util::WorkerBudget wide = util::split_worker_budget(4, 16);
-  EXPECT_EQ(wide.campaign_workers, 4);
-  EXPECT_EQ(wide.experiment_workers, 1);
-  // Degenerate inputs clamp instead of dividing by zero.
-  const util::WorkerBudget degenerate = util::split_worker_budget(0, 0);
-  EXPECT_EQ(degenerate.campaign_workers, 1);
-  EXPECT_EQ(degenerate.experiment_workers, 1);
-}
-
-TEST(WorkerBudget, SingleSidedOverrideRederivesTheOtherHalf) {
-  // Pinning one half of the split must not oversubscribe the budget: the
-  // free half is re-derived from what the pinned one leaves over.
-  core::CampaignOptions options;
-  options.total_workers = 8;
-  options.experiment_workers = 4;
-  EXPECT_EQ(core::CampaignRunner(options).worker_split(16).campaign_workers, 2);
-
-  core::CampaignOptions by_cells;
-  by_cells.total_workers = 8;
-  by_cells.cell_workers = 2;
-  EXPECT_EQ(core::CampaignRunner(by_cells).worker_split(16).experiment_workers, 4);
-
-  // Both pinned: the caller owns the thread count verbatim.
-  core::CampaignOptions pinned;
-  pinned.total_workers = 2;
-  pinned.cell_workers = 3;
-  pinned.experiment_workers = 2;
-  const util::WorkerBudget split = core::CampaignRunner(pinned).worker_split(16);
-  EXPECT_EQ(split.campaign_workers, 3);
-  EXPECT_EQ(split.experiment_workers, 2);
-}
-
-// The cell pool runs one task per calibration group, so the default split
-// divides the budget by groups: 4 cells in 2 groups on 4 workers run 2
-// groups at a time with 2 experiment workers each, not 4 x 1 with two
-// workers idle.
-TEST(WorkerBudget, DefaultSplitCountsCalibrationGroups) {
-  core::ScenarioGrid scenarios;
-  scenarios.approaches = {"avis", "random"};
-  scenarios.personalities = {"ardupilot"};
-  scenarios.workloads = {"box-manual", "auto"};
-  scenarios.budget_ms = 20000;
-  const auto grid = core::expand_to_cells(scenarios);  // groups {0, 2} and {1, 3}
-  ASSERT_EQ(grid.size(), 4u);
-  core::CampaignOptions options;
-  options.total_workers = 4;
-  const core::CampaignResult result = core::CampaignRunner(options).run(grid);
-  ASSERT_EQ(result.cells.size(), 4u);
-  EXPECT_EQ(result.split.campaign_workers, 2);
-  EXPECT_EQ(result.split.experiment_workers, 2);
-}
-
 TEST(Campaign, JsonReportCarriesPerCellMetrics) {
   const auto grid = test_grid();
   core::CampaignOptions options;
@@ -131,7 +59,6 @@ TEST(Campaign, JsonReportCarriesPerCellMetrics) {
   const std::string json = core::campaign_report_json(result);
 
   EXPECT_NE(json.find("\"cells\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"cell_workers\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"approach\": \"Avis\""), std::string::npos);
   EXPECT_NE(json.find("\"approach\": \"Random\""), std::string::npos);
   EXPECT_NE(json.find("\"experiments\": "), std::string::npos);
@@ -281,7 +208,7 @@ TEST(Campaign, SamePrototypeCellsShareOneCalibration) {
   std::sort(reinserted.begin(), reinserted.end());
   EXPECT_EQ(key(grid[4]).bugs, reinserted);
 
-  // Four groups, each first cell (0, 2, 3, 4) on its own cell worker.
+  // Four groups, each first cell (0, 2, 3, 4) on its own pool thread.
   std::vector<const core::MonitorModel*> seen(grid.size(), nullptr);
   Rendezvous meet(4);
   for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -290,6 +217,7 @@ TEST(Campaign, SamePrototypeCellsShareOneCalibration) {
         recording(grid[i].make_strategy, &seen[i], first ? &meet : nullptr);
   }
   core::CampaignOptions options;
+  options.total_workers = 4;
   options.cell_workers = 4;
   options.experiment_workers = 1;
   const core::CampaignResult result = core::CampaignRunner(options).run(grid);
@@ -331,6 +259,110 @@ TEST(Campaign, UnknownApproachInGroupFailsBeforeProfiling) {
   grid[1].scenario.approach = "random";
   core::CampaignRunner().run(grid);
   EXPECT_GT(g_counted_workloads.load(), 3);
+}
+
+// --- The campaign's pool ---------------------------------------------------
+
+// The threads of every simulation: the workload is constructed on the
+// thread that runs it. A thread-local serial, unlike std::thread::id, is
+// never reused by a later thread.
+std::mutex g_threads_mutex;
+std::set<int> g_simulation_threads;
+std::atomic<int> g_thread_serials{0};
+
+int thread_serial() {
+  thread_local const int serial = g_thread_serials.fetch_add(1);
+  return serial;
+}
+
+// Three calibration groups (calm, breeze, gusty) of one cell each, on a
+// box-manual workload that records its threads.
+std::vector<core::CampaignCellSpec> recorded_grid() {
+  auto& workloads = workload::workload_registry();
+  if (!workloads.contains("threads-box-manual")) {
+    workloads.add("threads-box-manual", "box-manual, recording its threads", [] {
+      {
+        std::lock_guard lock(g_threads_mutex);
+        g_simulation_threads.insert(thread_serial());
+      }
+      return workload::workload_registry().at("box-manual").factory();
+    });
+  }
+  core::ScenarioGrid grid;
+  grid.approaches = {"avis"};
+  grid.personalities = {"ardupilot"};
+  grid.workloads = {"threads-box-manual"};
+  grid.environments = {"calm", "breeze", "gusty"};
+  grid.budget_ms = 60000;
+  return core::expand_to_cells(grid);
+}
+
+// One group at a time with requests sized for 4 experiments: every
+// group's profiling runs and experiments share the campaign's 4 threads.
+TEST(Campaign, SimulationsRunOnTheCampaignPool) {
+  const auto grid = recorded_grid();
+  {
+    std::lock_guard lock(g_threads_mutex);
+    g_simulation_threads.clear();
+  }
+  core::CampaignOptions options;
+  options.total_workers = 4;
+  options.cell_workers = 1;
+  options.experiment_workers = 4;
+  const core::CampaignResult result = core::CampaignRunner(options).run(grid);
+  ASSERT_EQ(result.cells.size(), 3u);
+  std::lock_guard lock(g_threads_mutex);
+  EXPECT_LE(g_simulation_threads.size(), 4u + 1u) << "threads outside the campaign's pool";
+}
+
+// Marks, per thread, the strategy whose request is in flight there. A group
+// started inside another group's wait would issue its own request on that
+// thread before the waiting group's feedback arrives.
+thread_local const core::InjectionStrategy* t_request_owner = nullptr;
+std::atomic<int> g_nested_requests{0};
+
+class NestingProbe final : public core::InjectionStrategy {
+ public:
+  explicit NestingProbe(std::unique_ptr<core::InjectionStrategy> inner)
+      : inner_(std::move(inner)) {}
+
+  std::optional<core::FaultPlan> next(core::BudgetClock& budget) override {
+    return inner_->next(budget);
+  }
+  std::vector<core::FaultPlan> next_batch(core::BudgetClock& budget, int max_plans) override {
+    t_request_owner = this;
+    return inner_->next_batch(budget, max_plans);
+  }
+  void feedback(const core::FaultPlan& plan, const core::ExperimentResult& result) override {
+    if (t_request_owner != this) g_nested_requests.fetch_add(1);
+    inner_->feedback(plan, result);
+  }
+  int chain_extension_limit() const override { return inner_->chain_extension_limit(); }
+  const char* name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<core::InjectionStrategy> inner_;
+};
+
+// Fewer threads than groups, so every thread runs groups and every wait
+// runs queued experiments: none of them may start another group.
+TEST(Campaign, GroupsNeverNestOnOneThread) {
+  auto grid = group_grid();  // 4 groups
+  for (auto& cell : grid) {
+    cell.make_strategy = [inner = cell.make_strategy](const core::MonitorModel& model,
+                                                      std::uint64_t seed) {
+      return std::make_unique<NestingProbe>(inner(model, seed));
+    };
+  }
+  for (const int total : {1, 2}) {
+    g_nested_requests = 0;
+    core::CampaignOptions options;
+    options.total_workers = total;
+    options.experiment_workers = 3;  // pooled even on one thread
+    const core::CampaignResult result = core::CampaignRunner(options).run(grid);
+    ASSERT_EQ(result.cells.size(), grid.size());
+    EXPECT_EQ(g_nested_requests.load(), 0) << "total_workers " << total;
+  }
 }
 
 }  // namespace

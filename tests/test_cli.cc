@@ -8,7 +8,8 @@
 // if/else parser before it: each expected line was captured from that
 // build. kChanged rows pin the deliberate changes: strict numbers, a
 // missing value that names its flag, parsing before acting, and at most
-// one document on stdout. Every bad flag exits 2 before any simulation.
+// one document on stdout, and the retired worker-split flags. Every bad flag
+// exits 2 before any simulation.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -97,13 +98,8 @@ const Row kContract[] = {
      "bad numeric value for --checkpoint-interval-ms: 99999999999999999999"},
     {"--workers 0 --quiet", 2, "--workers must be in [1, 2147483647] (got 0)"},
     {"--workers -3 --quiet", 2, "--workers must be in [1, 2147483647] (got -3)"},
-    {"--experiment-workers -2 --quiet", 2,
-     "--experiment-workers must be in [0, 2147483647] (got -2)"},
-    {"--cell-workers -1 --quiet", 2, "--cell-workers must be in [0, 2147483647] (got -1)"},
     {"--workers 4294967297 --quiet", 2,
      "--workers must be in [1, 2147483647] (got 4294967297)"},
-    {"--experiment-workers 2147483648 --quiet", 2,
-     "--experiment-workers must be in [0, 2147483647] (got 2147483648)"},
     {"--checkpoint-budget-mb 17592186044416 --quiet", 2,
      "--checkpoint-budget-mb must be in [1, 17592186044415] (got 17592186044416)"},
     {"--checkpoint-budget-mb 0", 2,
@@ -182,6 +178,10 @@ const Row kChanged[] = {
     {"--fuzz 1 --fuzz-corpus - --fuzz-report -", 2,
      "--fuzz-corpus and --fuzz-report both write to stdout ('-'); send at most one document "
      "there"},
+    // The split flags are gone: the campaign runs on one pool of --workers.
+    {"--experiment-workers -2 --quiet", 2, "unknown option: --experiment-workers"},
+    {"--cell-workers -1 --quiet", 2, "unknown option: --cell-workers"},
+    {"--experiment-workers 2147483648 --quiet", 2, "unknown option: --experiment-workers"},
     // The bug-population listing names the re-inserted-bug selectors.
     {"--bugs nope", 2,
      "--bugs: unknown bug population: 'nope' registered bug populations are: current, "

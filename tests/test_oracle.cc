@@ -5,9 +5,10 @@
 // One table of rows over one small grid. A row is one combination of
 // execution mode (Checker::run on a reused Checker, CampaignRunner, a
 // journaled campaign then --resume, a campaign read back from its dumped
-// ScenarioGrid document), checkpoint config, campaign split (cell workers x
-// experiment workers) and interruption (a stop request at three points, a
-// strategy or a workload throwing mid-request). One function, run_row, runs
+// ScenarioGrid document), checkpoint config, pool size and caps (groups in
+// progress x experiment width) and interruption (a stop request at three
+// points, a strategy or a workload throwing mid-request, in a campaign
+// while other groups share the pool). One function, run_row, runs
 // every row, and its cell reports must equal, field for field and checkpoint
 // counters included, one reference per (cell, checkpoint config): the cell
 // run one plan per request — every plan proposed after the feedback of all
@@ -254,8 +255,9 @@ struct Row {
   const char* name;
   Mode mode;
   Config config;
-  int cell_workers;  // campaign modes; kChecker has no cell pool
-  int workers;       // experiment workers per Checker
+  int total;           // pool size: the campaign's, or a kChecker row's Checker's
+  int cell_cap;        // campaign modes: CampaignOptions::cell_workers
+  int experiment_cap;  // campaign modes: CampaignOptions::experiment_workers
   Interruption interruption;
   std::vector<std::size_t> cells;
 };
@@ -266,31 +268,44 @@ const std::vector<Row>& rows() {
   using enum Interruption;
   static const std::vector<Row> table = {
       // First on each SABRE prototype: its Checker profiles on a pool.
-      {"sabre_w4", kChecker, kDefault, 0, 4, kNone, kSabreCells},
-      {"sabre_w1", kChecker, kDefault, 0, 1, kNone, {kSabreApAuto, kShortPxBox}},
-      {"sabre_w2", kChecker, kDefault, 0, 2, kNone, {kSabreApBox, kShortPxAuto}},
-      {"sabre_w3", kChecker, kDefault, 0, 3, kNone, {kSabrePxAuto, kShortApBox}},
-      {"sabre_w8", kChecker, kDefault, 0, 8, kNone, {kSabrePxBox, kShortApAuto}},
-      {"baselines_w4", kChecker, kDefault, 0, 4, kNone, kBaselineCells},
-      {"baselines_w1", kChecker, kDefault, 0, 1, kNone, kBaselineCells},
-      {"checkpoints_off_w3", kChecker, kOff, 0, 3, kNone, {kSabreApAuto}},
-      {"budget_512k_w2", kChecker, kBudget512K, 0, 2, kNone, {kCustomSabreAuto}},
-      {"feedback_throws_w1", kChecker, kDefault, 0, 1, kFeedbackThrows, {kShortApBox}},
-      {"feedback_throws_w4", kChecker, kDefault, 0, 4, kFeedbackThrows, {kShortApBox}},
-      {"workload_throws_w1", kChecker, kDefault, 0, 1, kWorkloadThrows, {kArmed}},
-      {"workload_throws_w4", kChecker, kDefault, 0, 4, kWorkloadThrows, {kArmed}},
-      {"custom_factories_3x2", kCampaign, kDefault, 3, 2, kNone,
+      {"sabre_w4", kChecker, kDefault, 4, 0, 0, kNone, kSabreCells},
+      {"sabre_w1", kChecker, kDefault, 1, 0, 0, kNone, {kSabreApAuto, kShortPxBox}},
+      {"sabre_w2", kChecker, kDefault, 2, 0, 0, kNone, {kSabreApBox, kShortPxAuto}},
+      {"sabre_w3", kChecker, kDefault, 3, 0, 0, kNone, {kSabrePxAuto, kShortApBox}},
+      {"sabre_w8", kChecker, kDefault, 8, 0, 0, kNone, {kSabrePxBox, kShortApAuto}},
+      {"baselines_w4", kChecker, kDefault, 4, 0, 0, kNone, kBaselineCells},
+      {"baselines_w1", kChecker, kDefault, 1, 0, 0, kNone, kBaselineCells},
+      {"checkpoints_off_w3", kChecker, kOff, 3, 0, 0, kNone, {kSabreApAuto}},
+      {"budget_512k_w2", kChecker, kBudget512K, 2, 0, 0, kNone, {kCustomSabreAuto}},
+      {"feedback_throws_w1", kChecker, kDefault, 1, 0, 0, kFeedbackThrows, {kShortApBox}},
+      {"feedback_throws_w4", kChecker, kDefault, 4, 0, 0, kFeedbackThrows, {kShortApBox}},
+      {"workload_throws_w1", kChecker, kDefault, 1, 0, 0, kWorkloadThrows, {kArmed}},
+      {"workload_throws_w4", kChecker, kDefault, 4, 0, 0, kWorkloadThrows, {kArmed}},
+      {"custom_factories_t6_3x2", kCampaign, kDefault, 6, 3, 2, kNone,
        {kCustomSabreAuto, kCustomRandomAuto, kCustomSabreBox, kCustomRandomBox}},
-      {"groups_1x1", kCampaign, kDefault, 1, 1, kNone, kGroupCells},
-      {"groups_3x1", kCampaign, kDefault, 3, 1, kNone, kGroupCells},
-      {"groups_budget_16k_1x1", kCampaign, kBudget16K, 1, 1, kNone,
+      {"groups_t1_1x1", kCampaign, kDefault, 1, 1, 1, kNone, kGroupCells},
+      {"groups_t3_3x1", kCampaign, kDefault, 3, 3, 1, kNone, kGroupCells},
+      // Fewer threads than groups: groups wait on experiments that the
+      // pool's other groups, or the waiting thread itself, run.
+      {"groups_t2_uncapped", kCampaign, kDefault, 2, 0, 0, kNone, kGroupCells},
+      {"three_groups_t1_uncapped", kCampaign, kDefault, 1, 0, 0, kNone,
+       {kCustomSabreAuto, kCustomSabreBox, kMissSeed}},
+      {"three_groups_t1_x3", kCampaign, kDefault, 1, 0, 3, kNone,
+       {kCustomSabreAuto, kCustomSabreBox, kMissSeed}},
+      // One group fails while another shares the pool.
+      {"group_feedback_throws_t2", kCampaign, kDefault, 2, 0, 0, kFeedbackThrows,
+       {kShortApBox, kShortPxAuto}},
+      {"group_workload_throws_t2", kCampaign, kDefault, 2, 0, 0, kWorkloadThrows,
+       {kArmed, kShortPxAuto}},
+      {"groups_budget_16k_t1_1x1", kCampaign, kBudget16K, 1, 1, 1, kNone,
        {kCustomSabreAuto, kCustomRandomAuto}},
-      {"document_1x1", kDocument, kDefault, 1, 1, kNone, {kSabreApAuto, kRandom}},
+      {"document_t1_1x1", kDocument, kDefault, 1, 1, 1, kNone, {kSabreApAuto, kRandom}},
       // Every report read back from the journal, unsafe records included.
-      {"journal_round_trip_1x2", kResume, kDefault, 1, 2, kNone, {kSabreApAuto}},
-      {"stop_after_first_cell_1x2", kResume, kDefault, 1, 2, kStopAfterFirstCell, kTinyCells},
-      {"stop_before_start_2x1", kResume, kDefault, 2, 1, kStopBeforeStart, kTinyCells},
-      {"stop_inside_group_2x1", kResume, kDefault, 2, 1, kStopInsideGroup, kTinyCells},
+      {"journal_round_trip_t2_1x2", kResume, kDefault, 2, 1, 2, kNone, {kSabreApAuto}},
+      {"stop_after_first_cell_t2_1x2", kResume, kDefault, 2, 1, 2, kStopAfterFirstCell,
+       kTinyCells},
+      {"stop_before_start_t2_2x1", kResume, kDefault, 2, 2, 1, kStopBeforeStart, kTinyCells},
+      {"stop_inside_group_t2_2x1", kResume, kDefault, 2, 2, 1, kStopInsideGroup, kTinyCells},
   };
   return table;
 }
@@ -377,9 +392,18 @@ void expect_models_equal(const core::MonitorModel& serial, const core::MonitorMo
   }
 }
 
+// The kChecker rows' pools, one per size, kept for the whole test: a
+// Checker borrows its pool, and the cached Checkers outlive each row.
+util::ThreadPool* checker_pool(int workers) {
+  static std::map<int, std::unique_ptr<util::ThreadPool>> pools;
+  auto& pool = pools[workers];
+  if (!pool) pool = std::make_unique<util::ThreadPool>(workers);
+  return pool.get();
+}
+
 // One Checker per (prototype, config), shared by every kChecker row, so
-// cells run back to back on it across worker counts and failed runs. A new
-// one is sized before model(): its profiling fans out at workers > 1.
+// cells run back to back on it across pool sizes and failed runs. A new
+// one gets its pool before model(): its profiling fans out at sizes > 1.
 core::Checker& shared_checker(std::size_t index, const Row& row) {
   static std::map<std::pair<core::PrototypeKey, Config>, std::unique_ptr<core::Checker>> cache;
   const core::CampaignCellSpec& cell = grid()[index];
@@ -389,7 +413,7 @@ core::Checker& shared_checker(std::size_t index, const Row& row) {
     checker = std::make_unique<core::Checker>(core::scenario_prototype(cell.scenario),
                                               checkpoint_config(row.config));
   }
-  checker->set_workers(row.workers);
+  checker->use_pool(checker_pool(row.total));
   if (fresh) expect_models_equal(reference(index, Config::kDefault).model, checker->model());
   return *checker;
 }
@@ -425,7 +449,7 @@ core::CampaignResult drive_checker(const Row& row) {
     core::CampaignCellResult& cell = result.cells.emplace_back();
     cell.spec = spec;
     cell.report = checker.run(strategy, budget);
-    if (spec.scenario.budget_ms == kMidRequestMs && row.workers > 1) {
+    if (spec.scenario.budget_ms == kMidRequestMs && row.total > 1) {
       EXPECT_GT(strategy.proposed(), cell.report.experiments)
           << "the budget did not exhaust mid-request";
     }
@@ -441,8 +465,9 @@ std::vector<core::CampaignCellSpec> cells_of(const Row& row) {
 
 core::CampaignOptions campaign_options(const Row& row) {
   core::CampaignOptions options;
-  options.cell_workers = row.cell_workers;
-  options.experiment_workers = row.workers;
+  options.total_workers = row.total;
+  options.cell_workers = row.cell_cap;
+  options.experiment_workers = row.experiment_cap;
   options.checkpoints = checkpoint_config(row.config);
   return options;
 }
@@ -450,8 +475,6 @@ core::CampaignOptions campaign_options(const Row& row) {
 core::CampaignResult run_campaign(const Row& row,
                                   const std::vector<core::CampaignCellSpec>& cells) {
   core::CampaignResult result = core::CampaignRunner(campaign_options(row)).run(cells);
-  EXPECT_EQ(result.split.campaign_workers, row.cell_workers);
-  EXPECT_EQ(result.split.experiment_workers, row.workers);
   EXPECT_GT(result.wall_seconds, 0.0);
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     EXPECT_EQ(result.cells[i].grid_index, static_cast<int>(i));
@@ -489,7 +512,6 @@ core::CampaignResult drive_document(const Row& row) {
   core::CampaignResult result = run_campaign(row, cells);
   // The JSON reports agree line for line once wall-clock lines are dropped.
   core::CampaignResult expected = expected_campaign(row);
-  expected.split = result.split;
   expected.checkpoints_enabled = result.checkpoints_enabled;
   expected.checkpoint_budget_bytes = result.checkpoint_budget_bytes;
   EXPECT_EQ(report_without_timing(expected), report_without_timing(result));
@@ -565,10 +587,29 @@ core::CampaignResult drive_resume(const Row& row) {
   return resumed;
 }
 
+// A campaign whose first group fails — its strategy's feedback or its
+// workload throws — while the other groups share the pool: the error
+// reaches the caller, and a re-run on the same options runs clean.
+core::CampaignResult drive_failed_campaign(const Row& row) {
+  std::vector<core::CampaignCellSpec> cells = cells_of(row);
+  if (row.interruption == Interruption::kFeedbackThrows) {
+    cells.front().make_strategy = [cell = cells.front()](const core::MonitorModel& model,
+                                                         std::uint64_t) {
+      return std::make_unique<Probe>(strategy_of(cell, model), false, /*throw_at=*/3);
+    };
+  }
+  g_workload_armed = row.interruption == Interruption::kWorkloadThrows;
+  EXPECT_THROW(core::CampaignRunner(campaign_options(row)).run(cells), std::runtime_error);
+  g_workload_armed = false;
+  return run_campaign(row, cells_of(row));
+}
+
 core::CampaignResult run_row(const Row& row) {
   switch (row.mode) {
     case Mode::kChecker: return drive_checker(row);
-    case Mode::kCampaign: return run_campaign(row, cells_of(row));
+    case Mode::kCampaign:
+      return row.interruption == Interruption::kNone ? run_campaign(row, cells_of(row))
+                                                     : drive_failed_campaign(row);
     case Mode::kResume: return drive_resume(row);
     case Mode::kDocument: return drive_document(row);
   }

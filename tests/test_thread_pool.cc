@@ -1,4 +1,5 @@
-// ThreadPool: task completion, exception propagation, shutdown semantics.
+// ThreadPool: task completion, exception propagation, waits that run leaf
+// tasks, shutdown semantics.
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -7,6 +8,7 @@
 #include <chrono>
 #include <future>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -79,6 +81,35 @@ TEST(ThreadPool, DestructionMidQueueDoesNotDeadlock) {
   }
   EXPECT_EQ(completed + abandoned, 16);
   EXPECT_EQ(completed, ran.load());
+}
+
+// The one worker is busy with the outer task, so only the wait itself can
+// run the subtask: without it this deadlocks.
+TEST(ThreadPool, WaitOnOneWorkerRunsTheSubtask) {
+  ThreadPool pool(1);
+  auto outer = pool.submit_outer([&pool] {
+    auto sub = pool.submit([] { return std::this_thread::get_id(); });
+    pool.wait(sub);
+    return sub.get() == std::this_thread::get_id();
+  });
+  EXPECT_TRUE(outer.get());
+}
+
+// A waiting worker runs leaf tasks only: a queued outer task waits for an
+// idle worker instead of nesting inside the waiting one.
+TEST(ThreadPool, WaitNeverStartsAnOuterTask) {
+  ThreadPool pool(1);
+  std::atomic<bool> second_started{false};
+  std::future<void> second;
+  auto first = pool.submit_outer([&] {
+    second = pool.submit_outer([&second_started] { second_started = true; });
+    auto sub = pool.submit([] {});
+    pool.wait(sub);
+    return second_started.load();
+  });
+  EXPECT_FALSE(first.get());
+  second.get();  // the worker runs it once the first is done
+  EXPECT_TRUE(second_started.load());
 }
 
 TEST(ThreadPool, RejectsZeroWorkers) {

@@ -235,12 +235,8 @@ std::vector<Flag> p_flags(Cli& cli) {
       {"--seed", "N", kGrid, "checker seed per cell (default 100)", seed(grid.seed)},
       {"--scenario-file", "FILE", kRun, "run a ScenarioGrid JSON file, not the grid flags",
        path(cli.scenario_file)},
-      {"--workers", "N", kRun, "total hardware budget for the worker split",
+      {"--workers", "N", kRun, "threads in the campaign's pool",
        integer(run.total_workers, 1, INT_MAX)},
-      {"--cell-workers", "N", kRun, "override: cells run concurrently (0 = derive)",
-       integer(run.cell_workers, 0, INT_MAX)},
-      {"--experiment-workers", "N", kRun, "override: experiment pool size per cell (0 = derive)",
-       integer(run.experiment_workers, 0, INT_MAX)},
       {"--no-checkpoints", nullptr, kRun, "disable prefix forking (A/B timing; same report)",
        set(checkpoints.enabled, false)},
       {"--checkpoint-interval-ms", "N", kRun, "snapshot cadence for the prefix run (default 1000)",
@@ -411,8 +407,9 @@ int p_explain(const core::FaultPlan& plan, const std::vector<core::CampaignCellS
   const core::ScenarioSpec& scenario = grid.front().scenario;
   core::CheckpointConfig cold;
   cold.enabled = false;
+  util::ThreadPool pool(std::min(workers, core::Checker::kProfilingRuns));
   core::Checker checker(core::scenario_prototype(scenario), cold);
-  checker.set_workers(std::min(workers, core::Checker::kProfilingRuns));
+  checker.use_pool(&pool);
   std::map<sim::SimTimeMs, geo::Vec3> estimate;  // by sample time
   core::SimulationHarness harness;
   // The hook sees the world after the step that ends at t: the sample at t - 1.
@@ -671,7 +668,7 @@ int main(int argc, char** argv) {
             cell.experiments_per_sec());
     }
     t.render(text);
-    bench::print_campaign_footer(text, result);
+    bench::print_campaign_footer(text, result, cli.campaign.total_workers);
   }
 
   if (!p_write_document(cli.out, core::campaign_report_json(result), "JSON report", text,

@@ -28,7 +28,6 @@ import sys
 GATED = [
     "BM_SingleExperiment",
     "BM_CheckerSetup",
-    "BM_CheckerCampaign/1/process_time/real_time",
     "BM_CheckerCampaign2h/1/process_time/real_time",
 ]
 
