@@ -42,7 +42,7 @@ static void BM_SimulatorStepAirborne(benchmark::State& state) {
     state.SkipWithError("the recorded vehicle is not airborne");
     return;
   }
-  const sim::Simulator::Snapshot airborne = flight.save();
+  const sim::Simulator::State airborne = flight.save();
   std::vector<sim::MotorCommands> commands;
   for (int i = 0; i < 1000; ++i) {
     commands.push_back(context.firmware->step(flight.now_ms(), flight.state()));

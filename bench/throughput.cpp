@@ -60,7 +60,7 @@ static void BM_SingleExperiment(benchmark::State& state) {
   }
   state.SetItemsProcessed(experiments);
 }
-BENCHMARK(BM_SingleExperiment)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SingleExperiment)->Unit(benchmark::kMillisecond)->MinTime(0.5);
 
 // Scenario set-up, the fixed cost every campaign cell pays before its first
 // experiment: a fresh Checker for ardupilot/fence-mission runs its

@@ -80,7 +80,7 @@ struct CampaignCellResult {
   // from a resumed journal carry no strategy object.
   std::unique_ptr<InjectionStrategy> strategy;
   // The cell's own wall time. The first cell of a calibration group also
-  // carries the group's profiling runs and prefix recording; later cells
+  // carries the group's profiling runs and the checkpoint root; later cells
   // time only their own campaign.
   double wall_seconds = 0.0;
 

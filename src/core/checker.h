@@ -140,7 +140,7 @@ class Checker {
     if (!model_) {
       SnapshotCapture golden_capture;
       if (checkpoint_config_.enabled) {
-        golden_capture = plan_root_capture(checkpoint_config_, prototype_.max_duration_ms);
+        golden_capture = plan_root_capture(prototype_.max_duration_ms);
       }
       std::vector<std::future<ExperimentResult>> runs;
       for (int i = 0; i < kProfilingRuns; ++i) {

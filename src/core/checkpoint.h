@@ -55,16 +55,17 @@
 
 namespace avis::core {
 
+// Snapshot cadence in simulated milliseconds. Finer cadence means less
+// suffix to re-simulate per experiment but more capture cost and memory;
+// 1000 ms measured best on SABRE campaigns (the offset crawls inject a few
+// hundred ms around each transition, so a 5000 ms grid strands them).
+inline constexpr sim::SimTimeMs kCheckpointIntervalMs = 1000;
+
 struct CheckpointConfig {
   // Prefix forking from the fault-free root and from checkpoint trees of
   // recorded faulty runs. Wall-clock only: reports are identical on or off
   // modulo the checkpoint counters (the CLI's --no-checkpoints A/B).
   bool enabled = true;
-  // Snapshot cadence in simulated milliseconds. Finer cadence means less
-  // suffix to re-simulate per experiment but more capture cost and memory;
-  // 1000 ms measured best on SABRE campaigns (the offset crawls inject a
-  // few hundred ms around each transition, so a 5000 ms grid strands them).
-  sim::SimTimeMs interval_ms = 1000;
   // Upper bound on retained bytes (approximate, deterministic): every
   // snapshot, plus the trace and transitions of each tree recording. Over
   // budget, whole recordings are evicted oldest first, the fault-free root
@@ -74,19 +75,31 @@ struct CheckpointConfig {
   std::size_t byte_budget = 64ull * 1024 * 1024;
 };
 
+// SimulationHarness's loop bookkeeping: when the workload and the monitor
+// sample are next due, when the workload finished (-1: still running) and
+// how, and whether the firmware has aborted.
+struct LoopState {
+  sim::SimTimeMs next_workload_ms = 0;
+  sim::SimTimeMs next_sample_ms = 0;
+  sim::SimTimeMs workload_done_at = -1;
+  bool workload_passed = false;
+  bool firmware_dead = false;
+};
+
 // Complete world state at the top of one harness loop iteration: every
-// stateful layer of Fig. 7 plus the harness's own loop bookkeeping. The
-// recorded run's sampled trace and mode transitions are shared by all of
-// its snapshots (each snapshot stores only its prefix lengths), so a
-// snapshot costs kilobytes, not the O(run-length) trace.
+// stateful layer of Fig. 7 plus the harness's own loop bookkeeping, each
+// layer's run state whole. The recorded run's sampled trace and mode
+// transitions are shared by all of its snapshots (each snapshot stores only
+// its prefix lengths), so a snapshot costs kilobytes, not the O(run-length)
+// trace.
 struct ExperimentSnapshot {
   sim::SimTimeMs time_ms = 0;  // loop iteration this snapshot resumes at
 
-  sim::Simulator::Snapshot simulator;
+  sim::Simulator::State simulator;
   sensors::SuiteSnapshot suite;
   fw::Firmware::Snapshot firmware;
   mavlink::Channel::Snapshot channel;
-  workload::Workload::Progress workload;
+  workload::Workload::State workload;
   workload::GcsContext::Snapshot gcs;
   MonitorSession::Snapshot monitor;  // meaningful only for monitored prefixes
 
@@ -96,12 +109,7 @@ struct ExperimentSnapshot {
   std::uint16_t current_mode = 0;
   sim::SimTimeMs last_heartbeat_ms = 0;
 
-  // Harness loop state.
-  sim::SimTimeMs next_workload_ms = 0;
-  sim::SimTimeMs next_sample_ms = 0;
-  sim::SimTimeMs workload_done_at = -1;
-  bool workload_passed = false;
-  bool firmware_dead = false;
+  LoopState loop;
   std::size_t trace_len = 0;  // samples already in the recording's trace
   std::optional<Violation> violation;  // non-empty only without stop_on_violation
 
@@ -109,13 +117,13 @@ struct ExperimentSnapshot {
   // itself plus the dynamically sized payloads worth counting.
   std::size_t approx_bytes() const {
     std::size_t bytes = sizeof(ExperimentSnapshot);
-    bytes += (firmware.mission.size() * 2) * sizeof(mavlink::MissionItem);
-    bytes += firmware.fired_bugs.capacity() * sizeof(fw::BugId);
+    bytes += (firmware.own.mission.size() * 2) * sizeof(mavlink::MissionItem);
+    bytes += firmware.own.fired_bugs.capacity() * sizeof(fw::BugId);
     for (const auto& frame : channel.to_vehicle) bytes += frame.size() + sizeof(frame);
     for (const auto& frame : channel.to_gcs) bytes += frame.size() + sizeof(frame);
     bytes += gcs.uploader.items.size() * sizeof(mavlink::MissionItem);
-    for (const auto& text : gcs.status_texts) bytes += text.size() + sizeof(text);
-    const std::size_t per_instance = sizeof(sensors::InstanceState<sensors::GpsSample>);
+    for (const auto& text : gcs.own.status_texts) bytes += text.size() + sizeof(text);
+    const std::size_t per_instance = sizeof(sensors::Gps::State);
     bytes += (suite.gyros.size() + suite.accels.size() + suite.baros.size() +
               suite.gpses.size() + suite.compasses.size() + suite.batteries.size()) *
              per_instance;
@@ -192,11 +200,10 @@ struct SnapshotCapture {
 
 // The cadence grid of a fault-free run capped at `max_duration_ms`. Time 0
 // is excluded: a snapshot there is just a cold start.
-inline SnapshotCapture plan_root_capture(const CheckpointConfig& config,
-                                         sim::SimTimeMs max_duration_ms) {
-  util::expects(config.interval_ms > 0, "checkpoint cadence must be positive");
+inline SnapshotCapture plan_root_capture(sim::SimTimeMs max_duration_ms) {
   SnapshotCapture capture;
-  for (sim::SimTimeMs t = config.interval_ms; t < max_duration_ms; t += config.interval_ms) {
+  for (sim::SimTimeMs t = kCheckpointIntervalMs; t < max_duration_ms;
+       t += kCheckpointIntervalMs) {
     capture.times.push_back(t);
   }
   return capture;
@@ -513,12 +520,12 @@ class CheckpointStore {
 // bounds their re-simulated prefix to one interval.
 inline SnapshotCapture plan_tree_capture(const ExperimentSpec& spec,
                                          const CheckpointStore& store) {
-  const sim::SimTimeMs interval = store.config().interval_ms;
   SnapshotCapture capture;
   capture.first_injection = spec.plan.first_injection_ms();
   const sim::SimTimeMs s1 = capture.first_injection;
-  for (sim::SimTimeMs t = (s1 / interval + 1) * interval;
-       t < spec.max_duration_ms && capture.times.size() < kTreeCaptureGridCap; t += interval) {
+  for (sim::SimTimeMs t = (s1 / kCheckpointIntervalMs + 1) * kCheckpointIntervalMs;
+       t < spec.max_duration_ms && capture.times.size() < kTreeCaptureGridCap;
+       t += kCheckpointIntervalMs) {
     capture.times.push_back(t);
   }
   for (const auto& e : spec.plan.events) {

@@ -51,7 +51,7 @@ CheckpointStore SimulationHarness::record_prefix(const ExperimentSpec& spec,
                                                  const CheckpointConfig& config) const {
   ExperimentSpec prefix_spec = spec;
   prefix_spec.plan = FaultPlan{};
-  SnapshotCapture capture = plan_root_capture(config, prefix_spec.max_duration_ms);
+  SnapshotCapture capture = plan_root_capture(prefix_spec.max_duration_ms);
   ScheduledDirector director(prefix_spec.plan);
   ExperimentContext world;
   const ExperimentResult run = p_run(world, prefix_spec, director, nullptr, {}, &capture);
@@ -78,7 +78,7 @@ CheckpointStore SimulationHarness::root_from_run(const ExperimentSpec& spec,
   if (monitor_model != nullptr) {
     for (const ModeTransition& transition : monitor_model->golden_transitions()) {
       const sim::SimTimeMs t = transition.time_ms;
-      if (t > 0 && t < run.duration_ms && t % config.interval_ms != 0) extra.push_back(t);
+      if (t > 0 && t < run.duration_ms && t % kCheckpointIntervalMs != 0) extra.push_back(t);
     }
   }
   std::sort(extra.begin(), extra.end());
@@ -91,10 +91,10 @@ CheckpointStore SimulationHarness::root_from_run(const ExperimentSpec& spec,
   // exactly (the checkpoint parity contract), unmonitored like the run;
   // install_root fills the monitor capsules of all snapshots alike.
   for (std::size_t i = 0; i < extra.size();) {
-    const sim::SimTimeMs opening_ms = extra[i] / config.interval_ms * config.interval_ms;
+    const sim::SimTimeMs opening_ms = extra[i] / kCheckpointIntervalMs * kCheckpointIntervalMs;
     SnapshotCapture resim;
     resim.stop_after_last = true;
-    while (i < extra.size() && extra[i] < opening_ms + config.interval_ms) {
+    while (i < extra.size() && extra[i] < opening_ms + kCheckpointIntervalMs) {
       resim.times.push_back(extra[i++]);
     }
     CheckpointResume resume;
@@ -231,10 +231,7 @@ ExperimentResult SimulationHarness::p_run(ExperimentContext& world, const Experi
   // it.
   ExperimentResult result;
   result.trace.reserve(static_cast<std::size_t>(spec.max_duration_ms / kSamplePeriodMs) + 1);
-  bool firmware_dead = false;
-  sim::SimTimeMs workload_done_at = -1;
-  sim::SimTimeMs next_workload_ms = 0;
-  sim::SimTimeMs next_sample_ms = 0;
+  LoopState loop;
   sim::SimTimeMs start_ms = 0;
 
   if (restoring) {
@@ -243,14 +240,10 @@ ExperimentResult SimulationHarness::p_run(ExperimentContext& world, const Experi
     const auto& recorded_trace = *resume.trace;
     result.trace.assign(recorded_trace.begin(),
                         recorded_trace.begin() + static_cast<std::ptrdiff_t>(snap.trace_len));
-    result.workload_passed = snap.workload_passed;
     result.violation = snap.violation;
     result.resumed_from_ms = snap.time_ms;
     result.resumed_depth = resume.depth;
-    firmware_dead = snap.firmware_dead;
-    workload_done_at = snap.workload_done_at;
-    next_workload_ms = snap.next_workload_ms;
-    next_sample_ms = snap.next_sample_ms;
+    loop = snap.loop;
     start_ms = snap.time_ms;
   }
 
@@ -301,11 +294,7 @@ ExperimentResult SimulationHarness::p_run(ExperimentContext& world, const Experi
         snap.transitions_len = director.transitions().size();
         snap.current_mode = director.current_mode();
         snap.last_heartbeat_ms = director.last_heartbeat_ms();
-        snap.next_workload_ms = next_workload_ms;
-        snap.next_sample_ms = next_sample_ms;
-        snap.workload_done_at = workload_done_at;
-        snap.workload_passed = result.workload_passed;
-        snap.firmware_dead = firmware_dead;
+        snap.loop = loop;
         snap.trace_len = result.trace.size();
         snap.violation = result.violation;
         if (capture->stop_after_last && capture_idx == capture->times.size()) break;
@@ -313,24 +302,24 @@ ExperimentResult SimulationHarness::p_run(ExperimentContext& world, const Experi
     }
 
     // Step 1: the workload runs until it yields back to the harness.
-    const bool workload_due = now == next_workload_ms;
-    if (workload_due) next_workload_ms += kWorkloadPeriodMs;
-    if (workload_due && !firmware_dead) {
+    const bool workload_due = now == loop.next_workload_ms;
+    if (workload_due) loop.next_workload_ms += kWorkloadPeriodMs;
+    if (workload_due && !loop.firmware_dead) {
       gcs.pump(now);
       const workload::WorkloadStatus ws = workload.step(gcs);
-      if (ws != workload::WorkloadStatus::kRunning && workload_done_at < 0) {
-        workload_done_at = now;
-        result.workload_passed = ws == workload::WorkloadStatus::kPassed;
+      if (ws != workload::WorkloadStatus::kRunning && loop.workload_done_at < 0) {
+        loop.workload_done_at = now;
+        loop.workload_passed = ws == workload::WorkloadStatus::kPassed;
       }
     }
 
     // Steps 3-5: firmware reads (instrumented) sensors and commands motors.
     sim::MotorCommands motors;
-    if (!firmware_dead) {
+    if (!loop.firmware_dead) {
       try {
         motors = firmware.step(now, simulator.state());
       } catch (const util::InvariantError& err) {
-        firmware_dead = true;
+        loop.firmware_dead = true;
         util::log_warn() << "firmware aborted: " << err.what();
       }
     }
@@ -341,8 +330,8 @@ ExperimentResult SimulationHarness::p_run(ExperimentContext& world, const Experi
     if (step_hook_) step_hook_(simulator.now_ms(), simulator.state(), firmware);
 
     // Sample the state tuple at the monitor rate.
-    if (now == next_sample_ms) {
-      next_sample_ms += kSamplePeriodMs;
+    if (now == loop.next_sample_ms) {
+      loop.next_sample_ms += kSamplePeriodMs;
       StateSample sample;
       sample.time_ms = now;
       sample.position = simulator.state().position;
@@ -353,16 +342,17 @@ ExperimentResult SimulationHarness::p_run(ExperimentContext& world, const Experi
       result.trace.push_back(sample);
 
       const bool workload_failed =
-          (monitor != nullptr || sample_flags != nullptr) && workload_done_at >= 0 &&
+          (monitor != nullptr || sample_flags != nullptr) && loop.workload_done_at >= 0 &&
           workload.status() == workload::WorkloadStatus::kFailed;
       if (sample_flags != nullptr) {
         sample_flags->push_back({simulator.state().crashed, simulator.last_crash(),
-                                 firmware_dead, workload_failed, director.transitions().size()});
+                                 loop.firmware_dead, workload_failed,
+                                 director.transitions().size()});
       }
       if (monitor != nullptr) {
         const auto violation =
             monitor->on_sample(sample, simulator.state().crashed, simulator.last_crash(),
-                               firmware_dead, workload_failed);
+                               loop.firmware_dead, workload_failed);
         if (violation && !result.violation) {
           result.violation = violation;
           if (spec.stop_on_violation) {
@@ -375,17 +365,18 @@ ExperimentResult SimulationHarness::p_run(ExperimentContext& world, const Experi
 
     // End conditions: workload finished (plus grace), or vehicle crashed and
     // the wreck has been recorded for a little while.
-    if (workload_done_at >= 0 && now - workload_done_at >= kGraceMs) {
+    if (loop.workload_done_at >= 0 && now - loop.workload_done_at >= kGraceMs) {
       result.duration_ms = now + 1;
       break;
     }
-    if (simulator.state().crashed && workload_done_at < 0) {
-      workload_done_at = now;  // nothing more will happen; start grace
-      result.workload_passed = false;
+    if (simulator.state().crashed && loop.workload_done_at < 0) {
+      loop.workload_done_at = now;  // nothing more will happen; start grace
+      loop.workload_passed = false;
     }
   }
 
   if (result.duration_ms == 0) result.duration_ms = spec.max_duration_ms;
+  result.workload_passed = loop.workload_passed;
   result.transitions = director.take_transitions();
   result.fired_bugs = world.firmware->fired_bugs();
   result.crash_cause = world.simulator->last_crash();

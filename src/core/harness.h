@@ -194,7 +194,7 @@ class SimulationHarness {
   // (the monitor session's history is part of world state, so the root
   // must match the monitored-ness of the runs it accelerates): simulates
   // the spec fault-free, unmonitored, capturing a snapshot every
-  // `config.interval_ms` of sim time, and builds the store from that run
+  // kCheckpointIntervalMs of sim time, and builds the store from that run
   // with root_from_run. The checker skips this simulation: its golden
   // profiling run is the same run, captured while profiling.
   CheckpointStore record_prefix(const ExperimentSpec& spec,

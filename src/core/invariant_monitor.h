@@ -98,12 +98,12 @@ class MonitorSession {
 
   const std::optional<Violation>& violation() const { return violation_; }
 
-  // Mid-run monitor state for experiment checkpointing. The sample history
-  // is not duplicated into the capsule: every sample the session has seen is
-  // a prefix of the recorded prefix-run trace (on_sample is fed exactly the
-  // samples the harness appends to the trace, and stops appending once a
-  // violation latches), so the capsule stores only the length and restore()
-  // re-slices the shared trace.
+  // Mid-run monitor state for experiment checkpointing. The session keeps
+  // its own save/restore because it restores by re-slicing the recorded
+  // trace: every sample the session has seen is a prefix of the recorded
+  // prefix-run trace (on_sample is fed exactly the samples the harness
+  // appends to the trace, and stops appending once a violation latches), so
+  // the capsule stores only the history's length, not the samples.
   struct Snapshot {
     std::size_t history_len = 0;
     std::optional<Violation> violation;

@@ -59,7 +59,6 @@ CampaignJournal::Header CampaignJournal::bind(const std::vector<CampaignCellSpec
   Header header;
   header.cells = grid.size();
   header.checkpoints_enabled = checkpoints.enabled;
-  header.checkpoint_interval_ms = checkpoints.interval_ms;
   header.checkpoint_budget_bytes = checkpoints.byte_budget;
   header.cell_hashes.reserve(grid.size());
   for (const CampaignCellSpec& cell : grid) {
@@ -81,8 +80,6 @@ std::string CampaignJournal::header_diff(const Header& journal, const Header& re
   field("journal version", journal.version, requested.version);
   field("cells", journal.cells, requested.cells);
   field("checkpoints_enabled", journal.checkpoints_enabled, requested.checkpoints_enabled);
-  field("checkpoint_interval_ms", journal.checkpoint_interval_ms,
-        requested.checkpoint_interval_ms);
   field("checkpoint_budget_bytes", journal.checkpoint_budget_bytes,
         requested.checkpoint_budget_bytes);
   const std::size_t common = std::min(journal.cell_hashes.size(), requested.cell_hashes.size());
@@ -109,7 +106,6 @@ CampaignJournal CampaignJournal::start(const std::string& path, const Header& he
   os << "{\"type\": \"avis_campaign_journal\", \"version\": " << header.version
      << ", \"cells\": " << header.cells
      << ", \"checkpoints_enabled\": " << header.checkpoints_enabled
-     << ", \"checkpoint_interval_ms\": " << header.checkpoint_interval_ms
      << ", \"checkpoint_budget_bytes\": " << header.checkpoint_budget_bytes
      << ", \"cell_hashes\": [";
   for (std::size_t i = 0; i < header.cell_hashes.size(); ++i) {
@@ -166,7 +162,6 @@ CampaignJournal::Loaded CampaignJournal::load(const std::string& path) {
     }
     header.cells = json.at("cells").as_int<std::size_t>("cells");
     header.checkpoints_enabled = json.at("checkpoints_enabled").as_bool();
-    header.checkpoint_interval_ms = json.at("checkpoint_interval_ms").as_int64();
     header.checkpoint_budget_bytes =
         json.at("checkpoint_budget_bytes").as_int<std::size_t>("checkpoint_budget_bytes");
     for (const util::Json& hash : json.at("cell_hashes").as_array()) {

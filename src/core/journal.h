@@ -17,9 +17,9 @@
 // resumed campaign's merged report matches an uninterrupted run modulo
 // wall-clock fields (tests/test_oracle.cc, the CI crash-and-resume smoke).
 //
-// Version 2 records written by older builds also carry per-cell execution
-// provenance keys from the retired distributed service; load() reads only
-// the keys it names, so those journals still resume (tests/test_journal.cc).
+// load() refuses every journal version but kVersion. Within a record it
+// reads only the keys it names and ignores any others
+// (Journal.RoundTripsHeaderAndRecords feeds one).
 #pragma once
 
 #include <cstdint>
@@ -60,14 +60,15 @@ class CampaignJournal {
   // engine is gone). v3: cell reports no longer carry
   // checkpoint_tree_evicted (checkpoint_evicted counts every evicted
   // snapshot). v4: the header no longer carries checkpoint_trees (trees
-  // are on whenever checkpoints are). load() refuses any other version.
-  static constexpr int kVersion = 4;
+  // are on whenever checkpoints are). v5: the header no longer carries
+  // checkpoint_interval_ms (the cadence is kCheckpointIntervalMs). load()
+  // refuses any other version.
+  static constexpr int kVersion = 5;
 
   struct Header {
     int version = kVersion;
     std::size_t cells = 0;
     bool checkpoints_enabled = true;
-    sim::SimTimeMs checkpoint_interval_ms = 0;
     std::size_t checkpoint_budget_bytes = 0;
     std::vector<std::string> cell_hashes;  // grid order
   };

@@ -15,7 +15,7 @@ void ControlCascade::reset() {
   rate_roll_.reset();
   rate_pitch_.reset();
   rate_yaw_.reset();
-  last_vel_error_ = {};
+  run_ = {};
 }
 
 geo::Vec3 ControlCascade::p_accel_from_position(const Setpoint& sp, const EstimatedState& est) {
@@ -42,8 +42,8 @@ geo::Vec3 ControlCascade::p_accel_from_position(const Setpoint& sp, const Estima
 geo::Vec3 ControlCascade::p_accel_from_velocity(const geo::Vec3& vel_target,
                                                 const EstimatedState& est) {
   const geo::Vec3 vel_error = vel_target - est.velocity;
-  geo::Vec3 accel = vel_error * gains_.vel_p + (vel_error - last_vel_error_) * gains_.vel_d;
-  last_vel_error_ = vel_error;
+  geo::Vec3 accel = vel_error * gains_.vel_p + (vel_error - run_.last_vel_error) * gains_.vel_d;
+  run_.last_vel_error = vel_error;
   const double h_acc = std::sqrt(accel.x * accel.x + accel.y * accel.y);
   if (h_acc > gains_.max_accel_xy) {
     const double scale = gains_.max_accel_xy / h_acc;

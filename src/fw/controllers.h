@@ -44,35 +44,27 @@ class Pid {
       : p_(p), i_(i), d_(d), i_limit_(i_limit) {}
 
   double update(double error, double dt) {
-    integral_ = std::clamp(integral_ + error * dt * i_, -i_limit_, i_limit_);
-    const double derivative = dt > 0.0 ? (error - last_error_) / dt : 0.0;
-    last_error_ = error;
-    return p_ * error + integral_ + d_ * derivative;
+    run_.integral = std::clamp(run_.integral + error * dt * i_, -i_limit_, i_limit_);
+    const double derivative = dt > 0.0 ? (error - run_.last_error) / dt : 0.0;
+    run_.last_error = error;
+    return p_ * error + run_.integral + d_ * derivative;
   }
 
-  void reset() {
-    integral_ = 0.0;
-    last_error_ = 0.0;
-  }
+  void reset() { run_ = {}; }
 
-  // Mid-run controller state (experiment checkpointing); gains are
+  // Everything a run changes (experiment checkpointing); gains are
   // construction-time constants.
   struct State {
     double integral = 0.0;
     double last_error = 0.0;
   };
 
-  State save() const { return {integral_, last_error_}; }
-
-  void load(const State& s) {
-    integral_ = s.integral;
-    last_error_ = s.last_error;
-  }
+  State save() const { return run_; }
+  void load(const State& s) { run_ = s; }
 
  private:
   double p_, i_, d_, i_limit_;
-  double integral_ = 0.0;
-  double last_error_ = 0.0;
+  State run_;
 };
 
 // Converts a Setpoint plus the estimated state into motor commands.
@@ -88,24 +80,27 @@ class ControlCascade {
 
   void reset();
 
-  // Mid-run cascade state (experiment checkpointing): the three rate PIDs
-  // plus the velocity-loop derivative memory.
+  // The cascade's own run state: the velocity loop's derivative memory.
+  struct State {
+    geo::Vec3 last_vel_error;
+  };
+
+  // A checkpoint of the cascade: the three rate PIDs' states and its own,
+  // each whole.
   struct Snapshot {
     Pid::State rate_roll;
     Pid::State rate_pitch;
     Pid::State rate_yaw;
-    geo::Vec3 last_vel_error;
+    State own;
   };
 
-  Snapshot save() const {
-    return {rate_roll_.save(), rate_pitch_.save(), rate_yaw_.save(), last_vel_error_};
-  }
+  Snapshot save() const { return {rate_roll_.save(), rate_pitch_.save(), rate_yaw_.save(), run_}; }
 
   void load(const Snapshot& s) {
     rate_roll_.load(s.rate_roll);
     rate_pitch_.load(s.rate_pitch);
     rate_yaw_.load(s.rate_yaw);
-    last_vel_error_ = s.last_vel_error;
+    run_ = s.own;
   }
 
   // Hover throttle estimate; exposed for tests.
@@ -121,7 +116,7 @@ class ControlCascade {
   Pid rate_roll_;
   Pid rate_pitch_;
   Pid rate_yaw_;
-  geo::Vec3 last_vel_error_;
+  State run_;
 };
 
 }  // namespace avis::fw

@@ -73,12 +73,12 @@ class StateEstimator {
   // The state the rest of the firmware sees: the fused solution with any
   // bug-quirk distortion applied. The internal filter state stays clean so
   // distortions do not feed back into the fusion itself.
-  const EstimatedState& state() const { return published_; }
+  const EstimatedState& state() const { return run_.published; }
   const SourceHealth& health(sensors::SensorType t) const {
-    return health_[static_cast<std::size_t>(t)];
+    return run_.health[static_cast<std::size_t>(t)];
   }
 
-  EstimatorQuirks& quirks() { return quirks_; }
+  EstimatorQuirks& quirks() { return run_.quirks; }
 
   // APM-16967's final act: the firmware resets its state estimate near the
   // end of the emergency landing, discarding the fused attitude.
@@ -86,70 +86,41 @@ class StateEstimator {
 
   // APM-9349: accelerometer clipping during a hard turn corrupts the fused
   // velocity; models the one-time estimate jump the bug report describes.
-  void corrupt_velocity(const geo::Vec3& delta) { state_.velocity += delta; }
+  void corrupt_velocity(const geo::Vec3& delta) { run_.state.velocity += delta; }
 
   // True once the horizontal position solution is degraded to dead
   // reckoning (GPS family dead and no stale-velocity quirk hiding it).
-  bool dead_reckoning() const { return dead_reckoning_; }
+  bool dead_reckoning() const { return run_.dead_reckoning; }
 
-  // Complete mid-run filter state for experiment checkpointing: both the
-  // clean and the quirk-distorted solutions, fail-over health, and every
-  // fallback latch. Config and bus wiring are construction-time and stay
-  // with the hosting world.
-  struct Snapshot {
-    EstimatedState state;
-    EstimatedState published;
+  // Everything a run changes, and so an experiment checkpoint's estimator
+  // part: both the clean and the quirk-distorted solutions, fail-over
+  // health, and every fallback latch. Config and bus wiring are
+  // construction-time and stay with the hosting world.
+  struct State {
+    EstimatedState state;      // internal filter state (never distorted)
+    EstimatedState published;  // filter state after quirk distortion
     EstimatorQuirks quirks;
     std::array<SourceHealth, 6> health{};
+
     geo::Vec3 last_gps_velocity;
-    geo::Vec3 last_gps_local;
+    geo::Vec3 last_gps_local;     // last GPS fix in local NED
     bool have_gps_sample = false;
-    geo::Attitude prev_attitude;
+    geo::Attitude prev_attitude;  // for the derived-rates fallback
     bool frozen_alt_valid = false;
     double frozen_alt_z = 0.0;
     bool dead_reckoning = false;
     bool have_gps_ever = false;
   };
 
-  Snapshot save() const {
-    return {state_,          published_,        quirks_,       health_,
-            last_gps_velocity_, last_gps_local_, have_gps_sample_, prev_attitude_,
-            frozen_alt_valid_,  frozen_alt_z_,   dead_reckoning_,  have_gps_ever_};
-  }
-
-  void load(const Snapshot& s) {
-    state_ = s.state;
-    published_ = s.published;
-    quirks_ = s.quirks;
-    health_ = s.health;
-    last_gps_velocity_ = s.last_gps_velocity;
-    last_gps_local_ = s.last_gps_local;
-    have_gps_sample_ = s.have_gps_sample;
-    prev_attitude_ = s.prev_attitude;
-    frozen_alt_valid_ = s.frozen_alt_valid;
-    frozen_alt_z_ = s.frozen_alt_z;
-    dead_reckoning_ = s.dead_reckoning;
-    have_gps_ever_ = s.have_gps_ever;
-  }
+  State save() const { return run_; }
+  void load(const State& s) { run_ = s; }
 
  private:
   void p_update_health(sim::SimTimeMs now);
 
   const FirmwareConfig* config_;
   SensorBus* bus_;
-  EstimatedState state_;      // internal filter state (never distorted)
-  EstimatedState published_;  // filter state after quirk distortion
-  EstimatorQuirks quirks_;
-  std::array<SourceHealth, 6> health_{};
-
-  geo::Vec3 last_gps_velocity_;
-  geo::Vec3 last_gps_local_;     // last GPS fix in local NED
-  bool have_gps_sample_ = false;
-  geo::Attitude prev_attitude_;  // for the derived-rates fallback
-  bool frozen_alt_valid_ = false;
-  double frozen_alt_z_ = 0.0;
-  bool dead_reckoning_ = false;
-  bool have_gps_ever_ = false;
+  State run_;
 };
 
 }  // namespace avis::fw

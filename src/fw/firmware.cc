@@ -47,90 +47,24 @@ Firmware::Firmware(FirmwareConfig config, SensorBus& bus, hinj::Client& hinj_cli
 }
 
 Firmware::Snapshot Firmware::save() const {
-  Snapshot s;
-  s.estimator = estimator_.save();
-  s.cascade = cascade_.save();
-  s.mission = mission_;
-  s.mode = mode_;
-  s.submode = submode_;
-  s.prev_mode = prev_mode_;
-  s.mode_entry_ms = mode_entry_ms_;
-  s.armed = armed_;
-  s.mission_active = mission_active_;
-  s.mission_complete = mission_complete_;
-  s.takeoff_target_alt = takeoff_target_alt_;
-  s.takeoff_xy = takeoff_xy_;
-  s.guided_target = guided_target_;
-  s.hold_position = hold_position_;
-  s.holding = holding_;
-  s.hold_yaw = hold_yaw_;
-  s.last_stick_change_ms = last_stick_change_ms_;
-  s.land_xy = land_xy_;
-  s.land_xy_valid = land_xy_valid_;
-  s.land_low_since = land_low_since_;
-  s.land_commanded_descent = land_commanded_descent_;
-  s.rtl_phase = static_cast<int>(rtl_phase_);
-  s.rtl_target_alt = rtl_target_alt_;
-  s.sticks = sticks_;
-  s.wp_ordinal = wp_ordinal_;
-  s.family_handled = family_handled_;
-  s.battery_dead_since = battery_dead_since_;
-  s.position_valid = position_valid_;
-  s.bug_state = bug_state_;
-  s.fired_bugs = fired_bugs_;
-  s.land_descent_ramp_start = land_descent_ramp_start_;
-  s.last_telemetry_ms = last_telemetry_ms_;
-  s.last_heartbeat_ms = last_heartbeat_ms_;
-  s.last_reported_mission_index = last_reported_mission_index_;
-  return s;
+  return {estimator_.save(), cascade_.save(), run_};
 }
 
 void Firmware::load(const Snapshot& s) {
   estimator_.load(s.estimator);
   cascade_.load(s.cascade);
-  mission_ = s.mission;
-  mode_ = s.mode;
-  submode_ = s.submode;
-  prev_mode_ = s.prev_mode;
-  mode_entry_ms_ = s.mode_entry_ms;
-  armed_ = s.armed;
-  mission_active_ = s.mission_active;
-  mission_complete_ = s.mission_complete;
-  takeoff_target_alt_ = s.takeoff_target_alt;
-  takeoff_xy_ = s.takeoff_xy;
-  guided_target_ = s.guided_target;
-  hold_position_ = s.hold_position;
-  holding_ = s.holding;
-  hold_yaw_ = s.hold_yaw;
-  last_stick_change_ms_ = s.last_stick_change_ms;
-  land_xy_ = s.land_xy;
-  land_xy_valid_ = s.land_xy_valid;
-  land_low_since_ = s.land_low_since;
-  land_commanded_descent_ = s.land_commanded_descent;
-  rtl_phase_ = static_cast<RtlPhase>(s.rtl_phase);
-  rtl_target_alt_ = s.rtl_target_alt;
-  sticks_ = s.sticks;
-  wp_ordinal_ = s.wp_ordinal;
-  family_handled_ = s.family_handled;
-  battery_dead_since_ = s.battery_dead_since;
-  position_valid_ = s.position_valid;
-  bug_state_ = s.bug_state;
-  fired_bugs_ = s.fired_bugs;
-  land_descent_ramp_start_ = s.land_descent_ramp_start;
-  last_telemetry_ms_ = s.last_telemetry_ms;
-  last_heartbeat_ms_ = s.last_heartbeat_ms;
-  last_reported_mission_index_ = s.last_reported_mission_index;
+  run_ = s.own;
 }
 
 sim::MotorCommands Firmware::step(sim::SimTimeMs now, const sim::VehicleState& truth) {
   estimator_.update(now, truth, *env_);
   p_handle_mavlink(now);
-  if (armed_) {
+  if (run_.armed) {
     p_failsafes(now);
   }
   const Setpoint sp = p_mode_setpoint(now);
   p_send_telemetry(now, truth);
-  if (!armed_) {
+  if (!run_.armed) {
     cascade_.reset();
     return {};
   }
@@ -149,34 +83,34 @@ void Firmware::p_handle_mavlink(sim::SimTimeMs now) {
       const Mode requested = static_cast<Mode>(set_mode->custom_mode >> 8);
       switch (requested) {
         case Mode::kAuto:
-          if (armed_ && mission_.has_mission()) {
-            mission_.restart();
-            mission_active_ = true;
-            wp_ordinal_ = 0;
+          if (run_.armed && run_.mission.has_mission()) {
+            run_.mission.restart();
+            run_.mission_active = true;
+            run_.wp_ordinal = 0;
             p_begin_mission_item(now);
           }
           break;
         case Mode::kPositionHold:
-          if (armed_ && mode_ != Mode::kPreFlight) {
-            holding_ = false;
+          if (run_.armed && run_.mode != Mode::kPreFlight) {
+            run_.holding = false;
             p_set_mode(Mode::kPositionHold, 0, now, "pilot");
           }
           break;
         case Mode::kLand:
-          if (armed_) {
-            land_xy_ = estimator_.state().position;
-            land_xy_valid_ = position_valid_;
+          if (run_.armed) {
+            run_.land_xy = estimator_.state().position;
+            run_.land_xy_valid = run_.position_valid;
             p_set_mode(Mode::kLand, 0, now, "pilot");
           }
           break;
         case Mode::kReturnToLaunch:
-          if (armed_ && mode_ != Mode::kPreFlight) {
+          if (run_.armed && run_.mode != Mode::kPreFlight) {
             p_set_mode(Mode::kReturnToLaunch, 0, now, "pilot");
           }
           break;
         case Mode::kGuided:
-          if (armed_ && mode_ != Mode::kPreFlight) {
-            guided_target_ = estimator_.state().position;
+          if (run_.armed && run_.mode != Mode::kPreFlight) {
+            run_.guided_target = estimator_.state().position;
             p_set_mode(Mode::kGuided, 0, now, "pilot");
           }
           break;
@@ -185,11 +119,11 @@ void Firmware::p_handle_mavlink(sim::SimTimeMs now) {
           break;
       }
     } else if (const auto* count = std::get_if<mavlink::MissionCount>(&*msg)) {
-      for (auto& reply : mission_.on_mission_count(*count)) link_->send(reply);
+      for (auto& reply : run_.mission.on_mission_count(*count)) link_->send(reply);
     } else if (const auto* item = std::get_if<mavlink::MissionItem>(&*msg)) {
-      for (auto& reply : mission_.on_mission_item(*item)) link_->send(reply);
+      for (auto& reply : run_.mission.on_mission_item(*item)) link_->send(reply);
     } else if (const auto* rc = std::get_if<mavlink::RcOverride>(&*msg)) {
-      sticks_ = *rc;
+      run_.sticks = *rc;
     } else if (const auto* fence = std::get_if<mavlink::FenceEnable>(&*msg)) {
       if (fence->enable) {
         sim::Fence f;
@@ -198,9 +132,9 @@ void Firmware::p_handle_mavlink(sim::SimTimeMs now) {
         f.min_east = fence->min_east;
         f.max_east = fence->max_east;
         f.max_altitude = fence->max_altitude;
-        mission_.set_fence(f);
+        run_.mission.set_fence(f);
       } else {
-        mission_.clear_fence();
+        run_.mission.clear_fence();
       }
     }
     // Heartbeats and telemetry echoes are ignored.
@@ -216,42 +150,42 @@ void Firmware::p_handle_command(const mavlink::CommandLong& cmd, sim::SimTimeMs 
     case mavlink::Command::kComponentArmDisarm: {
       const bool want_armed = cmd.param1 > 0.5;
       if (want_armed) {
-        if (mode_ != Mode::kPreFlight || !p_prearm_ok()) {
+        if (run_.mode != Mode::kPreFlight || !p_prearm_ok()) {
           ack.result = mavlink::CommandResult::kDenied;
           p_status("arming denied: pre-arm checks failed", 3);
         } else {
-          armed_ = true;
+          run_.armed = true;
           p_status("armed");
         }
       } else {
-        armed_ = false;
+        run_.armed = false;
         p_set_mode(Mode::kPreFlight, 0, now, "pilot disarm");
       }
       break;
     }
     case mavlink::Command::kNavTakeoff: {
-      if (!armed_ || mode_ != Mode::kPreFlight) {
+      if (!run_.armed || run_.mode != Mode::kPreFlight) {
         ack.result = mavlink::CommandResult::kDenied;
       } else {
-        takeoff_target_alt_ = cmd.param7 > 0.0 ? cmd.param7 : 10.0;
-        takeoff_xy_ = estimator_.state().position;
-        hold_yaw_ = estimator_.state().attitude.yaw;
+        run_.takeoff_target_alt = cmd.param7 > 0.0 ? cmd.param7 : 10.0;
+        run_.takeoff_xy = estimator_.state().position;
+        run_.hold_yaw = estimator_.state().attitude.yaw;
         p_set_mode(Mode::kTakeoff, 0, now, "pilot takeoff");
       }
       break;
     }
     case mavlink::Command::kNavLand: {
-      if (!armed_) {
+      if (!run_.armed) {
         ack.result = mavlink::CommandResult::kDenied;
       } else {
-        land_xy_ = estimator_.state().position;
-        land_xy_valid_ = position_valid_;
+        run_.land_xy = estimator_.state().position;
+        run_.land_xy_valid = run_.position_valid;
         p_set_mode(Mode::kLand, 0, now, "pilot land");
       }
       break;
     }
     case mavlink::Command::kNavReturnToLaunch: {
-      if (!armed_ || mode_ == Mode::kPreFlight) {
+      if (!run_.armed || run_.mode == Mode::kPreFlight) {
         ack.result = mavlink::CommandResult::kDenied;
       } else {
         p_set_mode(Mode::kReturnToLaunch, 0, now, "pilot rtl");
@@ -274,17 +208,17 @@ void Firmware::p_status(const std::string& text, std::uint8_t severity) {
 
 void Firmware::p_send_telemetry(sim::SimTimeMs now, const sim::VehicleState& truth) {
   (void)truth;
-  if (now - last_heartbeat_ms_ >= 500) {
-    last_heartbeat_ms_ = now;
+  if (now - run_.last_heartbeat_ms >= 500) {
+    run_.last_heartbeat_ms = now;
     mavlink::Heartbeat hb;
-    hb.system_status = armed_ ? 4 : 3;
+    hb.system_status = run_.armed ? 4 : 3;
     hb.custom_mode = composite_mode().id();
-    hb.armed = armed_;
+    hb.armed = run_.armed;
     link_->send(hb);
     hinj_->heartbeat(now);
   }
-  if (now - last_telemetry_ms_ >= 100) {
-    last_telemetry_ms_ = now;
+  if (now - run_.last_telemetry_ms >= 100) {
+    run_.last_telemetry_ms = now;
     const EstimatedState& est = estimator_.state();
     mavlink::GlobalPositionInt gp;
     gp.time_ms = now;
@@ -294,10 +228,10 @@ void Firmware::p_send_telemetry(sim::SimTimeMs now, const sim::VehicleState& tru
     gp.heading_rad = est.attitude.yaw;
     link_->send(gp);
   }
-  if (mission_active_ && mission_.current_index() != last_reported_mission_index_) {
-    last_reported_mission_index_ = mission_.current_index();
+  if (run_.mission_active && run_.mission.current_index() != run_.last_reported_mission_index) {
+    run_.last_reported_mission_index = run_.mission.current_index();
     mavlink::MissionCurrent mc;
-    mc.seq = static_cast<std::uint16_t>(mission_.current_index());
+    mc.seq = static_cast<std::uint16_t>(run_.mission.current_index());
     link_->send(mc);
   }
 }
@@ -308,17 +242,17 @@ void Firmware::p_send_telemetry(sim::SimTimeMs now, const sim::VehicleState& tru
 
 void Firmware::p_set_mode(Mode m, std::uint8_t submode, sim::SimTimeMs now,
                           const char* reason) {
-  prev_mode_ = mode_;
-  mode_ = m;
-  submode_ = submode;
-  mode_entry_ms_ = now;
+  run_.prev_mode = run_.mode;
+  run_.mode = m;
+  run_.submode = submode;
+  run_.mode_entry_ms = now;
   if (m == Mode::kLand || m == Mode::kEmergencyLand) {
-    land_descent_ramp_start_ = now;
-    land_low_since_ = -1;
+    run_.land_descent_ramp_start = now;
+    run_.land_low_since = -1;
   }
   if (m == Mode::kReturnToLaunch) {
-    rtl_phase_ = RtlPhase::kClimb;
-    rtl_target_alt_ = std::max(config_.failsafe.rtl_altitude, estimator_.state().altitude());
+    run_.rtl_phase = RtlPhase::kClimb;
+    run_.rtl_target_alt = std::max(config_.failsafe.rtl_altitude, estimator_.state().altitude());
   }
   cascade_.reset();
   // The paper's single instrumented call site: every mode change is
@@ -332,35 +266,35 @@ void Firmware::p_set_mode(Mode m, std::uint8_t submode, sim::SimTimeMs now,
 }
 
 void Firmware::p_begin_mission_item(sim::SimTimeMs now) {
-  const mavlink::MissionItem* item = mission_.current();
+  const mavlink::MissionItem* item = run_.mission.current();
   if (item == nullptr) {
-    mission_active_ = false;
-    mission_complete_ = true;
-    if (mode_ != Mode::kLand && mode_ != Mode::kPreFlight) {
-      land_xy_ = estimator_.state().position;
-      land_xy_valid_ = position_valid_;
+    run_.mission_active = false;
+    run_.mission_complete = true;
+    if (run_.mode != Mode::kLand && run_.mode != Mode::kPreFlight) {
+      run_.land_xy = estimator_.state().position;
+      run_.land_xy_valid = run_.position_valid;
       p_set_mode(Mode::kLand, 0, now, "mission complete");
     }
     return;
   }
   switch (item->command) {
     case mavlink::Command::kNavTakeoff:
-      takeoff_target_alt_ = item->position.altitude_m - env_->frame().home().altitude_m;
-      takeoff_xy_ = estimator_.state().position;
-      hold_yaw_ = estimator_.state().attitude.yaw;
+      run_.takeoff_target_alt = item->position.altitude_m - env_->frame().home().altitude_m;
+      run_.takeoff_xy = estimator_.state().position;
+      run_.hold_yaw = estimator_.state().attitude.yaw;
       p_set_mode(Mode::kTakeoff, 0, now, "mission takeoff");
       break;
     case mavlink::Command::kNavWaypoint:
-      ++wp_ordinal_;
-      p_set_mode(Mode::kAuto, static_cast<std::uint8_t>(wp_ordinal_), now, "mission waypoint");
+      ++run_.wp_ordinal;
+      p_set_mode(Mode::kAuto, static_cast<std::uint8_t>(run_.wp_ordinal), now, "mission waypoint");
       break;
     case mavlink::Command::kNavReturnToLaunch:
       p_set_mode(Mode::kReturnToLaunch, 0, now, "mission rtl");
       break;
     case mavlink::Command::kNavLand:
-      land_xy_ = env_->frame().to_local(item->position);
-      land_xy_.z = 0.0;
-      land_xy_valid_ = position_valid_;
+      run_.land_xy = env_->frame().to_local(item->position);
+      run_.land_xy.z = 0.0;
+      run_.land_xy_valid = run_.position_valid;
       p_set_mode(Mode::kLand, 0, now, "mission land");
       break;
     default:
@@ -371,16 +305,16 @@ void Firmware::p_begin_mission_item(sim::SimTimeMs now) {
 
 void Firmware::p_advance_mission(sim::SimTimeMs now) {
   mavlink::MissionItemReached reached;
-  reached.seq = static_cast<std::uint16_t>(mission_.current_index());
+  reached.seq = static_cast<std::uint16_t>(run_.mission.current_index());
   link_->send(reached);
-  if (mission_.advance()) {
+  if (run_.mission.advance()) {
     p_begin_mission_item(now);
   } else {
-    mission_active_ = false;
-    mission_complete_ = true;
-    if (mode_ != Mode::kLand) {
-      land_xy_ = estimator_.state().position;
-      land_xy_valid_ = position_valid_;
+    run_.mission_active = false;
+    run_.mission_complete = true;
+    if (run_.mode != Mode::kLand) {
+      run_.land_xy = estimator_.state().position;
+      run_.land_xy_valid = run_.position_valid;
       p_set_mode(Mode::kLand, 0, now, "mission complete");
     }
   }
@@ -388,13 +322,13 @@ void Firmware::p_advance_mission(sim::SimTimeMs now) {
 
 Setpoint Firmware::p_mode_setpoint(sim::SimTimeMs now) {
   Setpoint sp;
-  if (!armed_ || mode_ == Mode::kPreFlight) {
+  if (!run_.armed || run_.mode == Mode::kPreFlight) {
     sp.kind = Setpoint::Kind::kMotorsOff;
     return sp;
   }
   const EstimatedState& est = estimator_.state();
 
-  switch (mode_) {
+  switch (run_.mode) {
     case Mode::kPreFlight:
       sp.kind = Setpoint::Kind::kMotorsOff;
       break;
@@ -412,24 +346,24 @@ Setpoint Firmware::p_mode_setpoint(sim::SimTimeMs now) {
       // Taper the climb approaching the target so the hand-over to the next
       // mode does not overshoot.
       if (climb > 0.0) {
-        climb = std::min(climb, 0.9 * (takeoff_target_alt_ - est.altitude()) + 0.3);
+        climb = std::min(climb, 0.9 * (run_.takeoff_target_alt - est.altitude()) + 0.3);
         climb = std::max(climb, 0.0);
       }
       sp.kind = Setpoint::Kind::kVelocity;
-      sp.velocity = limit_xy((takeoff_xy_ - est.position) * config_.gains.pos_p, 1.5);
+      sp.velocity = limit_xy((run_.takeoff_xy - est.position) * config_.gains.pos_p, 1.5);
       sp.velocity.z = -climb;
-      double yaw_target = hold_yaw_;
+      double yaw_target = run_.hold_yaw;
       if (p_fired(BugId::kApm5428)) {
         // Heading lock dropped: the yaw reference spins.
         yaw_target = geo::wrap_angle(
-            hold_yaw_ + 0.9 * static_cast<double>(now - mode_entry_ms_) / 1000.0);
+            run_.hold_yaw + 0.9 * static_cast<double>(now - run_.mode_entry_ms) / 1000.0);
       }
       sp.yaw = yaw_target;
-      if (est.altitude() >= takeoff_target_alt_ - config_.takeoff_accept_error && climb > 0.0) {
-        if (mission_active_) {
+      if (est.altitude() >= run_.takeoff_target_alt - config_.takeoff_accept_error && climb > 0.0) {
+        if (run_.mission_active) {
           p_advance_mission(now);
         } else {
-          guided_target_ = est.position;
+          run_.guided_target = est.position;
           p_set_mode(Mode::kGuided, 0, now, "takeoff complete");
         }
       }
@@ -437,7 +371,7 @@ Setpoint Firmware::p_mode_setpoint(sim::SimTimeMs now) {
     }
 
     case Mode::kAuto: {
-      const mavlink::MissionItem* item = mission_.current();
+      const mavlink::MissionItem* item = run_.mission.current();
       if (item == nullptr) {
         p_advance_mission(now);
         break;
@@ -459,9 +393,9 @@ Setpoint Firmware::p_mode_setpoint(sim::SimTimeMs now) {
       }
       // Geofence: breaching the fence triggers the fence failsafe (RTL),
       // which is how the fence workload's golden run is meant to end its box.
-      if (mission_.fence_violated(est.position)) {
+      if (run_.mission.fence_violated(est.position)) {
         p_status("fence breach: RTL", 3);
-        mission_active_ = false;
+        run_.mission_active = false;
         p_set_mode(Mode::kReturnToLaunch, 0, now, "fence failsafe");
         break;
       }
@@ -474,47 +408,48 @@ Setpoint Firmware::p_mode_setpoint(sim::SimTimeMs now) {
 
     case Mode::kGuided:
       sp.kind = Setpoint::Kind::kPosition;
-      sp.position = guided_target_;
+      sp.position = run_.guided_target;
       break;
 
     case Mode::kPositionHold: {
-      const bool sticks_idle = std::abs(sticks_.roll) < 0.05 && std::abs(sticks_.pitch) < 0.05 &&
-                               std::abs(sticks_.throttle) < 0.05;
+      const bool sticks_idle = std::abs(run_.sticks.roll) < 0.05 &&
+                               std::abs(run_.sticks.pitch) < 0.05 &&
+                               std::abs(run_.sticks.throttle) < 0.05;
       if (sticks_idle) {
-        if (!holding_) {
-          hold_position_ = est.position;
-          hold_yaw_ = est.attitude.yaw;
-          holding_ = true;
-          last_stick_change_ms_ = now;
+        if (!run_.holding) {
+          run_.hold_position = est.position;
+          run_.hold_yaw = est.attitude.yaw;
+          run_.holding = true;
+          run_.last_stick_change_ms = now;
         }
         sp.kind = Setpoint::Kind::kPosition;
-        sp.position = hold_position_;
-        sp.yaw = hold_yaw_;
+        sp.position = run_.hold_position;
+        sp.yaw = run_.hold_yaw;
       } else {
-        if (holding_) last_stick_change_ms_ = now;
-        holding_ = false;
+        if (run_.holding) run_.last_stick_change_ms = now;
+        run_.holding = false;
         // Sticks map to body-yaw-frame velocity demands.
         const double cy = std::cos(est.attitude.yaw);
         const double sy = std::sin(est.attitude.yaw);
-        const double vx_body = sticks_.pitch * 4.0;   // forward
-        const double vy_body = sticks_.roll * 4.0;    // right
+        const double vx_body = run_.sticks.pitch * 4.0;   // forward
+        const double vy_body = run_.sticks.roll * 4.0;    // right
         sp.kind = Setpoint::Kind::kVelocity;
         sp.velocity.x = vx_body * cy - vy_body * sy;
         sp.velocity.y = vx_body * sy + vy_body * cy;
-        sp.velocity.z = -sticks_.throttle * 2.0;
-        hold_yaw_ = geo::wrap_angle(hold_yaw_ + sticks_.yaw * 1.2 * kDt);
-        sp.yaw = hold_yaw_;
+        sp.velocity.z = -run_.sticks.throttle * 2.0;
+        run_.hold_yaw = geo::wrap_angle(run_.hold_yaw + run_.sticks.yaw * 1.2 * kDt);
+        sp.yaw = run_.hold_yaw;
       }
       break;
     }
 
     case Mode::kReturnToLaunch: {
-      switch (rtl_phase_) {
+      switch (run_.rtl_phase) {
         case RtlPhase::kClimb:
           sp.kind = Setpoint::Kind::kPosition;
           sp.position = est.position;
-          sp.position.z = -rtl_target_alt_;
-          if (est.altitude() >= rtl_target_alt_ - 0.5) rtl_phase_ = RtlPhase::kReturn;
+          sp.position.z = -run_.rtl_target_alt;
+          if (est.altitude() >= run_.rtl_target_alt - 0.5) run_.rtl_phase = RtlPhase::kReturn;
           break;
         case RtlPhase::kReturn: {
           if (p_fired(BugId::kPx413291)) {
@@ -530,7 +465,7 @@ Setpoint Firmware::p_mode_setpoint(sim::SimTimeMs now) {
             break;
           }
           sp.kind = Setpoint::Kind::kPosition;
-          sp.position = {0.0, 0.0, -rtl_target_alt_};
+          sp.position = {0.0, 0.0, -run_.rtl_target_alt};
           const geo::Vec3 to_home = sp.position - est.position;
           if (std::sqrt(to_home.x * to_home.x + to_home.y * to_home.y) > 1.0) {
             sp.yaw = std::atan2(to_home.y, to_home.x);
@@ -538,9 +473,9 @@ Setpoint Firmware::p_mode_setpoint(sim::SimTimeMs now) {
           const double home_dist =
               std::sqrt(est.position.x * est.position.x + est.position.y * est.position.y);
           if (home_dist < 2.0) {
-            rtl_phase_ = RtlPhase::kDescend;
-            land_xy_ = {0.0, 0.0, 0.0};
-            land_xy_valid_ = position_valid_;
+            run_.rtl_phase = RtlPhase::kDescend;
+            run_.land_xy = {0.0, 0.0, 0.0};
+            run_.land_xy_valid = run_.position_valid;
             p_set_mode(Mode::kLand, 0, now, "rtl complete");
           }
           break;
@@ -556,7 +491,7 @@ Setpoint Firmware::p_mode_setpoint(sim::SimTimeMs now) {
 
     case Mode::kLand: {
       // Descent-rate schedule: pause, then ramp, fast when high, slow final.
-      const sim::SimTimeMs since_ramp = now - land_descent_ramp_start_;
+      const sim::SimTimeMs since_ramp = now - run_.land_descent_ramp_start;
       double descent = 0.0;
       if (since_ramp > kLandPauseMs) {
         const double ramp =
@@ -575,10 +510,10 @@ Setpoint Firmware::p_mode_setpoint(sim::SimTimeMs now) {
         }
         descent = ramp * target_speed;
       }
-      land_commanded_descent_ = descent;
-      if (land_xy_valid_) {
+      run_.land_commanded_descent = descent;
+      if (run_.land_xy_valid) {
         sp.kind = Setpoint::Kind::kVelocity;
-        sp.velocity = limit_xy((land_xy_ - est.position) * config_.gains.pos_p, 1.0);
+        sp.velocity = limit_xy((run_.land_xy - est.position) * config_.gains.pos_p, 1.0);
         sp.velocity.z = descent;
       } else {
         // No trustworthy position: hold a level attitude and descend. A
@@ -598,11 +533,11 @@ Setpoint Firmware::p_mode_setpoint(sim::SimTimeMs now) {
         sp.kind = Setpoint::Kind::kAttitude;
         sp.attitude = {};
         sp.climb_rate = -0.8;
-        land_commanded_descent_ = 0.8;
+        run_.land_commanded_descent = 0.8;
       } else {
         // No usable rate feedback at all: open-loop reduced thrust.
         sp.kind = Setpoint::Kind::kEmergencyDescend;
-        land_commanded_descent_ = 1.5;
+        run_.land_commanded_descent = 1.5;
       }
       p_detect_touchdown(now);
       break;
@@ -622,17 +557,17 @@ void Firmware::p_detect_touchdown(sim::SimTimeMs now) {
   // Secondary detector (coarse altitude reference, e.g. GPS-only): descent
   // is commanded but the vehicle is not moving vertically near the ground —
   // it must be resting on something.
-  const bool stalled = est.altitude() < 2.0 && land_commanded_descent_ > 0.3 &&
+  const bool stalled = est.altitude() < 2.0 && run_.land_commanded_descent > 0.3 &&
                        std::abs(est.climb_rate()) < 0.12;
   if (low || stalled) {
-    if (land_low_since_ < 0) land_low_since_ = now;
-    if (now - land_low_since_ > (low ? 400 : 900)) {
-      armed_ = false;
+    if (run_.land_low_since < 0) run_.land_low_since = now;
+    if (now - run_.land_low_since > (low ? 400 : 900)) {
+      run_.armed = false;
       p_status("landing complete, disarmed");
       p_set_mode(Mode::kPreFlight, 0, now, "landed");
     }
   } else {
-    land_low_since_ = -1;
+    run_.land_low_since = -1;
   }
 }
 
@@ -661,10 +596,10 @@ bool Firmware::p_bug_armed(BugId id) const {
 }
 
 void Firmware::p_fire(BugId id, sim::SimTimeMs now, const char* note) {
-  auto& st = bug_state_[static_cast<std::size_t>(id)];
+  auto& st = run_.bug_state[static_cast<std::size_t>(id)];
   st.fired = true;
   st.fired_at = now;
-  fired_bugs_.push_back(id);
+  run_.fired_bugs.push_back(id);
   util::log_debug() << "bug " << bug_info(id).report_name << " fired at t=" << now << "ms ("
                     << note << ")";
 }
@@ -685,26 +620,26 @@ void Firmware::p_failsafes(sim::SimTimeMs now) {
 
   using sensors::SensorType;
   auto handled = [&](SensorType t) -> bool& {
-    return family_handled_[static_cast<std::size_t>(t)];
+    return run_.family_handled[static_cast<std::size_t>(t)];
   };
   auto debounced_dead = [&](SensorType t) {
     return p_family_dead(t) &&
            now - p_family_death_time(t) >= config_.failsafe.health_debounce_ms;
   };
-  const bool airborne = mode_ != Mode::kPreFlight && estimator_.state().altitude() > 0.3;
+  const bool airborne = run_.mode != Mode::kPreFlight && estimator_.state().altitude() > 0.3;
 
   // A family is marked handled only when a failsafe action is actually
   // taken; a failure detected on the ground stays pending until the vehicle
   // is airborne (or never acts if it stays down — the pre-arm check and the
   // takeoff logic own that case).
-  const bool landing_already = mode_ == Mode::kLand || mode_ == Mode::kEmergencyLand;
+  const bool landing_already = run_.mode == Mode::kLand || run_.mode == Mode::kEmergencyLand;
 
   // Gyroscopes: nothing flies without rate feedback. Unlike the other
   // families this acts even from inside a normal landing — descending on a
   // broken rate loop is not survivable.
   if (debounced_dead(SensorType::kGyroscope) && !handled(SensorType::kGyroscope)) {
     if (config_.personality == Personality::kArduPilotLike) {
-      if (mode_ != Mode::kEmergencyLand) {
+      if (run_.mode != Mode::kEmergencyLand) {
         handled(SensorType::kGyroscope) = true;
         // Rates are reconstructed from the accel-corrected attitude so the
         // emergency descent can still keep the frame level.
@@ -718,8 +653,8 @@ void Firmware::p_failsafes(sim::SimTimeMs now) {
       estimator_.quirks().derived_rates = true;
       p_status("gyro failure: descending", 2);
       if (!landing_already) {
-        land_xy_ = estimator_.state().position;
-        land_xy_valid_ = position_valid_;
+        run_.land_xy = estimator_.state().position;
+        run_.land_xy_valid = run_.position_valid;
         p_set_mode(Mode::kLand, 0, now, "gyro failsafe");
       }
     }
@@ -730,8 +665,8 @@ void Firmware::p_failsafes(sim::SimTimeMs now) {
       airborne && !landing_already) {
     handled(SensorType::kAccelerometer) = true;
     p_status("accelerometer failure: landing", 2);
-    land_xy_ = estimator_.state().position;
-    land_xy_valid_ = position_valid_;
+    run_.land_xy = estimator_.state().position;
+    run_.land_xy_valid = run_.position_valid;
     p_set_mode(Mode::kLand, 0, now, "accel failsafe");
   }
 
@@ -740,16 +675,16 @@ void Firmware::p_failsafes(sim::SimTimeMs now) {
       !landing_already) {
     handled(SensorType::kBarometer) = true;
     p_status("barometer failure: landing", 2);
-    land_xy_ = estimator_.state().position;
-    land_xy_valid_ = position_valid_;
+    run_.land_xy = estimator_.state().position;
+    run_.land_xy_valid = run_.position_valid;
     p_set_mode(Mode::kLand, 0, now, "baro failsafe");
   }
 
   // GPS: no position; land in place. If a landing is already under way its
   // horizontal hold must stop chasing the now-dead-reckoned position.
   if (debounced_dead(SensorType::kGps)) {
-    position_valid_ = false;
-    land_xy_valid_ = false;
+    run_.position_valid = false;
+    run_.land_xy_valid = false;
     if (!handled(SensorType::kGps) && airborne && !landing_already) {
       handled(SensorType::kGps) = true;
       p_status("GPS failure: landing without position", 2);
@@ -759,13 +694,13 @@ void Firmware::p_failsafes(sim::SimTimeMs now) {
 
   // Battery monitor: unknown charge is treated as critical after a delay.
   if (p_family_dead(SensorType::kBattery)) {
-    if (battery_dead_since_ < 0) battery_dead_since_ = now;
-    if (now - battery_dead_since_ > 2000 && !handled(SensorType::kBattery) && airborne &&
+    if (run_.battery_dead_since < 0) run_.battery_dead_since = now;
+    if (now - run_.battery_dead_since > 2000 && !handled(SensorType::kBattery) && airborne &&
         !landing_already) {
       handled(SensorType::kBattery) = true;
       p_status("battery monitor failure: landing", 2);
-      land_xy_ = estimator_.state().position;
-      land_xy_valid_ = position_valid_;
+      run_.land_xy = estimator_.state().position;
+      run_.land_xy_valid = run_.position_valid;
       p_set_mode(Mode::kLand, 0, now, "battery failsafe");
     }
   }
@@ -773,8 +708,8 @@ void Firmware::p_failsafes(sim::SimTimeMs now) {
   // Battery genuinely low (readable): return home.
   if (!p_family_dead(SensorType::kBattery) &&
       estimator_.state().battery_remaining < config_.failsafe.battery_low_fraction &&
-      airborne && mode_ != Mode::kReturnToLaunch && mode_ != Mode::kLand &&
-      mode_ != Mode::kEmergencyLand && !handled(SensorType::kBattery)) {
+      airborne && run_.mode != Mode::kReturnToLaunch && run_.mode != Mode::kLand &&
+      run_.mode != Mode::kEmergencyLand && !handled(SensorType::kBattery)) {
     handled(SensorType::kBattery) = true;
     p_status("battery low: RTL", 3);
     p_set_mode(Mode::kReturnToLaunch, 0, now, "battery low");
@@ -788,7 +723,7 @@ void Firmware::p_bug_hooks(sim::SimTimeMs now) {
   using sensors::SensorType;
   const EstimatedState& est = estimator_.state();
   auto handled = [&](SensorType t) -> bool& {
-    return family_handled_[static_cast<std::size_t>(t)];
+    return run_.family_handled[static_cast<std::size_t>(t)];
   };
   auto died_in_window = [&](SensorType t, sim::SimTimeMs window_start,
                             sim::SimTimeMs window_end) {
@@ -804,8 +739,9 @@ void Firmware::p_bug_hooks(sim::SimTimeMs now) {
   };
 
   // ---- APM-16020: GPS failure right after entering AUTO (fly-away). ----
-  if (p_bug_armed(BugId::kApm16020) && mode_ == Mode::kAuto && prev_mode_ == Mode::kTakeoff &&
-      died_in_window(SensorType::kGps, mode_entry_ms_ - 200, mode_entry_ms_ + 2500)) {
+  if (p_bug_armed(BugId::kApm16020) && run_.mode == Mode::kAuto &&
+      run_.prev_mode == Mode::kTakeoff &&
+      died_in_window(SensorType::kGps, run_.mode_entry_ms - 200, run_.mode_entry_ms + 2500)) {
     p_fire(BugId::kApm16020, now, "stale GPS velocity held after loss in early AUTO");
     estimator_.quirks().hold_stale_gps_velocity = true;
     handled(SensorType::kGps) = true;  // the (buggy) glitch handler owns it
@@ -814,9 +750,9 @@ void Firmware::p_bug_hooks(sim::SimTimeMs now) {
   // ---- APM-16021: accelerometer failure late in takeoff (crash). ----
   // Recency matters: the paper's Fig. 9 fault hits at 18 m of a 20 m climb.
   // A primary lost early in the climb fails over correctly.
-  if (p_bug_armed(BugId::kApm16021) && mode_ == Mode::kTakeoff &&
-      est.altitude() > 0.55 * takeoff_target_alt_ &&
-      primary_died_in_window(SensorType::kAccelerometer, mode_entry_ms_, -1) &&
+  if (p_bug_armed(BugId::kApm16021) && run_.mode == Mode::kTakeoff &&
+      est.altitude() > 0.55 * run_.takeoff_target_alt &&
+      primary_died_in_window(SensorType::kAccelerometer, run_.mode_entry_ms, -1) &&
       now - p_primary_death_time(SensorType::kAccelerometer) < 400) {
     p_fire(BugId::kApm16021, now, "inertial altitude under-read during climb");
     // Phase 1: the state model under-reads altitude, so the climb overshoots.
@@ -824,22 +760,22 @@ void Firmware::p_bug_hooks(sim::SimTimeMs now) {
     handled(SensorType::kAccelerometer) = true;
   }
   if (p_fired(BugId::kApm16021)) {
-    auto& st = bug_state_[static_cast<std::size_t>(BugId::kApm16021)];
-    if (st.phase == 0 && mode_ != Mode::kTakeoff) {
+    auto& st = run_.bug_state[static_cast<std::size_t>(BugId::kApm16021)];
+    if (st.phase == 0 && run_.mode != Mode::kTakeoff) {
       // Phase 2: overshoot detected; firmware lands, but the state model now
       // predicts a high altitude, so the fast-descent schedule is kept all
       // the way into the ground (Fig. 9, events 3-5).
       st.phase = 1;
       estimator_.quirks().altitude_bias = 12.0;
-      land_xy_ = est.position;
-      land_xy_valid_ = position_valid_;
+      run_.land_xy = est.position;
+      run_.land_xy_valid = run_.position_valid;
       p_set_mode(Mode::kLand, 0, now, "overshoot response");
     }
   }
 
   // ---- APM-16027: barometer failure entering takeoff (fly-away). ----
-  if (p_bug_armed(BugId::kApm16027) && mode_ == Mode::kTakeoff &&
-      died_in_window(SensorType::kBarometer, -1 * 1000, mode_entry_ms_ + 1200) &&
+  if (p_bug_armed(BugId::kApm16027) && run_.mode == Mode::kTakeoff &&
+      died_in_window(SensorType::kBarometer, -1 * 1000, run_.mode_entry_ms + 1200) &&
       p_family_dead(SensorType::kBarometer)) {
     p_fire(BugId::kApm16027, now, "takeoff altitude reference frozen");
     estimator_.quirks().freeze_altitude = true;
@@ -852,20 +788,20 @@ void Firmware::p_bug_hooks(sim::SimTimeMs now) {
   // moment a manual position-hold leg starts/ends. Outside these windows the
   // fail-over path works.
   const bool in_turn_window =
-      (mode_ == Mode::kAuto && submode_ >= 1 && now - mode_entry_ms_ < 1100) ||
-      (mode_ == Mode::kPositionHold && now - last_stick_change_ms_ < 600);
+      (run_.mode == Mode::kAuto && run_.submode >= 1 && now - run_.mode_entry_ms < 1100) ||
+      (run_.mode == Mode::kPositionHold && now - run_.last_stick_change_ms < 600);
   if (p_bug_armed(BugId::kApm16967) && in_turn_window &&
-      primary_died_in_window(SensorType::kCompass, mode_entry_ms_ - 300, -1) &&
+      primary_died_in_window(SensorType::kCompass, run_.mode_entry_ms - 300, -1) &&
       now - p_primary_death_time(SensorType::kCompass) < 1100) {
     p_fire(BugId::kApm16967, now, "old compass state read; heading lost");
     estimator_.quirks().freeze_heading = true;  // fail-over never happens
   }
   if (p_fired(BugId::kApm16967)) {
-    auto& st = bug_state_[static_cast<std::size_t>(BugId::kApm16967)];
+    auto& st = run_.bug_state[static_cast<std::size_t>(BugId::kApm16967)];
     if (st.phase == 0 && now - st.fired_at > 2500) {
       st.phase = 1;  // heading loss noticed -> emergency land
-      land_xy_ = est.position;
-      land_xy_valid_ = position_valid_;
+      run_.land_xy = est.position;
+      run_.land_xy_valid = run_.position_valid;
       p_set_mode(Mode::kLand, 0, now, "heading lost");
     } else if (st.phase == 1 && est.altitude() < 3.5) {
       st.phase = 2;  // state-estimate reset near the end of the landing
@@ -882,8 +818,8 @@ void Firmware::p_bug_hooks(sim::SimTimeMs now) {
   // until the final metres, where the firmware switches to GPS-driven
   // altitude without checking that the vehicle is far too low for the GPS's
   // coarse vertical resolution.
-  if (p_bug_armed(BugId::kApm16682) && mode_ == Mode::kLand && est.altitude() < 3.0 &&
-      primary_died_in_window(SensorType::kAccelerometer, mode_entry_ms_, -1)) {
+  if (p_bug_armed(BugId::kApm16682) && run_.mode == Mode::kLand && est.altitude() < 3.0 &&
+      primary_died_in_window(SensorType::kAccelerometer, run_.mode_entry_ms, -1)) {
     p_fire(BugId::kApm16682, now, "GPS-driven altitude during final landing");
     // The fail-safe switches to GPS-driven flight without checking that the
     // vehicle is too low for the GPS's coarse vertical resolution (Fig. 1).
@@ -895,9 +831,9 @@ void Firmware::p_bug_hooks(sim::SimTimeMs now) {
   }
 
   // ---- APM-16953: gyro failure entering land (crash). ----
-  if (p_bug_armed(BugId::kApm16953) && mode_ == Mode::kLand &&
-      primary_died_in_window(SensorType::kGyroscope, mode_entry_ms_ - 300,
-                             mode_entry_ms_ + 2500)) {
+  if (p_bug_armed(BugId::kApm16953) && run_.mode == Mode::kLand &&
+      primary_died_in_window(SensorType::kGyroscope, run_.mode_entry_ms - 300,
+                             run_.mode_entry_ms + 2500)) {
     p_fire(BugId::kApm16953, now, "stale rate feedback during landing");
     estimator_.quirks().stale_rates = true;
     handled(SensorType::kGyroscope) = true;  // emergency-land never engages
@@ -905,39 +841,39 @@ void Firmware::p_bug_hooks(sim::SimTimeMs now) {
 
   // ---- PX4-17046: gyro failure at RTL engagement (fly-away). ----
   if (p_bug_armed(BugId::kPx417046) &&
-      ((mode_ == Mode::kReturnToLaunch && now - mode_entry_ms_ < 1000) ||
-       (mode_ == Mode::kAuto && submode_ >= 3)) &&
-      primary_died_in_window(SensorType::kGyroscope, mode_entry_ms_ - 500, -1)) {
+      ((run_.mode == Mode::kReturnToLaunch && now - run_.mode_entry_ms < 1000) ||
+       (run_.mode == Mode::kAuto && run_.submode >= 3)) &&
+      primary_died_in_window(SensorType::kGyroscope, run_.mode_entry_ms - 500, -1)) {
     p_fire(BugId::kPx417046, now, "RTL rejected; last leg velocity held");
     estimator_.quirks().derived_rates = true;  // the honest fallback does engage
     handled(SensorType::kGyroscope) = true;
-    if (mode_ == Mode::kReturnToLaunch) {
+    if (run_.mode == Mode::kReturnToLaunch) {
       // Commander bounces back to the mission with no position target.
-      p_set_mode(Mode::kAuto, static_cast<std::uint8_t>(std::max(wp_ordinal_, 1)), now,
+      p_set_mode(Mode::kAuto, static_cast<std::uint8_t>(std::max(run_.wp_ordinal, 1)), now,
                  "rtl rejected");
     }
-    mission_active_ = true;
+    run_.mission_active = true;
   }
 
   // ---- PX4-17057: gyro failure during takeoff spool-up (crash). ----
-  if (p_bug_armed(BugId::kPx417057) && mode_ == Mode::kTakeoff &&
-      now - mode_entry_ms_ < 1800 &&
-      primary_died_in_window(SensorType::kGyroscope, mode_entry_ms_ - 1500, -1)) {
+  if (p_bug_armed(BugId::kPx417057) && run_.mode == Mode::kTakeoff &&
+      now - run_.mode_entry_ms < 1800 &&
+      primary_died_in_window(SensorType::kGyroscope, run_.mode_entry_ms - 1500, -1)) {
     p_fire(BugId::kPx417057, now, "rate fallback not engaged during takeoff");
     estimator_.quirks().stale_rates = true;
     handled(SensorType::kGyroscope) = true;
   }
 
   // ---- PX4-17192: compass failure before/at takeoff (takeoff failure). ---
-  if (p_bug_armed(BugId::kPx417192) && mode_ == Mode::kTakeoff &&
-      now - mode_entry_ms_ < 1500 && p_primary_dead(SensorType::kCompass)) {
+  if (p_bug_armed(BugId::kPx417192) && run_.mode == Mode::kTakeoff &&
+      now - run_.mode_entry_ms < 1500 && p_primary_dead(SensorType::kCompass)) {
     p_fire(BugId::kPx417192, now, "takeoff aborted on compass loss; vehicle left armed");
     // No fail-over attempt; the climb is zeroed in p_mode_setpoint.
   }
 
   // ---- PX4-17181: baro failure before/at takeoff (takeoff failure). ----
-  if (p_bug_armed(BugId::kPx417181) && mode_ == Mode::kTakeoff &&
-      now - mode_entry_ms_ < 1500 && p_family_dead(SensorType::kBarometer)) {
+  if (p_bug_armed(BugId::kPx417181) && run_.mode == Mode::kTakeoff &&
+      now - run_.mode_entry_ms < 1500 && p_family_dead(SensorType::kBarometer)) {
     p_fire(BugId::kPx417181, now, "takeoff climb zeroed on baro loss; vehicle left armed");
     handled(SensorType::kBarometer) = true;
   }
@@ -946,26 +882,26 @@ void Firmware::p_bug_hooks(sim::SimTimeMs now) {
   // The climb-rate setter re-reads the dead barometer while computing the
   // level-off; distinct window from APM-16027, which needs the loss at the
   // start of the takeoff.
-  if (p_bug_armed(BugId::kApm4455) && mode_ == Mode::kTakeoff &&
-      est.altitude() > 0.60 * takeoff_target_alt_ &&
+  if (p_bug_armed(BugId::kApm4455) && run_.mode == Mode::kTakeoff &&
+      est.altitude() > 0.60 * run_.takeoff_target_alt &&
       p_family_dead(SensorType::kBarometer) &&
-      p_family_death_time(SensorType::kBarometer) >= mode_entry_ms_ + 1200) {
+      p_family_death_time(SensorType::kBarometer) >= run_.mode_entry_ms + 1200) {
     p_fire(BugId::kApm4455, now, "climb rate mis-set after mid-climb baro loss");
     estimator_.quirks().freeze_altitude = true;
     handled(SensorType::kBarometer) = true;
   }
 
   // ---- APM-4679 (known): GPS failure during landing (land flapping). ----
-  if (p_bug_armed(BugId::kApm4679) && mode_ == Mode::kLand &&
+  if (p_bug_armed(BugId::kApm4679) && run_.mode == Mode::kLand &&
       p_family_dead(SensorType::kGps) &&
-      p_family_death_time(SensorType::kGps) >= land_descent_ramp_start_) {
+      p_family_death_time(SensorType::kGps) >= run_.land_descent_ramp_start) {
     p_fire(BugId::kApm4679, now, "glitch handler re-enters LAND from LAND");
     handled(SensorType::kGps) = true;
-    position_valid_ = false;
-    land_xy_valid_ = false;
+    run_.position_valid = false;
+    run_.land_xy_valid = false;
   }
-  if (p_fired(BugId::kApm4679) && mode_ == Mode::kLand) {
-    auto& st = bug_state_[static_cast<std::size_t>(BugId::kApm4679)];
+  if (p_fired(BugId::kApm4679) && run_.mode == Mode::kLand) {
+    auto& st = run_.bug_state[static_cast<std::size_t>(BugId::kApm4679)];
     if (now - st.fired_at > 800 * (st.phase + 1)) {
       ++st.phase;
       p_set_mode(Mode::kLand, 0, now, "gps glitch re-land");  // restarts pause+ramp
@@ -976,7 +912,7 @@ void Firmware::p_bug_hooks(sim::SimTimeMs now) {
   // The yaw aligner keeps integrating against the dead primary: the heading
   // solution picks up a phantom rotation and the horizontal controller maps
   // its commands into an increasingly wrong frame.
-  if (p_bug_armed(BugId::kApm5428) && mode_ == Mode::kTakeoff &&
+  if (p_bug_armed(BugId::kApm5428) && run_.mode == Mode::kTakeoff &&
       p_primary_dead(SensorType::kCompass)) {
     p_fire(BugId::kApm5428, now, "heading lock dropped during yaw align");
     estimator_.quirks().freeze_heading = true;
@@ -984,9 +920,9 @@ void Firmware::p_bug_hooks(sim::SimTimeMs now) {
   }
 
   // ---- APM-9349 (known): accel clip during a waypoint turn. ----
-  if (p_bug_armed(BugId::kApm9349) && mode_ == Mode::kAuto && submode_ >= 1 &&
-      now - mode_entry_ms_ < 1500 &&
-      primary_died_in_window(SensorType::kAccelerometer, mode_entry_ms_ - 200, -1)) {
+  if (p_bug_armed(BugId::kApm9349) && run_.mode == Mode::kAuto && run_.submode >= 1 &&
+      now - run_.mode_entry_ms < 1500 &&
+      primary_died_in_window(SensorType::kAccelerometer, run_.mode_entry_ms - 200, -1)) {
     p_fire(BugId::kApm9349, now, "velocity estimate corrupted by clipped accel");
     handled(SensorType::kAccelerometer) = true;
   }
@@ -996,17 +932,17 @@ void Firmware::p_bug_hooks(sim::SimTimeMs now) {
     // couple of seconds the firmware declares its velocity solution failed
     // and lands — still on the corrupted vertical estimate, which reads
     // "climbing" while the vehicle sinks.
-    auto& st = bug_state_[static_cast<std::size_t>(BugId::kApm9349)];
+    auto& st = run_.bug_state[static_cast<std::size_t>(BugId::kApm9349)];
     if (now - st.fired_at < 2200 && now % 150 == 0) {
       const double yaw = est.attitude.yaw;
       estimator_.corrupt_velocity({3.0 * std::cos(yaw), 3.0 * std::sin(yaw), 0.0});
     }
     if (st.phase == 0 && now - st.fired_at >= 2200) {
       st.phase = 1;
-      land_xy_valid_ = false;
+      run_.land_xy_valid = false;
       p_set_mode(Mode::kLand, 0, now, "velocity solution failed");
     }
-    if (st.phase == 1 && (mode_ == Mode::kLand || mode_ == Mode::kEmergencyLand) &&
+    if (st.phase == 1 && (run_.mode == Mode::kLand || run_.mode == Mode::kEmergencyLand) &&
         now % 150 == 0) {
       estimator_.corrupt_velocity({0.0, 0.0, -0.5});  // reads as climbing
     }
@@ -1014,14 +950,14 @@ void Firmware::p_bug_hooks(sim::SimTimeMs now) {
 
   // ---- PX4-13291 (known): battery failsafe without local position. ----
   if (p_bug_armed(BugId::kPx413291) && p_family_dead(SensorType::kBattery) &&
-      p_family_dead(SensorType::kGps) && mode_ != Mode::kPreFlight &&
+      p_family_dead(SensorType::kGps) && run_.mode != Mode::kPreFlight &&
       est.altitude() > 1.0) {
     p_fire(BugId::kPx413291, now, "battery failsafe RTL engaged with no position");
     handled(SensorType::kBattery) = true;
     handled(SensorType::kGps) = true;
-    position_valid_ = false;
+    run_.position_valid = false;
     p_set_mode(Mode::kReturnToLaunch, 0, now, "battery failsafe");
-    rtl_phase_ = RtlPhase::kReturn;  // no altitude reference discipline either
+    run_.rtl_phase = RtlPhase::kReturn;  // no altitude reference discipline either
   }
 }
 

@@ -41,39 +41,37 @@ class Firmware {
   sim::MotorCommands step(sim::SimTimeMs now, const sim::VehicleState& truth);
 
   // --- Observability (telemetry-equivalent; used by tests and benches) ---
-  Mode mode() const { return mode_; }
-  CompositeMode composite_mode() const { return {mode_, submode_}; }
-  bool armed() const { return armed_; }
+  Mode mode() const { return run_.mode; }
+  CompositeMode composite_mode() const { return {run_.mode, run_.submode}; }
+  bool armed() const { return run_.armed; }
   const EstimatedState& estimate() const { return estimator_.state(); }
   const FirmwareConfig& config() const { return config_; }
-  const MissionManager& mission() const { return mission_; }
-  bool mission_complete() const { return mission_complete_; }
+  const MissionManager& mission() const { return run_.mission; }
+  bool mission_complete() const { return run_.mission_complete; }
 
   // Diagnostics: seeded bugs that actually fired this run, in firing order.
   // Benches use this to attribute unsafe conditions to root causes; the
   // search strategies never read it.
-  const std::vector<BugId>& fired_bugs() const { return fired_bugs_; }
+  const std::vector<BugId>& fired_bugs() const { return run_.fired_bugs; }
 
-  // Seeded-bug runtime (public so the checkpoint Snapshot below can carry
-  // it; the members themselves stay private).
+  // Seeded-bug runtime, one slot per BugId.
   struct BugState {
     bool fired = false;
     sim::SimTimeMs fired_at = -1;
     int phase = 0;
   };
 
-  // Complete mid-run autopilot state for experiment checkpointing: the
-  // estimator and cascade capsules, the mission store (a value type,
-  // captured whole), and every mode/failsafe/bug latch. The config and the
-  // bus/hinj/link/env wiring are construction-time properties of the spec
-  // and the hosting world — a restored firmware keeps its own wiring. Kept
-  // in lockstep with the member list below: a new stateful member must join
-  // this capsule or restored runs diverge from fresh ones (the parity suite
-  // in tests/test_checkpoint.cc is the tripwire).
-  struct Snapshot {
-    StateEstimator::Snapshot estimator;
-    ControlCascade::Snapshot cascade;
+  enum class RtlPhase { kClimb, kReturn, kDescend };
+
+  // Everything a run changes in the firmware's own members: the mission
+  // store (a value type), and every mode/failsafe/bug latch. The config,
+  // the bus/hinj/link/env wiring and the boot-time bug mask are
+  // construction-time properties of the spec and the hosting world — a
+  // restored firmware keeps its own.
+  struct State {
     MissionManager mission;
+
+    // Mode state.
     Mode mode = Mode::kPreFlight;
     std::uint8_t submode = 0;
     Mode prev_mode = Mode::kPreFlight;
@@ -81,30 +79,48 @@ class Firmware {
     bool armed = false;
     bool mission_active = false;
     bool mission_complete = false;
+
+    // Mode-specific runtime state.
     double takeoff_target_alt = 0.0;
     geo::Vec3 takeoff_xy;
     geo::Vec3 guided_target;
     geo::Vec3 hold_position;
     bool holding = false;
     double hold_yaw = 0.0;
-    sim::SimTimeMs last_stick_change_ms = 0;
+    sim::SimTimeMs last_stick_change_ms = -100000;  // last hold/fly toggle in poshold
     geo::Vec3 land_xy;
     bool land_xy_valid = false;
     sim::SimTimeMs land_low_since = -1;
     double land_commanded_descent = 0.0;
-    int rtl_phase = 0;
+    RtlPhase rtl_phase = RtlPhase::kClimb;
     double rtl_target_alt = 0.0;
     mavlink::RcOverride sticks;
-    int wp_ordinal = 0;
-    std::array<bool, 6> family_handled{};
+    int wp_ordinal = 0;  // how many NAV_WAYPOINTs the mission has passed
+
+    // Failsafe bookkeeping.
+    std::array<bool, 6> family_handled{};  // a bug or failsafe owns this family
     sim::SimTimeMs battery_dead_since = -1;
     bool position_valid = true;
+
+    // Seeded-bug runtime.
     std::array<BugState, 15> bug_state{};
     std::vector<BugId> fired_bugs;
+
+    // APM-4679 land-flap timer; APM-16021 phase timer share BugState.phase.
     sim::SimTimeMs land_descent_ramp_start = 0;
+
+    // Telemetry pacing.
     sim::SimTimeMs last_telemetry_ms = -1000;
     sim::SimTimeMs last_heartbeat_ms = -1000;
     std::size_t last_reported_mission_index = static_cast<std::size_t>(-1);
+  };
+
+  // Complete mid-run autopilot state for experiment checkpointing: the
+  // estimator's, the cascade's and the firmware's own run state, each whole.
+  struct Snapshot {
+    StateEstimator::State estimator;
+    ControlCascade::Snapshot cascade;
+    State own;
   };
 
   Snapshot save() const;
@@ -132,7 +148,7 @@ class Firmware {
   bool p_primary_dead(sensors::SensorType t) const;
   sim::SimTimeMs p_primary_death_time(sensors::SensorType t) const;
   void p_fire(BugId id, sim::SimTimeMs now, const char* note);
-  bool p_fired(BugId id) const { return bug_state_[static_cast<std::size_t>(id)].fired; }
+  bool p_fired(BugId id) const { return run_.bug_state[static_cast<std::size_t>(id)].fired; }
   bool p_bug_armed(BugId id) const;  // enabled, personality matches, not fired
 
   // Pre-arm checks: refuse to arm with a dead sensor family (safe refusal).
@@ -146,51 +162,8 @@ class Firmware {
 
   StateEstimator estimator_;
   ControlCascade cascade_;
-  MissionManager mission_;
-
-  // Mode state.
-  Mode mode_ = Mode::kPreFlight;
-  std::uint8_t submode_ = 0;
-  Mode prev_mode_ = Mode::kPreFlight;
-  sim::SimTimeMs mode_entry_ms_ = 0;
-  bool armed_ = false;
-  bool mission_active_ = false;
-  bool mission_complete_ = false;
-
-  // Mode-specific runtime state.
-  double takeoff_target_alt_ = 0.0;
-  geo::Vec3 takeoff_xy_;
-  geo::Vec3 guided_target_;
-  geo::Vec3 hold_position_;
-  bool holding_ = false;
-  double hold_yaw_ = 0.0;
-  sim::SimTimeMs last_stick_change_ms_ = -100000;  // last hold/fly toggle in poshold
-  geo::Vec3 land_xy_;
-  bool land_xy_valid_ = false;
-  sim::SimTimeMs land_low_since_ = -1;
-  double land_commanded_descent_ = 0.0;
-  enum class RtlPhase { kClimb, kReturn, kDescend } rtl_phase_ = RtlPhase::kClimb;
-  double rtl_target_alt_ = 0.0;
-  mavlink::RcOverride sticks_;
-  int wp_ordinal_ = 0;  // how many NAV_WAYPOINTs the mission has passed
-
-  // Failsafe bookkeeping.
-  std::array<bool, 6> family_handled_{};  // a bug or failsafe owns this family
-  sim::SimTimeMs battery_dead_since_ = -1;
-  bool position_valid_ = true;
-
-  // Seeded-bug runtime.
   std::array<bool, 15> bug_armed_mask_{};  // enabled && personality match, fixed at boot
-  std::array<BugState, 15> bug_state_{};
-  std::vector<BugId> fired_bugs_;
-
-  // APM-4679 land-flap timer; APM-16021 phase timer share BugState.phase.
-  sim::SimTimeMs land_descent_ramp_start_ = 0;
-
-  // Telemetry pacing.
-  sim::SimTimeMs last_telemetry_ms_ = -1000;
-  sim::SimTimeMs last_heartbeat_ms_ = -1000;
-  std::size_t last_reported_mission_index_ = static_cast<std::size_t>(-1);
+  State run_;
 };
 
 }  // namespace avis::fw

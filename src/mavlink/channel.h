@@ -77,7 +77,9 @@ class Channel {
 
   // Mid-run link state for experiment checkpointing: the encoded frames in
   // flight (bytes, direction-ordered) and both endpoints' sequence
-  // positions. The freelist is capacity, not state, and stays out.
+  // positions. The freelist is capacity, not state, and stays out; the
+  // channel keeps its own save/load because restored frames are recycled
+  // through that freelist.
   struct Snapshot {
     std::vector<std::vector<std::uint8_t>> to_vehicle;
     std::vector<std::vector<std::uint8_t>> to_gcs;

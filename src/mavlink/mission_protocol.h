@@ -27,55 +27,50 @@ class MissionUploader {
 
   // Begin a new upload. Any in-progress transaction is abandoned.
   void start(std::vector<MissionItem> items) {
-    items_ = std::move(items);
-    for (std::uint16_t i = 0; i < items_.size(); ++i) items_[i].seq = i;
-    phase_ = Phase::kAwaitingRequests;
+    run_.items = std::move(items);
+    for (std::uint16_t i = 0; i < run_.items.size(); ++i) run_.items[i].seq = i;
+    run_.phase = Phase::kAwaitingRequests;
     MissionCount count;
-    count.count = static_cast<std::uint16_t>(items_.size());
+    count.count = static_cast<std::uint16_t>(run_.items.size());
     gcs_->send(count);
   }
 
   // Feed one received message. Non-mission messages are ignored and returned
   // to the caller so other protocol layers can process them.
   std::optional<Message> handle(Message msg) {
-    if (phase_ != Phase::kAwaitingRequests) return msg;
+    if (run_.phase != Phase::kAwaitingRequests) return msg;
     if (const auto* req = std::get_if<MissionRequest>(&msg)) {
-      if (req->seq < items_.size()) {
-        gcs_->send(items_[req->seq]);
+      if (req->seq < run_.items.size()) {
+        gcs_->send(run_.items[req->seq]);
       } else {
-        phase_ = Phase::kFailed;
+        run_.phase = Phase::kFailed;
       }
       return std::nullopt;
     }
     if (const auto* ack = std::get_if<MissionAck>(&msg)) {
-      phase_ = ack->result == MissionResult::kAccepted ? Phase::kDone : Phase::kFailed;
+      run_.phase = ack->result == MissionResult::kAccepted ? Phase::kDone : Phase::kFailed;
       return std::nullopt;
     }
     return msg;
   }
 
-  Phase phase() const { return phase_; }
-  bool done() const { return phase_ == Phase::kDone; }
-  bool failed() const { return phase_ == Phase::kFailed; }
+  Phase phase() const { return run_.phase; }
+  bool done() const { return run_.phase == Phase::kDone; }
+  bool failed() const { return run_.phase == Phase::kFailed; }
 
-  // Mid-run transaction state (experiment checkpointing): the staged items
+  // Everything a run changes (experiment checkpointing): the staged items
   // and the phase; the endpoint wiring belongs to the hosting context.
   struct State {
     std::vector<MissionItem> items;
     Phase phase = Phase::kIdle;
   };
 
-  State save() const { return {items_, phase_}; }
-
-  void load(const State& s) {
-    items_ = s.items;
-    phase_ = s.phase;
-  }
+  State save() const { return run_; }
+  void load(const State& s) { run_ = s; }
 
  private:
   Endpoint* gcs_;
-  std::vector<MissionItem> items_;
-  Phase phase_ = Phase::kIdle;
+  State run_;
 };
 
 }  // namespace avis::mavlink

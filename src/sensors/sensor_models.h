@@ -23,19 +23,6 @@
 
 namespace avis::sensors {
 
-// Complete mutable state of one sensor instance mid-run, for experiment
-// checkpointing: the noise stream position, the held sample and its clock,
-// and the latched failure. Model parameters (identity, rate, noise, bias)
-// are construction-time constants and stay out.
-template <typename Sample>
-struct InstanceState {
-  util::Rng::State rng;
-  Sample held{};
-  bool has_sample = false;
-  sim::SimTimeMs last_sample_ms = 0;
-  bool failed = false;
-};
-
 // Common per-instance machinery: identity, native rate, latched clean
 // failure. Concrete sensors implement p_measure() to produce a fresh sample.
 template <typename Sample>
@@ -43,46 +30,44 @@ class SensorInstance {
  public:
   SensorInstance(SensorId id, double rate_hz, util::Rng rng)
       : id_(id), interval_ms_(rate_hz > 0 ? static_cast<sim::SimTimeMs>(1000.0 / rate_hz) : 1),
-        rng_(rng) {}
+        run_{.rng = rng} {}
   virtual ~SensorInstance() = default;
 
   SensorInstance(const SensorInstance&) = delete;
   SensorInstance& operator=(const SensorInstance&) = delete;
 
   const SensorId& id() const { return id_; }
-  bool failed() const { return failed_; }
+  bool failed() const { return run_.failed; }
 
   // Clean failure: the device stops communicating for the rest of the run.
-  void fail() { failed_ = true; }
+  void fail() { run_.failed = true; }
 
-  // Mid-run state capture/restore (checkpointed prefix forking). save/load
-  // cover every field a run changes (identity, rate and the derived model's
-  // parameters are construction-time constants), so a loaded instance is
-  // state-identical to one that lived through the prefix.
-  InstanceState<Sample> save() const {
-    return {rng_.save(), held_, has_sample_, last_sample_ms_, failed_};
-  }
+  // Everything a run changes: the noise stream position, the held sample
+  // and its clock, and the latched failure. Identity, rate and the derived
+  // model's parameters are construction-time constants.
+  struct State {
+    util::Rng rng{0};
+    Sample held{};
+    bool has_sample = false;
+    sim::SimTimeMs last_sample_ms = 0;
+    bool failed = false;
+  };
 
-  void load(const InstanceState<Sample>& s) {
-    rng_.load(s.rng);
-    held_ = s.held;
-    has_sample_ = s.has_sample;
-    last_sample_ms_ = s.last_sample_ms;
-    failed_ = s.failed;
-  }
+  State save() const { return run_; }
+  void load(const State& s) { run_ = s; }
 
   // Driver read path. Returns kFailed (and leaves `out` untouched) once the
   // instance has failed; otherwise returns the held sample, refreshing it
   // when a native sample period has elapsed.
   ReadStatus read(sim::SimTimeMs now_ms, const sim::VehicleState& truth,
                   const sim::Environment& env, Sample& out) {
-    if (failed_) return ReadStatus::kFailed;
-    if (!has_sample_ || now_ms - last_sample_ms_ >= interval_ms_) {
-      held_ = p_measure(truth, env, rng_);
-      last_sample_ms_ = now_ms;
-      has_sample_ = true;
+    if (run_.failed) return ReadStatus::kFailed;
+    if (!run_.has_sample || now_ms - run_.last_sample_ms >= interval_ms_) {
+      run_.held = p_measure(truth, env, run_.rng);
+      run_.last_sample_ms = now_ms;
+      run_.has_sample = true;
     }
-    out = held_;
+    out = run_.held;
     return ReadStatus::kOk;
   }
 
@@ -93,11 +78,7 @@ class SensorInstance {
  private:
   SensorId id_;
   sim::SimTimeMs interval_ms_;
-  util::Rng rng_;
-  Sample held_{};
-  bool has_sample_ = false;
-  sim::SimTimeMs last_sample_ms_ = 0;
-  bool failed_ = false;
+  State run_;
 };
 
 // Each sensor's measurement model is a static function of (truth, rng,
@@ -298,12 +279,12 @@ struct SuiteConfig {
 // Mid-run state of every instance in a suite, in the suite's construction
 // order (experiment checkpointing).
 struct SuiteSnapshot {
-  std::vector<InstanceState<GyroSample>> gyros;
-  std::vector<InstanceState<AccelSample>> accels;
-  std::vector<InstanceState<BaroSample>> baros;
-  std::vector<InstanceState<GpsSample>> gpses;
-  std::vector<InstanceState<CompassSample>> compasses;
-  std::vector<InstanceState<BatterySample>> batteries;
+  std::vector<Gyroscope::State> gyros;
+  std::vector<Accelerometer::State> accels;
+  std::vector<Barometer::State> baros;
+  std::vector<Gps::State> gpses;
+  std::vector<Compass::State> compasses;
+  std::vector<BatterySensor::State> batteries;
 };
 
 // The vehicle's full sensor complement. Owns every instance; exposes typed
@@ -338,9 +319,11 @@ class SensorSuite {
 
   const SuiteConfig& config() const { return config_; }
 
-  // Capture/restore every instance's mid-run state (checkpointed prefix
-  // forking). load() requires the same sensor complement — restoring a
-  // different vehicle's snapshot is a logic error.
+  // Capture/restore every instance's run state (checkpointed prefix
+  // forking). The suite keeps its own save/load because its state is a loop
+  // over polymorphic instances, not a member block. load() requires the same
+  // sensor complement — restoring a different vehicle's snapshot is a logic
+  // error.
   SuiteSnapshot save() const {
     SuiteSnapshot s;
     for (const auto& g : gyros_) s.gyros.push_back(g->save());

@@ -40,16 +40,16 @@ struct StepEvent {
 class Simulator {
  public:
   Simulator(Environment env, QuadcopterParams params, std::uint64_t seed)
-      : env_(std::move(env)), dynamics_(params), rng_(seed) {}
+      : env_(std::move(env)), dynamics_(params), run_{.rng = util::Rng(seed)} {}
 
   // Advance physics one time-step given the firmware's actuator outputs.
   // Returns the crash cause if a collision happened this step.
   CrashCause step(const MotorCommands& motors) {
-    const CrashCause crash = dynamics_.step(state_, motors, env_, kStepSeconds, rng_);
-    time_ms_ += 1;
-    if (crash != CrashCause::kNone) last_crash_ = crash;
+    const CrashCause crash = dynamics_.step(run_.state, motors, env_, kStepSeconds, run_.rng);
+    run_.time_ms += 1;
+    if (crash != CrashCause::kNone) run_.last_crash = crash;
     for (const auto& obs : observers_) {
-      obs(StepEvent{time_ms_, &state_, crash});
+      obs(StepEvent{run_.time_ms, &run_.state, crash});
     }
     return crash;
   }
@@ -58,43 +58,34 @@ class Simulator {
     observers_.push_back(std::move(obs));
   }
 
-  // Complete per-run state for experiment checkpointing. The environment,
-  // dynamics parameters and observers are construction-time constants of the
-  // spec and are not part of a run's mutable state; the RNG stream is (wind
-  // gusts and ground-contact jitter draw from it mid-run).
-  struct Snapshot {
+  // Everything a run changes, and so an experiment checkpoint's simulator
+  // part. The environment, dynamics parameters and observers are
+  // construction-time constants of the spec; the RNG stream is run state
+  // (wind gusts and ground-contact jitter draw from it mid-run).
+  struct State {
     VehicleState state;
-    util::Rng::State rng;
+    util::Rng rng{0};
     SimTimeMs time_ms = 0;
     CrashCause last_crash = CrashCause::kNone;
   };
 
-  Snapshot save() const { return {state_, rng_.save(), time_ms_, last_crash_}; }
+  State save() const { return run_; }
+  void load(const State& s) { run_ = s; }
 
-  void load(const Snapshot& s) {
-    state_ = s.state;
-    rng_.load(s.rng);
-    time_ms_ = s.time_ms;
-    last_crash_ = s.last_crash;
-  }
+  SimTimeMs now_ms() const { return run_.time_ms; }
+  double now_seconds() const { return static_cast<double>(run_.time_ms) * kStepSeconds; }
 
-  SimTimeMs now_ms() const { return time_ms_; }
-  double now_seconds() const { return static_cast<double>(time_ms_) * kStepSeconds; }
-
-  const VehicleState& state() const { return state_; }
-  VehicleState& mutable_state() { return state_; }
+  const VehicleState& state() const { return run_.state; }
+  VehicleState& mutable_state() { return run_.state; }
   const Environment& environment() const { return env_; }
   const QuadcopterDynamics& dynamics() const { return dynamics_; }
-  CrashCause last_crash() const { return last_crash_; }
-  util::Rng& rng() { return rng_; }
+  CrashCause last_crash() const { return run_.last_crash; }
+  util::Rng& rng() { return run_.rng; }
 
  private:
   Environment env_;
   QuadcopterDynamics dynamics_;
-  VehicleState state_;
-  util::Rng rng_;
-  SimTimeMs time_ms_ = 0;
-  CrashCause last_crash_ = CrashCause::kNone;
+  State run_;
   std::vector<std::function<void(const StepEvent&)>> observers_;
 };
 

@@ -88,24 +88,11 @@ class Rng {
     return Rng(next_u64() ^ (0xa0761d6478bd642fULL * (stream_id + 1)));
   }
 
-  // Mid-stream snapshot for experiment checkpointing. The cached Marsaglia
-  // spare gaussian is part of the stream position: dropping it would shift
-  // every draw after an odd number of next_gaussian() calls.
-  struct State {
-    std::uint64_t state = 0;
-    bool has_spare = false;
-    double spare = 0.0;
-  };
-
-  State save() const noexcept { return {state_, has_spare_, spare_}; }
-
-  void load(const State& s) noexcept {
-    state_ = s.state;
-    has_spare_ = s.has_spare;
-    spare_ = s.spare;
-  }
-
  private:
+  // The whole stream position, so a copy is a mid-stream snapshot
+  // (experiment checkpoints hold Rng values). The cached Marsaglia spare
+  // gaussian is part of it: dropping it would shift every draw after an odd
+  // number of next_gaussian() calls.
   std::uint64_t state_;
   bool has_spare_ = false;
   double spare_ = 0.0;

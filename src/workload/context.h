@@ -26,27 +26,27 @@ class GcsContext {
 
   // Drain incoming telemetry; called by the harness every step.
   void pump(sim::SimTimeMs now) {
-    now_ms_ = now;
+    run_.now_ms = now;
     while (auto msg = gcs_->receive()) {
       // Mission-upload replies are consumed by the uploader first.
       auto remaining = uploader_.handle(std::move(*msg));
       if (!remaining) continue;
       if (const auto* hb = std::get_if<mavlink::Heartbeat>(&*remaining)) {
-        armed_ = hb->armed;
-        mode_id_ = hb->custom_mode;
-        have_heartbeat_ = true;
+        run_.armed = hb->armed;
+        run_.mode_id = hb->custom_mode;
+        run_.have_heartbeat = true;
       } else if (const auto* gp = std::get_if<mavlink::GlobalPositionInt>(&*remaining)) {
-        local_position_ = frame_.to_local(gp->position);
-        relative_alt_ = gp->relative_alt_m;
-        velocity_ = gp->velocity_ned;
-        heading_ = gp->heading_rad;
-        have_position_ = true;
+        run_.local_position = frame_.to_local(gp->position);
+        run_.relative_alt = gp->relative_alt_m;
+        run_.velocity = gp->velocity_ned;
+        run_.heading = gp->heading_rad;
+        run_.have_position = true;
       } else if (const auto* ack = std::get_if<mavlink::CommandAck>(&*remaining)) {
-        last_ack_ = *ack;
+        run_.last_ack = *ack;
       } else if (const auto* st = std::get_if<mavlink::StatusText>(&*remaining)) {
-        status_texts_.push_back(st->text);
+        run_.status_texts.push_back(st->text);
       } else if (const auto* reached = std::get_if<mavlink::MissionItemReached>(&*remaining)) {
-        last_reached_ = reached->seq;
+        run_.last_reached = reached->seq;
       }
     }
   }
@@ -98,15 +98,15 @@ class GcsContext {
   bool mission_upload_failed() const { return uploader_.failed(); }
 
   // --- Telemetry view ------------------------------------------------------
-  sim::SimTimeMs now_ms() const { return now_ms_; }
-  bool armed() const { return armed_; }
-  std::uint16_t mode_id() const { return mode_id_; }
-  bool have_position() const { return have_position_; }
-  const geo::Vec3& local_position() const { return local_position_; }
-  double altitude() const { return relative_alt_; }
-  const geo::Vec3& velocity() const { return velocity_; }
-  double heading() const { return heading_; }
-  const std::vector<std::string>& status_texts() const { return status_texts_; }
+  sim::SimTimeMs now_ms() const { return run_.now_ms; }
+  bool armed() const { return run_.armed; }
+  std::uint16_t mode_id() const { return run_.mode_id; }
+  bool have_position() const { return run_.have_position; }
+  const geo::Vec3& local_position() const { return run_.local_position; }
+  double altitude() const { return run_.relative_alt; }
+  const geo::Vec3& velocity() const { return run_.velocity; }
+  double heading() const { return run_.heading; }
+  const std::vector<std::string>& status_texts() const { return run_.status_texts; }
 
   // Mission-item helper: build an item from a local NED position.
   mavlink::MissionItem item_at(mavlink::Command command, const geo::Vec3& local,
@@ -120,11 +120,10 @@ class GcsContext {
 
   const geo::LocalFrame& frame() const { return frame_; }
 
-  // Mid-run GCS state for experiment checkpointing: the mission-upload
-  // transaction, the cached telemetry view, and the status-text log. The
-  // endpoint and frame are per-run wiring and stay with the hosting run.
-  struct Snapshot {
-    mavlink::MissionUploader::State uploader;
+  // The context's own run state: the cached telemetry view and the
+  // status-text log. The endpoint and frame are per-run wiring and stay with
+  // the hosting run.
+  struct State {
     sim::SimTimeMs now_ms = 0;
     bool armed = false;
     std::uint16_t mode_id = 0;
@@ -139,26 +138,18 @@ class GcsContext {
     std::vector<std::string> status_texts;
   };
 
-  Snapshot save() const {
-    return {uploader_.save(), now_ms_,   armed_,    mode_id_,  have_heartbeat_,
-            have_position_,   local_position_, relative_alt_, velocity_, heading_,
-            last_ack_,        last_reached_,   status_texts_};
-  }
+  // A checkpoint of the GCS (experiment checkpointing): the mission-upload
+  // transaction's state and the context's own, each whole.
+  struct Snapshot {
+    mavlink::MissionUploader::State uploader;
+    State own;
+  };
+
+  Snapshot save() const { return {uploader_.save(), run_}; }
 
   void load(const Snapshot& s) {
     uploader_.load(s.uploader);
-    now_ms_ = s.now_ms;
-    armed_ = s.armed;
-    mode_id_ = s.mode_id;
-    have_heartbeat_ = s.have_heartbeat;
-    have_position_ = s.have_position;
-    local_position_ = s.local_position;
-    relative_alt_ = s.relative_alt;
-    velocity_ = s.velocity;
-    heading_ = s.heading;
-    last_ack_ = s.last_ack;
-    last_reached_ = s.last_reached;
-    status_texts_ = s.status_texts;
+    run_ = s.own;
   }
 
  private:
@@ -173,18 +164,7 @@ class GcsContext {
   mavlink::MissionUploader uploader_;
   geo::LocalFrame frame_;
 
-  sim::SimTimeMs now_ms_ = 0;
-  bool armed_ = false;
-  std::uint16_t mode_id_ = 0;
-  bool have_heartbeat_ = false;
-  bool have_position_ = false;
-  geo::Vec3 local_position_;
-  double relative_alt_ = 0.0;
-  geo::Vec3 velocity_;
-  double heading_ = 0.0;
-  std::optional<mavlink::CommandAck> last_ack_;
-  std::optional<std::uint16_t> last_reached_;
-  std::vector<std::string> status_texts_;
+  State run_;
 };
 
 }  // namespace avis::workload

@@ -31,7 +31,7 @@ class Script {
     // entered. Time-based steps use this instead of capturing a mutable
     // start timestamp in `done` — step lambdas must be stateless so a
     // workload's progress is fully described by the base-class fields
-    // (Workload::Progress), which is what lets checkpointed prefix forking
+    // (Workload::State), which is what lets checkpointed prefix forking
     // restore a mid-flight workload into a factory-fresh instance.
     std::function<bool(GcsContext&, sim::SimTimeMs)> done_since;
     sim::SimTimeMs timeout_ms = 60000;
@@ -107,44 +107,44 @@ class Workload {
   // the paper's Fig. 8 script); the tick ends at the first unfinished step.
   WorkloadStatus step(GcsContext& ctx) {
     const auto& steps = script_.steps();
-    while (status_ == WorkloadStatus::kRunning) {
-      if (index_ >= steps.size()) {
-        status_ = WorkloadStatus::kPassed;
+    while (run_.status == WorkloadStatus::kRunning) {
+      if (run_.index >= steps.size()) {
+        run_.status = WorkloadStatus::kPassed;
         break;
       }
-      const auto& step = steps[index_];
-      if (!entered_) {
+      const auto& step = steps[run_.index];
+      if (!run_.entered) {
         step.on_entry(ctx);
-        entered_ = true;
-        entered_at_ = ctx.now_ms();
+        run_.entered = true;
+        run_.entered_at = ctx.now_ms();
       }
-      const bool done = step.done_since ? step.done_since(ctx, ctx.now_ms() - entered_at_)
+      const bool done = step.done_since ? step.done_since(ctx, ctx.now_ms() - run_.entered_at)
                                         : step.done(ctx);
       if (done) {
-        ++index_;
-        entered_ = false;
+        ++run_.index;
+        run_.entered = false;
         continue;
       }
-      if (ctx.now_ms() - entered_at_ > step.timeout_ms) {
-        status_ = WorkloadStatus::kFailed;
-        failed_step_ = step.name;
+      if (ctx.now_ms() - run_.entered_at > step.timeout_ms) {
+        run_.status = WorkloadStatus::kFailed;
+        run_.failed_step = step.name;
       }
       break;
     }
-    return status_;
+    return run_.status;
   }
 
-  WorkloadStatus status() const { return status_; }
-  const std::string& failed_step() const { return failed_step_; }
+  WorkloadStatus status() const { return run_.status; }
+  const std::string& failed_step() const { return run_.failed_step; }
   const std::string& name() const { return name_; }
-  std::size_t current_step() const { return index_; }
+  std::size_t current_step() const { return run_.index; }
 
-  // Mid-run progress for experiment checkpointing. Because step lambdas are
-  // stateless by contract (time-based steps go through Script::add_timed),
-  // these base-class fields are the workload's complete mutable state:
-  // loading them into a factory-fresh instance of the same workload resumes
-  // it exactly where the prefix run left off.
-  struct Progress {
+  // Everything a run changes, and so an experiment checkpoint's workload
+  // part. Because step lambdas are stateless by contract (time-based steps
+  // go through Script::add_timed), this is the workload's complete mutable
+  // state: loading it into a factory-fresh instance of the same workload
+  // resumes it exactly where the prefix run left off.
+  struct State {
     std::size_t index = 0;
     bool entered = false;
     sim::SimTimeMs entered_at = 0;
@@ -152,15 +152,8 @@ class Workload {
     std::string failed_step;
   };
 
-  Progress save() const { return {index_, entered_, entered_at_, status_, failed_step_}; }
-
-  void load(const Progress& p) {
-    index_ = p.index;
-    entered_ = p.entered;
-    entered_at_ = p.entered_at;
-    status_ = p.status;
-    failed_step_ = p.failed_step;
-  }
+  State save() const { return run_; }
+  void load(const State& s) { run_ = s; }
 
  protected:
   explicit Workload(std::string name) : name_(std::move(name)) {}
@@ -168,11 +161,7 @@ class Workload {
 
  private:
   std::string name_;
-  std::size_t index_ = 0;
-  bool entered_ = false;
-  sim::SimTimeMs entered_at_ = 0;
-  WorkloadStatus status_ = WorkloadStatus::kRunning;
-  std::string failed_step_;
+  State run_;
 };
 
 }  // namespace avis::workload

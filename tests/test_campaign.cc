@@ -121,10 +121,10 @@ TEST(Campaign, ResumeRefusesDriftedGrid) {
   EXPECT_NE(diff, "");
   EXPECT_NE(diff.find("cell 0"), std::string::npos) << diff;
 
-  core::CheckpointConfig coarser;
-  coarser.interval_ms = 2000;
+  core::CheckpointConfig smaller;
+  smaller.byte_budget = 1024 * 1024;
   EXPECT_NE(core::CampaignJournal::header_diff(
-                loaded.header, core::CampaignJournal::bind(grid, coarser), grid),
+                loaded.header, core::CampaignJournal::bind(grid, smaller), grid),
             "");
   std::filesystem::remove(path);
 }

@@ -33,8 +33,9 @@ TEST(RngSnapshot, MidStreamSaveLoadPreservesTheMarsagliaSpare) {
   // An odd number of gaussian draws leaves a cached spare: the next
   // next_gaussian() must come from the cache, not a fresh polar round.
   for (int i = 0; i < 7; ++i) original.next_gaussian();
+  // A snapshot holds the Rng by value: restoring is a copy-assignment.
   util::Rng copy(0);
-  copy.load(original.save());
+  copy = original;
   for (int i = 0; i < 64; ++i) {
     ASSERT_DOUBLE_EQ(original.next_gaussian(), copy.next_gaussian()) << "draw " << i;
     ASSERT_EQ(original.next_u64(), copy.next_u64()) << "draw " << i;
@@ -60,9 +61,7 @@ sim::SimTimeMs resumed_at(const CheckpointStore& store, const FaultPlan& plan) {
 // the tree levels above it: depth 1 and depth 2 hits, and chains whose
 // recorded ancestor is too late to use and fall back a level.
 TEST(Checkpoint, ResolvePicksTheDeepestLatestUsableSnapshot) {
-  CheckpointConfig config;
-  config.interval_ms = 5000;
-  CheckpointStore store(config);
+  CheckpointStore store(CheckpointConfig{});
   std::vector<ExperimentSnapshot> root(3);
   root[0].time_ms = 5000;
   root[1].time_ms = 10000;
@@ -186,7 +185,6 @@ TEST(Checkpoint, EvictionTakesTheRootLastAndClearTreeKeepsIt) {
 // interleaved on one thread.
 TEST(Checkpoint, RestoredRunsAreBitIdenticalAcrossTheRegistrySurface) {
   SimulationHarness harness;
-  CheckpointConfig config;  // default cadence (5000 ms), default budget
 
   const std::vector<std::string> personalities = {"ardupilot", "px4"};
   const std::vector<std::string> workloads = {"auto", "box-manual", "fence-mission",
@@ -217,7 +215,7 @@ TEST(Checkpoint, RestoredRunsAreBitIdenticalAcrossTheRegistrySurface) {
 
       ExperimentSpec spec = prototype;
       if (monitor != nullptr) spec.max_duration_ms = model->profiling_duration_ms() + 45000;
-      const CheckpointStore store = harness.record_prefix(spec, monitor, config);
+      const CheckpointStore store = harness.record_prefix(spec, monitor, {});
       ASSERT_GT(store.root_size(), 0u);
       EXPECT_EQ(store.evicted(), 0);
 
@@ -355,7 +353,6 @@ constexpr RootScenario kRootScenarios[] = {
     {"ardupilot", "box-manual", "gusty"},
     {"px4", "fence-mission", "calm"},
 };
-constexpr sim::SimTimeMs kRootIntervalMs = 4000;
 
 std::string root_label(const RootScenario& scenario) {
   return std::string(scenario.personality) + "/" + scenario.workload + "/" +
@@ -388,9 +385,7 @@ Checker& root_checker(const RootScenario& root) {
     scenario.personality = root.personality;
     scenario.workload = root.workload;
     scenario.environment = root.environment;
-    CheckpointConfig config;
-    config.interval_ms = kRootIntervalMs;
-    checker = std::make_unique<Checker>(scenario_prototype(scenario), config);
+    checker = std::make_unique<Checker>(scenario_prototype(scenario), CheckpointConfig{});
   }
   return *checker;
 }
@@ -420,14 +415,15 @@ TEST(CheckpointRoot, GoldenRunRootMatchesTheMonitoredPrefixRun) {
     // A snapshot at every cadence point and every golden transition the
     // run reaches, nothing else.
     std::vector<sim::SimTimeMs> expected_times;
-    for (sim::SimTimeMs t = kRootIntervalMs; t < prefix.duration_ms; t += kRootIntervalMs) {
+    for (sim::SimTimeMs t = kCheckpointIntervalMs; t < prefix.duration_ms;
+         t += kCheckpointIntervalMs) {
       expected_times.push_back(t);
     }
     int off_grid = 0;
     for (const ModeTransition& t : model.golden_transitions()) {
       if (t.time_ms <= 0 || t.time_ms >= prefix.duration_ms) continue;
       expected_times.push_back(t.time_ms);
-      if (t.time_ms % kRootIntervalMs != 0) ++off_grid;
+      if (t.time_ms % kCheckpointIntervalMs != 0) ++off_grid;
     }
     std::sort(expected_times.begin(), expected_times.end());
     expected_times.erase(std::unique(expected_times.begin(), expected_times.end()),
@@ -491,21 +487,20 @@ TEST(CheckpointRoot, ReplayViolationTruncatesTheRoot) {
   SimulationHarness harness;
   const MonitorModel& wrong_model = root_checker(kRootScenarios[2]).model();  // box-manual
   ExperimentSpec spec = root_checker(kRootScenarios[0]).prototype();          // fence-mission
-  CheckpointConfig config;
-  config.interval_ms = kRootIntervalMs;
-
   const ExperimentResult monitored = harness.run(spec, &wrong_model);
   ASSERT_TRUE(monitored.violation.has_value());
   const ExperimentResult unmonitored = harness.run(spec, nullptr);
   ASSERT_LT(monitored.duration_ms, unmonitored.duration_ms);
 
-  const CheckpointStore store = harness.record_prefix(spec, &wrong_model, config);
+  const CheckpointStore store = harness.record_prefix(spec, &wrong_model, {});
   expect_results_identical(monitored, root_recording(store, monitored), "truncated prefix");
   const sim::SimTimeMs stop_ms = monitored.duration_ms - 1;  // the violating iteration
   // The root's capture times (cadence grid plus the model's golden
   // transitions) up to the violating iteration, and none past it.
   std::vector<sim::SimTimeMs> kept;
-  for (sim::SimTimeMs t = kRootIntervalMs; t <= stop_ms; t += kRootIntervalMs) kept.push_back(t);
+  for (sim::SimTimeMs t = kCheckpointIntervalMs; t <= stop_ms; t += kCheckpointIntervalMs) {
+    kept.push_back(t);
+  }
   for (const ModeTransition& t : wrong_model.golden_transitions()) {
     if (t.time_ms > 0 && t.time_ms <= stop_ms) kept.push_back(t.time_ms);
   }
@@ -525,10 +520,11 @@ TEST(CheckpointRoot, ReplayViolationTruncatesTheRoot) {
   // Without stop_on_violation the monitored run goes on, and so does the
   // root; its snapshots past the violation carry it.
   spec.stop_on_violation = false;
-  const CheckpointStore latched = harness.record_prefix(spec, &wrong_model, config);
+  const CheckpointStore latched = harness.record_prefix(spec, &wrong_model, {});
   EXPECT_EQ(root_recording(latched, {}).trace.size(), unmonitored.trace.size());
   int after_violation = 0;
-  for (sim::SimTimeMs t = kRootIntervalMs; t < unmonitored.duration_ms; t += kRootIntervalMs) {
+  for (sim::SimTimeMs t = kCheckpointIntervalMs; t < unmonitored.duration_ms;
+       t += kCheckpointIntervalMs) {
     SCOPED_TRACE("t=" + std::to_string(t));
     const ExperimentSnapshot* snap = root_snapshot_for(latched, t);
     ASSERT_NE(snap, nullptr);

@@ -10,6 +10,7 @@
 // fault-free root only once no tree recording is left.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -32,12 +33,20 @@ FaultPlan chain(std::initializer_list<std::pair<sim::SimTimeMs, SensorId>> event
   return plan;
 }
 
+// Whether a firmware state carries a failsafe latch: a sensor family that a
+// bug or failsafe owns, a fired bug, or a lost position solution.
+bool failsafe_latched(const fw::Firmware::State& firmware) {
+  return std::ranges::any_of(firmware.family_handled, [](bool handled) { return handled; }) ||
+         !firmware.fired_bugs.empty() || !firmware.position_valid;
+}
+
 // The headline contract: a chain that extends a recorded parent restores a
 // *faulty-prefix* snapshot (resume point strictly past its first injection,
 // depth >= 1) and is bit-identical to the cold run — swept over both
 // personalities x two workloads, parent -> child -> grandchild, all on one
 // thread so per-thread state leaking from an earlier combination would
-// surface.
+// surface. Some restores must carry a failsafe latch, so the firmware's
+// failsafe state is under the parity check, not just its flight state.
 TEST(CheckpointTree, TreeRestoredChainsAreBitIdenticalAcrossTheRegistrySurface) {
   SimulationHarness harness;
   CheckpointConfig config;  // trees on by default, 1000 ms cadence
@@ -47,6 +56,7 @@ TEST(CheckpointTree, TreeRestoredChainsAreBitIdenticalAcrossTheRegistrySurface) 
   const SensorId baro{SensorType::kBarometer, 0};
 
   int deep_restores = 0;
+  int failsafe_restores = 0;
   for (const char* personality : {"ardupilot", "px4"}) {
     for (const char* workload : {"auto", "fence-mission"}) {
       const std::string label = std::string(personality) + "/" + workload;
@@ -66,6 +76,12 @@ TEST(CheckpointTree, TreeRestoredChainsAreBitIdenticalAcrossTheRegistrySurface) 
       ASSERT_GT(store.size(), store.root_size()) << "parent recording merged nothing";
       spec.plan = chain({{12000, compass}, {18000, gps}});
       harness.run_recording(spec, nullptr, store);
+      // A second parent loses the only GPS just after fence-mission enters
+      // AUTO (13.1 s). On ardupilot APM-16020 fires and owns the family
+      // (family_handled) while the vehicle flies on, so a restore that
+      // dropped that latch would run the GPS failsafe and land instead.
+      spec.plan = chain({{13500, gps}});
+      harness.run_recording(spec, nullptr, store);
 
       // min_depth, not exact: the transition horizon legitimately stops a
       // child's recording before its second injection on workloads whose
@@ -83,11 +99,15 @@ TEST(CheckpointTree, TreeRestoredChainsAreBitIdenticalAcrossTheRegistrySurface) 
           // Extends the parent at a different second fault: still forks from
           // the parent's {compass@12s} snapshots.
           {"sibling", chain({{12000, compass}, {20000, baro}}), 1},
+          // Forks from the GPS parent's failsafe-latched snapshots.
+          {"gps-child", chain({{13500, gps}, {16000, compass}}), 1},
           // No recorded ancestor: falls back to the fault-free root.
           {"root-fallback", chain({{12000, gps}, {18000, compass}}), 0},
       };
       for (const ChainCase& c : cases) {
         spec.plan = c.plan;
+        const CheckpointResume resume = store.resolve(spec.plan);
+        if (resume && failsafe_latched(resume.snapshot->firmware.own)) ++failsafe_restores;
         const ExperimentResult fresh = harness.run(spec, nullptr);
         const ExperimentResult restored = harness.run(spec, nullptr, nullptr, &store);
         EXPECT_GE(restored.resumed_depth, c.min_depth) << c.name;
@@ -105,8 +125,10 @@ TEST(CheckpointTree, TreeRestoredChainsAreBitIdenticalAcrossTheRegistrySurface) 
     }
   }
   // The two-level walk (grandchild forking from the child's recording) must
-  // have real coverage somewhere in the matrix.
+  // have real coverage somewhere in the matrix, and so must restores into
+  // a latched failsafe.
   EXPECT_GT(deep_restores, 0);
+  EXPECT_GT(failsafe_restores, 0);
 }
 
 // The checker's entry point (SimulationHarness::run with a capture limit):

@@ -7,9 +7,9 @@
 // kContract rows pin behaviour the table-driven parser kept from the
 // if/else parser before it: each expected line was captured from that
 // build. kChanged rows pin the deliberate changes: strict numbers, a
-// missing value that names its flag, parsing before acting, and at most
-// one document on stdout, and the retired worker-split flags. Every bad flag
-// exits 2 before any simulation.
+// missing value that names its flag, parsing before acting, at most one
+// document on stdout, and the retired worker-split and checkpoint-cadence
+// flags. Every bad flag exits 2 before any simulation.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -94,8 +94,8 @@ void expect_rows(const Row* begin, const Row* end) {
 const Row kContract[] = {
     // Out-of-range numbers: past int64, zero or negative worker counts, past
     // int, a byte budget past size_t, and seeds negative or past 64 bits.
-    {"--checkpoint-interval-ms 99999999999999999999 --quiet", 2,
-     "bad numeric value for --checkpoint-interval-ms: 99999999999999999999"},
+    {"--budget-ms 99999999999999999999 --quiet", 2,
+     "bad numeric value for --budget-ms: 99999999999999999999"},
     {"--workers 0 --quiet", 2, "--workers must be in [1, 2147483647] (got 0)"},
     {"--workers -3 --quiet", 2, "--workers must be in [1, 2147483647] (got -3)"},
     {"--workers 4294967297 --quiet", 2,
@@ -111,7 +111,6 @@ const Row kContract[] = {
     {"--budget-ms 0", 2, "--budget-ms must be positive (got 0)"},
     {"--budget-ms -5", 2, "--budget-ms must be positive (got -5)"},
     {"--budget-ms 60s", 2, "bad numeric value for --budget-ms: 60s"},
-    {"--checkpoint-interval-ms 0", 2, "--checkpoint-interval-ms must be positive (got 0)"},
     {"--fuzz 0", 2, "--fuzz must be in [1, 2147483647] (got 0)"},
     {"--fuzz 2147483648", 2, "--fuzz must be in [1, 2147483647] (got 2147483648)"},
     // Unknown flags, including the retired distributed-service ones.
@@ -182,6 +181,10 @@ const Row kChanged[] = {
     {"--experiment-workers -2 --quiet", 2, "unknown option: --experiment-workers"},
     {"--cell-workers -1 --quiet", 2, "unknown option: --cell-workers"},
     {"--experiment-workers 2147483648 --quiet", 2, "unknown option: --experiment-workers"},
+    // The snapshot cadence is a constant (core::kCheckpointIntervalMs).
+    {"--checkpoint-interval-ms 99999999999999999999 --quiet", 2,
+     "unknown option: --checkpoint-interval-ms"},
+    {"--checkpoint-interval-ms 0", 2, "unknown option: --checkpoint-interval-ms"},
     // The bug-population listing names the re-inserted-bug selectors.
     {"--bugs nope", 2,
      "--bugs: unknown bug population: 'nope' registered bug populations are: current, "

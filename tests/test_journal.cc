@@ -125,12 +125,12 @@ TEST(Journal, CellIdentityHashSeesReinsertedBugs) {
 TEST(Journal, RoundTripsHeaderAndRecords) {
   const auto grid = small_grid();
   core::CheckpointConfig checkpoints;
-  checkpoints.interval_ms = 2500;
+  checkpoints.byte_budget = 2500;
   const auto header = core::CampaignJournal::bind(grid, checkpoints);
 
-  // Cell 1 as an older build wrote version-2 records, with the execution
-  // provenance keys of the retired distributed service. load() reads only
-  // the keys it names, so such a journal resumes exactly like a new one.
+  // Cell 1 with record keys load() does not name: the execution provenance
+  // keys that version-2 builds wrote for the retired distributed service.
+  // load() ignores them, so such a record loads exactly like a new one.
   std::string legacy_report = core::checker_report_json(synthetic_report(1));
   std::erase(legacy_report, '\n');
   const std::string legacy_record =
@@ -155,8 +155,7 @@ TEST(Journal, RoundTripsHeaderAndRecords) {
     EXPECT_EQ(loaded.header.version, core::CampaignJournal::kVersion);
     EXPECT_EQ(loaded.header.cells, grid.size());
     EXPECT_TRUE(loaded.header.checkpoints_enabled);
-    EXPECT_EQ(loaded.header.checkpoint_interval_ms, 2500);
-    EXPECT_EQ(loaded.header.checkpoint_budget_bytes, checkpoints.byte_budget);
+    EXPECT_EQ(loaded.header.checkpoint_budget_bytes, 2500u);
     ASSERT_EQ(loaded.header.cell_hashes.size(), grid.size());
     EXPECT_EQ(loaded.header.cell_hashes[0], core::cell_identity_hash(grid[0]));
 
@@ -292,26 +291,26 @@ TEST(Journal, LoadRejectsMissingAndHeaderlessFiles) {
   std::filesystem::remove(path);
 }
 
-// A version-3 journal (its header still carries the retired
-// checkpoint_trees knob) must not resume under this build: load() refuses
-// it with a message naming both versions, which the CLI's --resume turns
-// into exit code 2.
+// A version-4 journal (its header still carries the retired
+// checkpoint_interval_ms knob) must not resume under this build: load()
+// refuses it with a message naming both versions, which the CLI's --resume
+// turns into exit code 2.
 TEST(Journal, OldVersionJournalIsRefusedNamingBothVersions) {
   const auto grid = small_grid();
   const std::string path = temp_path("old_version");
   write_file(path,
-             "{\"type\": \"avis_campaign_journal\", \"version\": 3, \"cells\": 2, "
-             "\"checkpoints_enabled\": true, \"checkpoint_trees\": true, "
+             "{\"type\": \"avis_campaign_journal\", \"version\": 4, \"cells\": 2, "
+             "\"checkpoints_enabled\": true, "
              "\"checkpoint_interval_ms\": 1000, \"checkpoint_budget_bytes\": 0, "
              "\"cell_hashes\": [\"" +
                  core::cell_identity_hash(grid[0]) + "\", \"" +
                  core::cell_identity_hash(grid[1]) + "\"]}\n");
   try {
     core::CampaignJournal::load(path);
-    ADD_FAILURE() << "a version-3 journal loaded";
+    ADD_FAILURE() << "a version-4 journal loaded";
   } catch (const core::JournalError& err) {
     const std::string message = err.what();
-    EXPECT_NE(message.find("version 3,"), std::string::npos) << message;
+    EXPECT_NE(message.find("version 4,"), std::string::npos) << message;
     EXPECT_NE(message.find("version " + std::to_string(core::CampaignJournal::kVersion)),
               std::string::npos)
         << message;
@@ -328,8 +327,7 @@ TEST(Journal, VersionPastIntIsRefusedWithTheVersionMessage) {
   std::ostringstream header;
   const std::string wrapped = std::to_string((1LL << 32) + core::CampaignJournal::kVersion);
   header << "{\"type\": \"avis_campaign_journal\", \"version\": " << wrapped << ", \"cells\": 2, "
-            "\"checkpoints_enabled\": true, "
-            "\"checkpoint_interval_ms\": 1000, \"checkpoint_budget_bytes\": 0, "
+            "\"checkpoints_enabled\": true, \"checkpoint_budget_bytes\": 0, "
             "\"cell_hashes\": [\""
          << core::cell_identity_hash(grid[0]) << "\", \"" << core::cell_identity_hash(grid[1])
          << "\"]}\n";
@@ -354,7 +352,7 @@ TEST(Journal, CellCountDisagreeingWithHashesIsRefused) {
              "{\"type\": \"avis_campaign_journal\", \"version\": " +
                  std::to_string(core::CampaignJournal::kVersion) +
                  ", \"cells\": 3, \"checkpoints_enabled\": true, "
-                 "\"checkpoint_interval_ms\": 1000, \"checkpoint_budget_bytes\": 0, "
+                 "\"checkpoint_budget_bytes\": 0, "
                  "\"cell_hashes\": [\"" +
                  core::cell_identity_hash(grid[0]) + "\"]}\n");
   EXPECT_THROW(core::CampaignJournal::load(path), core::JournalError);

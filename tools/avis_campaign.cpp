@@ -239,8 +239,6 @@ std::vector<Flag> p_flags(Cli& cli) {
        integer(run.total_workers, 1, INT_MAX)},
       {"--no-checkpoints", nullptr, kRun, "disable prefix forking (A/B timing; same report)",
        set(checkpoints.enabled, false)},
-      {"--checkpoint-interval-ms", "N", kRun, "snapshot cadence for the prefix run (default 1000)",
-       integer(checkpoints.interval_ms, 1, kPositive)},
       {"--checkpoint-budget-mb", "N", kRun, "retained snapshot budget (default 64)",
        integer(checkpoints.byte_budget, 1, kMaxBudgetMb, 20)},
       {"--out", "FILE", kOutput, "write the JSON report to FILE ('-' = stdout)", path(cli.out),
